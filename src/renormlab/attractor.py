@@ -20,10 +20,10 @@ import numpy as np
 
 from .cascade import (_is_1d, _continue_orbit, _orbit_by_iteration,
                       orbit_multiplier, run_cascade)
-from .errors import EscapeError, InsufficientDataError, ResolutionError
+from .errors import (ESCAPE_LIMIT, EscapeError, InsufficientDataError,
+                     RenormLabError, ResolutionError)
 
 MAX_GENERATIONS = 12
-ESCAPE_LIMIT = 1e10
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,6 @@ def verify_periodic_saddles(fam, t, levels, cascade_result=None):
             mults = orbit_multiplier(fam, t, orbit)
             reports.append(SaddleReport(lv, True, _classify(mults, one_d),
                                         tuple(mults), tuple(orbit)))
-        except Exception:
+        except RenormLabError:
             reports.append(SaddleReport(lv, False, "not-found", (), ()))
     return reports

@@ -18,11 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (BracketError, ComplexMultiplierError, ContinuationError,
-                     EscapeError, InsufficientDataError, NoConvergenceError,
-                     WrongPeriodError)
+from .errors import (ESCAPE_LIMIT, BracketError, ComplexMultiplierError,
+                     ContinuationError, EscapeError, InsufficientDataError,
+                     NoConvergenceError, RenormLabError, WrongPeriodError)
 
-ESCAPE_LIMIT = 1e10
 DISTINCT_TOL = 1e-10
 
 
@@ -479,7 +478,7 @@ def run_cascade(fam, n_max, mult_tol=1e-9):
             t_level = find_doubling_bifurcation(fam, level, (lo, hi),
                                                 orbit_lo=orbit, mult_tol=mult_tol)
             ts.append(t_level)
-    except Exception as exc:
+    except RenormLabError as exc:
         exc.completed = tuple(enumerate(ts))
         raise
     gaps = np.diff(ts)

@@ -317,8 +317,10 @@ _COMMANDS = {
 
 
 def _validate(parser, cmd, cfg):
+    degree_check = ("degree", lambda v: 1 <= v <= series.MAX_DEGREE,
+                    f"--degree must be in [1, {series.MAX_DEGREE}]")
     checks = {
-        "fixpoint": [("degree", lambda v: v >= 1, "--degree must be >= 1"),
+        "fixpoint": [degree_check,
                      ("tol", lambda v: v > 0, "--tol must be > 0"),
                      ("max_iters", lambda v: v >= 1, "--max-iters must be >= 1")],
         "cascade": [("nmax", lambda v: v >= 0, "--nmax must be >= 0")],
@@ -326,7 +328,7 @@ def _validate(parser, cmd, cfg):
                        "--generations must be in [1, 12]")],
         "ndcheck": [("levels", lambda v: v >= 1, "--levels must be >= 1"),
                     ("samples", lambda v: v >= 1000, "--samples must be >= 1000"),
-                    ("degree", lambda v: v >= 1, "--degree must be >= 1")],
+                    degree_check],
         "manifold": [("depth", lambda v: v >= 6, "--depth must be >= 6"),
                      ("h", lambda v: v > 0, "--h must be > 0")],
         "bifdiag": [("tn", lambda v: v >= 2, "--tn must be >= 2")],

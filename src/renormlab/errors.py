@@ -1,5 +1,8 @@
 """Exception hierarchy shared by all renormlab modules."""
 
+# Orbit coordinates beyond this size count as escaped (EscapeError).
+ESCAPE_LIMIT = 1e10
+
 
 class RenormLabError(Exception):
     """Base class for all errors raised by this package."""

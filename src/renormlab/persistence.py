@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import linear_family, recenter, run_cascade, shift_family
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, RenormLabError
 
 
 def persistence_a(fam, depth):
@@ -128,7 +128,7 @@ def chart_validity_radius(chart, h_values=(1e-3, 1e-2, 0.05, 0.1, 0.2),
     for h in sorted(h_values):
         try:
             grad = chart_gradient(chart, [chart.v0], h=h)[0]
-        except Exception:
+        except RenormLabError:
             break
         if abs(grad + 1.0) > tol:
             break

@@ -1,7 +1,11 @@
 """Polynomial maps of the n-disk and their doubling renormalization.
 
-A region is an affine image of the closed unit ball (DiskND); a map is a
-tuple of dense polynomial coefficient tensors (MapND).  Doubling
+A region is an affine image of the closed unit ball (DiskND).  A map
+(MapND) is sparse: an integer exponent table with one row per monomial
+and a coefficient matrix with one column per output coordinate.  Points
+are evaluated in blocks of BLOCK: each block builds the powers of every
+axis once, gathers them into one monomial table shared by all output
+coordinates, and finishes with a single matrix product.  Doubling
 renormalizability of psi on a disk D1 means psi(D1) is disjoint from D1
 while psi^2(D1) lands strictly inside it; both conditions are checked on a
 deterministic low-discrepancy sample of D1 and reported as signed margins
@@ -18,12 +22,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (DimensionError, DiskError, EscapeError, RefitError,
-                     RangeError)
+from .errors import (ESCAPE_LIMIT, DimensionError, DiskError, EscapeError,
+                     RefitError, RangeError)
 from .series import AnalyticUnimodal
 
-ESCAPE_LIMIT = 1e10
-_LETTERS = "abcdefghijkl"
+BLOCK = 4096     # points per evaluation block: bounds the monomial table
 
 
 # ---------------------------------------------------------------------------
@@ -32,23 +35,58 @@ _LETTERS = "abcdefghijkl"
 class MapND:
     """Polynomial self-map of an n-dimensional region, n >= 2.
 
-    components[i] is a dense coefficient tensor: entry [k1, ..., kn]
-    multiplies x1^k1 * ... * xn^kn in output coordinate i.
+    Row k of exponents (M, n) is the monomial x1^e1 * ... * xn^en, and
+    coeffs[k, i] is its coefficient in output coordinate i.
     """
 
-    def __init__(self, components, family=""):
-        comps = tuple(np.asarray(c, dtype=float) for c in components)
-        n = len(comps)
+    def __init__(self, exponents, coeffs, family=""):
+        exps = np.asarray(exponents, dtype=np.intp)
+        coeffs = np.asarray(coeffs, dtype=float)
+        if exps.ndim != 2 or exps.shape[0] == 0:
+            raise ValueError("exponents must be a non-empty (M, n) table")
+        n = exps.shape[1]
         if n < 2:
             raise DimensionError("MapND needs dimension n >= 2")
-        for c in comps:
-            if c.ndim != n:
-                raise ValueError("each coefficient tensor needs one axis per variable")
-        self.components = comps
+        if np.any(exps < 0):
+            raise ValueError("exponents must be >= 0")
+        if coeffs.shape != exps.shape:
+            raise ValueError("coeffs must have the shape of exponents")
+        self.exponents = exps
+        self.coeffs = coeffs
         self.dim = n
         self.family = family
         self.fit_residual = None
-        self._jac_tensors = None
+        self._jac = None
+        # the power table holds, per axis, the rows x^0 .. x^top; the steps
+        # fill rows x^(k+1) .. x^(k+s) as x^1 .. x^s times x^k
+        tops = exps.max(axis=0)
+        offsets = np.concatenate([[0], np.cumsum(tops[:-1] + 1)])
+        self._rows = int(offsets[-1] + tops[-1] + 1)
+        self._offsets = offsets
+        self._active = np.flatnonzero(tops)
+        self._steps = []
+        for off, top in zip(offsets, tops):
+            k = 1
+            while k < top:
+                s = min(k, top - k)
+                self._steps.append((slice(off + 1, off + 1 + s), off + k,
+                                    slice(off + k + 1, off + k + 1 + s)))
+                k += s
+        self._gather = [offsets[ax] + exps[:, ax] for ax in self._active]
+
+    def _monomials(self, pts):
+        """(M, m) table of every monomial at an (m, n) block of points."""
+        if not self._gather:
+            return np.ones((self.exponents.shape[0], pts.shape[0]))
+        table = np.empty((self._rows, pts.shape[0]))
+        table[self._offsets] = 1.0
+        table[self._offsets[self._active] + 1] = pts.T[self._active]
+        for src, row, dst in self._steps:
+            np.multiply(table[src], table[row], out=table[dst])
+        mono = table[self._gather[0]]
+        for rows in self._gather[1:]:
+            mono *= table[rows]
+        return mono
 
     def __call__(self, pts):
         """Evaluate at an (m, n) array of points or a single n-point."""
@@ -56,66 +94,43 @@ class MapND:
         single = p.ndim == 1
         if single:
             p = p[None, :]
-        if p.shape[1] != self.dim:
+        if p.ndim != 2 or p.shape[1] != self.dim:
             raise ValueError(f"points must have {self.dim} coordinates")
-        out = np.column_stack([_eval_tensor(c, p) for c in self.components])
+        out = np.empty(p.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, p.shape[0], BLOCK):
+                blk = p[s:s + BLOCK]
+                np.matmul(self._monomials(blk).T, self.coeffs,
+                          out=out[s:s + blk.shape[0]])
         return out[0] if single else out
+
+    def _derivative(self, axis):
+        """The partial derivative along one axis: exponents shifted down."""
+        e = self.exponents[:, axis]
+        exps = self.exponents.copy()
+        exps[:, axis] = np.maximum(e - 1, 0)
+        return MapND(exps, self.coeffs * e[:, None], family=self.family)
 
     def jacobian(self, pt):
         """n x n derivative matrix at a single point."""
-        if self._jac_tensors is None:
-            self._jac_tensors = tuple(
-                tuple(_diff_tensor(c, ax) for ax in range(self.dim))
-                for c in self.components)
-        p = np.asarray(pt, dtype=float)[None, :]
-        jac = np.empty((self.dim, self.dim))
-        for i, row in enumerate(self._jac_tensors):
-            for j, tens in enumerate(row):
-                jac[i, j] = _eval_tensor(tens, p)[0]
-        return jac
+        if self._jac is None:
+            self._jac = [self._derivative(ax) for ax in range(self.dim)]
+        return np.column_stack([d(pt) for d in self._jac])
 
     def __add__(self, other):
         if not isinstance(other, MapND) or other.dim != self.dim:
             return NotImplemented
-        comps = [_add_tensors(a, b)
-                 for a, b in zip(self.components, other.components)]
-        return MapND(comps, family=self.family)
+        exps, inverse = np.unique(np.vstack([self.exponents, other.exponents]),
+                                  axis=0, return_inverse=True)
+        coeffs = np.zeros(exps.shape)
+        np.add.at(coeffs, inverse.reshape(-1),
+                  np.vstack([self.coeffs, other.coeffs]))
+        return MapND(exps, coeffs, family=self.family)
 
     def __mul__(self, s):
-        return MapND([c * float(s) for c in self.components], family=self.family)
+        return MapND(self.exponents, self.coeffs * float(s), family=self.family)
 
     __rmul__ = __mul__
-
-
-def _eval_tensor(c, pts):
-    # contract one Vandermonde per axis against the coefficient tensor
-    n = c.ndim
-    ops, subs = [], []
-    for ax in range(n):
-        ops.append(np.vander(pts[:, ax], c.shape[ax], increasing=True))
-        subs.append("z" + _LETTERS[ax])
-    expr = ",".join(subs) + "," + _LETTERS[:n] + "->z"
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.einsum(expr, *ops, c, optimize=True)
-
-
-def _diff_tensor(c, axis):
-    d = c.shape[axis]
-    if d == 1:
-        return np.zeros_like(c)
-    sl = [slice(None)] * c.ndim
-    sl[axis] = slice(1, None)
-    shape = [1] * c.ndim
-    shape[axis] = d - 1
-    return c[tuple(sl)] * np.arange(1, d).reshape(shape)
-
-
-def _add_tensors(a, b):
-    shape = tuple(max(x, y) for x, y in zip(a.shape, b.shape))
-    out = np.zeros(shape)
-    out[tuple(slice(0, s) for s in a.shape)] = a
-    out[tuple(slice(0, s) for s in b.shape)] += b
-    return out
 
 
 def standard_fct_map(n, phi0):
@@ -128,41 +143,40 @@ def standard_fct_map(n, phi0):
         raise DimensionError("the standard map needs n >= 2")
     if not isinstance(phi0, AnalyticUnimodal):
         raise TypeError("phi0 must be an AnalyticUnimodal series")
-    comps = []
-    first = np.zeros((1,) * (n - 1) + (2,))
-    first[(0,) * (n - 1) + (1,)] = 1.0
-    comps.append(first)
-    for _ in range(n - 2):
-        comps.append(np.zeros((1,) * n))
-    k = phi0.trunc_degree
-    last = np.zeros((1,) * (n - 1) + (2 * k + 1,))
-    last[(0,) * (n - 1)][::2] = phi0.coeffs
-    comps.append(last)
-    return MapND(comps, family="standard-fct")
+    powers = [1] + list(range(0, 2 * phi0.trunc_degree + 1, 2))
+    exps = np.zeros((len(powers), n), dtype=np.intp)
+    exps[:, -1] = powers
+    coeffs = np.zeros((len(powers), n))
+    coeffs[0, 0] = 1.0
+    coeffs[1:, -1] = phi0.coeffs
+    return MapND(exps, coeffs, family="standard-fct")
 
 
 def identity_map(n):
     """The identity as a MapND (handy degenerate test subject)."""
-    comps = []
-    for i in range(n):
-        c = np.zeros((1,) * i + (2,) + (1,) * (n - 1 - i))
-        idx = [0] * n
-        idx[i] = 1
-        c[tuple(idx)] = 1.0
-        comps.append(c)
-    return MapND(comps, family="identity")
+    return MapND(np.eye(n), np.eye(n), family="identity")
+
+
+def _orbit(psi, x, steps, keep=0):
+    """Apply psi steps times from x; return the last point and, as rows, the
+    last `keep` images.  Raises EscapeError, with the 1-based step, once a
+    coordinate is not finite or exceeds ESCAPE_LIMIT."""
+    p = np.asarray(x, dtype=float)
+    kept = np.empty((keep, p.size))
+    for i in range(steps):
+        p = psi(p)
+        if not np.max(np.abs(p)) <= ESCAPE_LIMIT:      # also catches nan
+            raise EscapeError(f"orbit escaped at step {i + 1}", step=i + 1)
+        if i >= steps - keep:
+            kept[i - steps + keep] = p
+    return p, kept
 
 
 def iterate(psi, x, k):
     """k-fold application; raises EscapeError past coordinate size 1e10."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    p = np.asarray(x, dtype=float)
-    for i in range(k):
-        p = psi(p)
-        if not np.all(np.isfinite(p)) or np.max(np.abs(p)) > ESCAPE_LIMIT:
-            raise EscapeError(f"orbit escaped at step {i + 1}", step=i + 1)
-    return p
+    return _orbit(psi, x, k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +308,6 @@ def check_renormalizable(psi, d1, samples=2048):
                        disjoint_margin, inside_margin)
 
 
-def _total_degree_exponents(n, degree):
-    exps = [e for e in itertools.product(range(degree + 1), repeat=n)
-            if sum(e) <= degree]
-    exps.sort()
-    return exps
-
-
 def renormalize_nd(psi, xi, degree=8, samples=2048, fit_tol=1e-3):
     """R psi = xi^-1 o psi o psi o xi, refit to total degree <= degree.
 
@@ -318,24 +325,15 @@ def renormalize_nd(psi, xi, degree=8, samples=2048, fit_tol=1e-3):
     if not np.all(np.isfinite(im2)):
         raise RangeError("psi^2 is not finite on the sampled disk")
     target = (im2 - xi.center) @ xi._inv.T
-    exps = _total_degree_exponents(xi.dim, degree)
-    cols = np.ones((ball.shape[0], len(exps)))
-    for j, e in enumerate(exps):
-        for ax, p in enumerate(e):
-            if p:
-                cols[:, j] *= ball[:, ax] ** p
-    comps, worst = [], 0.0
-    for i in range(xi.dim):
-        coef, *_ = np.linalg.lstsq(cols, target[:, i], rcond=None)
-        worst = max(worst, float(np.max(np.abs(cols @ coef - target[:, i]))))
-        tensor = np.zeros((degree + 1,) * xi.dim)
-        for j, e in enumerate(exps):
-            tensor[e] = coef[j]
-        comps.append(tensor)
+    exps = np.array([e for e in itertools.product(range(degree + 1), repeat=xi.dim)
+                     if sum(e) <= degree])
+    cols = np.prod(ball[:, None, :] ** exps, axis=2)
+    coeffs, *_ = np.linalg.lstsq(cols, target, rcond=None)
+    worst = float(np.max(np.abs(cols @ coeffs - target)))
     if worst > fit_tol:
         raise RefitError(
             f"refit residual {worst:.3e} exceeds {fit_tol:.1e}", residual=worst)
-    out = MapND(comps, family=f"renormalized({psi.family})")
+    out = MapND(exps, coeffs, family=f"renormalized({psi.family})")
     out.fit_residual = worst
     return out
 
@@ -353,24 +351,25 @@ class DiskSearch:
 
 def _batched_margins(psi, centers, linears, samples):
     """Margins for many candidate disks at once."""
-    ball = ball_samples(centers.shape[1], samples)
-    nc = centers.shape[0]
-    pts = np.einsum("cij,sj->csi", linears, ball) + centers[:, None, :]
-    flat = pts.reshape(-1, centers.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        im1 = psi(flat)
-        im2 = psi(im1)
+    nc, n = centers.shape
+    ball = ball_samples(n, samples)
     inv = np.linalg.inv(linears)
-    rel1 = np.einsum("cij,csj->csi", inv,
-                     im1.reshape(nc, -1, centers.shape[1]) - centers[:, None, :])
-    rel2 = np.einsum("cij,csj->csi", inv,
-                     im2.reshape(nc, -1, centers.shape[1]) - centers[:, None, :])
+    pts = (linears @ ball.T).transpose(0, 2, 1) + centers[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        n1 = np.linalg.norm(rel1, axis=2)
-        n2 = np.linalg.norm(rel2, axis=2)
-    n1 = np.where(np.isfinite(n1), n1, np.inf)
-    n2 = np.where(np.isfinite(n2), n2, np.inf)
-    return n1.min(axis=1) - 1.0, 1.0 - n2.max(axis=1)
+        im1 = psi(pts.reshape(-1, n))
+        im2 = psi(im1)
+        sq1, sq2 = (_sq_chart_norms(im.reshape(nc, -1, n), centers, inv)
+                    for im in (im1, im2))
+    # the root commutes with min and max, so it is taken per candidate
+    return np.sqrt(sq1.min(axis=1)) - 1.0, 1.0 - np.sqrt(sq2.max(axis=1))
+
+
+def _sq_chart_norms(im, centers, inv):
+    """Squared chart norms (nc, s) of images im (nc, s, n), each in its own
+    candidate's chart; values that are not finite become inf."""
+    rel = inv @ (im - centers[:, None, :]).transpose(0, 2, 1)     # (nc, n, s)
+    sq = sum(rel[:, i] ** 2 for i in range(rel.shape[1]))
+    return np.where(np.isfinite(sq), sq, np.inf)
 
 
 def find_renorm_disk(psi, seed_segment, widths, samples=2048):
@@ -452,14 +451,7 @@ def attractor_cloud(psi, start=None, transient=500, n_points=2500):
     last_exc = None
     for s in starts:
         try:
-            p = iterate(psi, np.asarray(s, dtype=float), transient)
-            cloud = np.empty((n_points, n))
-            for i in range(n_points):
-                p = psi(p)
-                if not np.all(np.isfinite(p)) or np.max(np.abs(p)) > ESCAPE_LIMIT:
-                    raise EscapeError("orbit escaped while sampling", step=i)
-                cloud[i] = p
-            return cloud
+            return _orbit(psi, s, transient + n_points, keep=n_points)[1]
         except EscapeError as exc:
             last_exc = exc
     raise last_exc

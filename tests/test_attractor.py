@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,13 @@ def test_sink_classified_at_stable_parameter(logistic):
     assert abs(mults[0]) < 1
     reports = attractor.verify_periodic_saddles(logistic, 3.2, [1])
     assert reports[0].classification == "sink"
+
+
+def test_periodic_saddles_let_bugs_propagate(logistic, monkeypatch):
+    # only renormlab errors mean "not found"; anything else is a bug
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+    monkeypatch.setattr(attractor, "_orbit_by_iteration", broken)
+    with pytest.raises(TypeError):
+        attractor.verify_periodic_saddles(
+            logistic, 3.2, [0], cascade_result=SimpleNamespace(params=(3.0,)))

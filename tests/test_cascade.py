@@ -209,6 +209,15 @@ def test_cascade_error_carries_prefix(logistic):
     assert err.value.completed == ()
 
 
+def test_cascade_leaves_other_exceptions_untouched(logistic, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+    monkeypatch.setattr(cascade, "find_doubling_bifurcation", broken)
+    with pytest.raises(TypeError) as err:
+        cascade.run_cascade(logistic, 3)
+    assert not hasattr(err.value, "completed")
+
+
 # --- accumulation extrapolation -------------------------------------------
 
 def test_aitken_exact_on_geometric():

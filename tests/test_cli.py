@@ -142,3 +142,11 @@ def test_ndcheck_single_level(tmp_path):
     assert level["check"]["disjoint_margin"] > 1e-3
     assert level["check"]["inside_margin"] > 1e-3
     assert "disk" in level
+
+
+def test_degree_above_series_bound_is_a_usage_error():
+    for cmd in ("fixpoint", "ndcheck"):
+        r = run_cli(cmd, "--degree", "300")
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert "--degree must be in [1, 256]" in r.stderr

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,11 @@ def test_chart_works_in_2d(henon):
     assert abs(persistence.chart_b(chart2, chart2.psi0)) < 1e-4
     grad = persistence.chart_gradient(chart2, [chart2.v0], h=1e-3)[0]
     assert grad == pytest.approx(-1.0, rel=0.05)
+
+
+def test_validity_radius_lets_bugs_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+    monkeypatch.setattr(persistence, "chart_gradient", broken)
+    with pytest.raises(TypeError):
+        persistence.chart_validity_radius(SimpleNamespace(v0=None))

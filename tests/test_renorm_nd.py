@@ -7,8 +7,13 @@ from renormlab.errors import (DimensionError, DiskError, EscapeError,
 
 
 def henon_mapnd(a, b=0.3):
-    return renorm_nd.MapND([np.array([[1.0, 1.0], [0.0, 0.0], [-a, 0.0]]),
-                            np.array([[0.0], [b], [0.0]])])
+    # (x, y) -> (1 - a x^2 + y, b x)
+    return renorm_nd.MapND([[0, 0], [0, 1], [1, 0], [2, 0]],
+                           [[1.0, 0.0], [1.0, 0.0], [0.0, b], [-a, 0.0]])
+
+
+def constant_mapnd(p):
+    return renorm_nd.MapND([[0, 0]], [p])
 
 
 # --- standard map ----------------------------------------------------------
@@ -98,7 +103,7 @@ def test_identity_never_disjoint():
 def test_constant_map_inside_but_not_disjoint():
     d = renorm_nd.DiskND(np.zeros(2), np.eye(2))
     p = np.array([0.2, 0.1])
-    const = renorm_nd.MapND([np.full((1, 1), p[0]), np.full((1, 1), p[1])])
+    const = constant_mapnd(p)
     chk = renorm_nd.check_renormalizable(const, d, 1024)
     assert not chk.disjoint_ok
     assert chk.image_inside_ok and chk.inside_margin > 0
@@ -130,7 +135,7 @@ def test_margins_monotone_under_shrink(henon):
 def test_renormalize_constant_map(std_disk):
     disk = std_disk.disk
     p = disk.center + 0.1 * disk.linear[:, 0]
-    const = renorm_nd.MapND([np.full((1, 1), p[0]), np.full((1, 1), p[1])])
+    const = constant_mapnd(p)
     out = renorm_nd.renormalize_nd(const, disk, degree=2)
     expect = (p - disk.center) @ np.linalg.inv(disk.linear).T
     got = out(np.array([[0.3, -0.4], [0.0, 0.0]]))
@@ -251,3 +256,82 @@ def test_distance_to_standard_diagnostic(std_map, std_disk, phi20):
     assert renorm_nd.distance_to_standard(std_map, phi20.phi0, ref) < 1e-12
     rpsi = renorm_nd.renormalize_nd(std_map, std_disk.disk, degree=8)
     assert renorm_nd.distance_to_standard(rpsi, phi20.phi0, ref) > 0.01
+
+
+# --- sparse evaluation -----------------------------------------------------
+
+@pytest.fixture(scope="module")
+def refit8(std_map, std_disk):
+    return renorm_nd.renormalize_nd(std_map, std_disk.disk, degree=8)
+
+
+def naive_eval(psi, pts):
+    out = np.zeros((pts.shape[0], psi.dim))
+    for e, c in zip(psi.exponents, psi.coeffs):
+        out += np.prod(pts ** e, axis=1)[:, None] * c
+    return out
+
+
+def random_ball_points(m, n=2, seed=0):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(m, n))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True) * rng.uniform(0, 1, (m, 1))
+
+
+def test_batched_eval_matches_naive_sum(phi40, refit8):
+    pts = random_ball_points(3000)
+    std40 = renorm_nd.standard_fct_map(2, phi40.phi0)
+    assert std40.exponents[:, -1].max() == 80
+    for psi in (std40, refit8):
+        assert np.max(np.abs(psi(pts) - naive_eval(psi, pts))) < 1e-12
+
+
+def test_single_points_match_batched_rows_across_block(refit8):
+    pts = random_ball_points(renorm_nd.BLOCK + 1, seed=1)
+    batched = refit8(pts)
+    for i in (0, renorm_nd.BLOCK - 1, renorm_nd.BLOCK):
+        np.testing.assert_allclose(refit8(pts[i]), batched[i], rtol=1e-15, atol=1e-15)
+
+
+def test_refit_jacobian_matches_fd(refit8):
+    h = 1e-6
+    for pt in random_ball_points(5, seed=2) * 0.9:
+        jac = refit8.jacobian(pt)
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = h
+            fd = (refit8(pt + e) - refit8(pt - e)) / (2 * h)
+            assert np.allclose(jac[:, j], fd, rtol=1e-7, atol=1e-7)
+
+
+def test_sum_and_scalar_product_are_pointwise(refit8):
+    henon = henon_mapnd(1.2)
+    pts = random_ball_points(500, seed=3)
+    total = henon + 0.5 * refit8
+    assert np.allclose(total(pts), henon(pts) + 0.5 * refit8(pts), rtol=0, atol=1e-13)
+    assert np.allclose((refit8 * -2.0)(pts), -2.0 * refit8(pts), rtol=0, atol=1e-13)
+    assert len(total.exponents) == len(refit8.exponents)   # henon's monomials are among them
+
+
+def test_mapnd_rejects_bad_tables():
+    with pytest.raises(DimensionError):
+        renorm_nd.MapND([[1]], [[1.0]])
+    with pytest.raises(ValueError):
+        renorm_nd.MapND([[0, 0], [1, 0]], [[1.0, 0.0]])
+    with pytest.raises(ValueError):
+        renorm_nd.MapND([[0, -1]], [[1.0, 0.0]])
+
+
+def test_batched_margins_match_single_checks(std_map, std_disk):
+    disk = std_disk.disk
+    shift = 0.05 * disk.linear[:, 1]
+    disks = [disk, disk.scaled(0.8), disk.scaled(1.3),
+             renorm_nd.DiskND(disk.center + shift, disk.linear),
+             renorm_nd.DiskND(np.array([0.1, 0.2]), np.diag([0.3, 0.1]))]
+    dj, ins = renorm_nd._batched_margins(
+        std_map, np.array([d.center for d in disks]),
+        np.array([d.linear for d in disks]), 1024)
+    for d, a, b in zip(disks, dj, ins):
+        chk = renorm_nd.check_renormalizable(std_map, d, 1024)
+        assert abs(a - chk.disjoint_margin) < 1e-12
+        assert abs(b - chk.inside_margin) < 1e-12
