@@ -23,8 +23,9 @@ from .renorm_nd import (DiskND, DiskSearch, MapND, RenormCheck, ball_samples,
 from .cascade import (AccumulationEstimate, CascadeResult, Henon, Map1D,
                       OneParamFamily, accumulation_parameter,
                       find_doubling_bifurcation, henon_family, linear_family,
-                      logistic_family, lyapunov_exponent, orbit_multiplier,
-                      periodic_orbit, recenter, run_cascade, shift_family)
+                      logistic_family, lyapunov_exponent, orbit,
+                      orbit_multiplier, periodic_orbit, recenter, run_cascade,
+                      shift_family)
 from .attractor import (Atom, AtomTree, atom_diameters, build_atoms,
                         scaling_ratios, verify_periodic_saddles)
 from .persistence import (PersistenceChart, build_chart, chart_b,

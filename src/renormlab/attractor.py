@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import (_is_1d, _continue_orbit, _orbit_by_iteration,
+from .cascade import (_is_1d, _continue_orbit, _orbit_by_iteration, orbit,
                       orbit_multiplier, run_cascade)
-from .errors import (ESCAPE_LIMIT, EscapeError, InsufficientDataError,
-                     RenormLabError, ResolutionError)
+from .errors import InsufficientDataError, RenormLabError, ResolutionError
 
 MAX_GENERATIONS = 12
 
@@ -56,10 +55,6 @@ class AtomTree:
         return self.generations[m]
 
 
-def _boxes_disjoint(a, b):
-    return bool(np.any(a.hi < b.lo) or np.any(b.hi < a.lo))
-
-
 def build_atoms(fam, t, generations, n_points, transient=4096):
     """Cluster a long critical orbit into the nested atom hierarchy.
 
@@ -73,21 +68,8 @@ def build_atoms(fam, t, generations, n_points, transient=4096):
     if n_points < 2 ** (generations + 6):
         raise ValueError(
             f"need n_points >= 2^(generations+6) = {2 ** (generations + 6)}")
-    m = fam.map_at(t)
-    x = fam.start_at(t)
-    one_d = _is_1d(fam)
-    for i in range(transient):
-        x = m(x)
-        big = abs(x) if one_d else max(abs(v) for v in x)
-        if big > ESCAPE_LIMIT:
-            raise EscapeError(f"orbit escaped in transient at step {i}", step=i)
-    dim = 1 if one_d else fam.dim
-    pts = np.empty((n_points, dim))
-    for i in range(n_points):
-        x = m(x)
-        pts[i] = x
-    if not np.all(np.isfinite(pts)):
-        raise EscapeError("orbit escaped while sampling atoms")
+    pts = orbit(fam.map_at(t), fam.start_at(t), transient + n_points,
+                keep=n_points)[1]
 
     levels = []
     for gen in range(generations + 1):
@@ -97,12 +79,16 @@ def build_atoms(fam, t, generations, n_points, transient=4096):
             cluster = pts[phase::k]
             atoms.append(Atom(gen, phase, cluster.min(axis=0),
                               cluster.max(axis=0), cluster.shape[0]))
-        for i in range(k):
-            for j in range(i + 1, k):
-                if not _boxes_disjoint(atoms[i], atoms[j]):
-                    raise ResolutionError(
-                        f"generation {gen}: atoms {i} and {j} overlap; "
-                        "use more points or a parameter closer to the accumulation")
+        lo = np.array([a.lo for a in atoms])
+        hi = np.array([a.hi for a in atoms])
+        for i in range(k - 1):
+            # boxes are disjoint when they are separated along some axis
+            apart = np.any((hi[i] < lo[i + 1:]) | (hi[i + 1:] < lo[i]), axis=1)
+            if not apart.all():
+                j = i + 1 + int(np.flatnonzero(~apart)[0])
+                raise ResolutionError(
+                    f"generation {gen}: atoms {i} and {j} overlap; "
+                    "use more points or a parameter closer to the accumulation")
         levels.append(tuple(atoms))
     return AtomTree(tuple(levels), pts)
 

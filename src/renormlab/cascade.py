@@ -23,6 +23,7 @@ from .errors import (ESCAPE_LIMIT, BracketError, ComplexMultiplierError,
                      NoConvergenceError, RenormLabError, WrongPeriodError)
 
 DISTINCT_TOL = 1e-10
+ESCAPE_CHECK = 256      # images stepped between two escape checks
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +202,38 @@ def _is_1d(fam):
     return fam.dim == 1
 
 
-def _orbit_points(m, x0, period, one_d):
-    pts = [x0]
-    for _ in range(period - 1):
-        pts.append(m(pts[-1]))
-    return pts
+def orbit(m, x, steps, keep=0):
+    """Apply m steps times from x; return the last point and, as the rows of
+    a (keep, n) array, the last `keep` points of the orbit x, m(x), ...
+
+    keep may be steps + 1, which keeps the start point too.  Points may be
+    floats (Map1D), tuples (Henon) or arrays (MapND): m is applied to its own
+    outputs, exactly as in a plain loop.  Raises EscapeError, with the
+    1-based step of the first escaped image, once an image is not finite or
+    has a coordinate beyond ESCAPE_LIMIT.  The check runs once per block of
+    ESCAPE_CHECK images, so m may see escaped points before it raises.
+    """
+    if not 0 <= keep <= steps + 1:
+        raise ValueError("keep must be in [0, steps + 1]")
+    n = np.size(x)
+    kept = np.empty((keep, n))
+    first = steps + 1 - keep            # orbit index of kept[0]
+    if first == 0:
+        kept[0] = np.reshape(x, n)
+    done = 0
+    while done < steps:
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = [x := m(x) for _ in range(min(ESCAPE_CHECK, steps - done))]
+        imgs = np.reshape(np.asarray(block, dtype=float), (len(block), n))
+        ok = (np.abs(imgs) <= ESCAPE_LIMIT).all(axis=1)      # also catches nan
+        if not ok.all():
+            step = done + int(np.flatnonzero(~ok)[0]) + 1
+            raise EscapeError(f"orbit escaped at step {step}", step=step)
+        skip = max(first - done - 1, 0)     # block rows before the kept tail
+        if skip < len(block):
+            kept[done + 1 + skip - first:done + 1 + len(block) - first] = imgs[skip:]
+        done += len(block)
+    return x, kept
 
 
 def _newton_orbit_1d(m, x0, period, tol, max_iter):
@@ -278,20 +306,15 @@ def periodic_orbit(fam, t, period, guess, tol=1e-13, max_iter=80):
     if period < 1:
         raise ValueError("period must be >= 1")
     m = fam.map_at(t)
-    one_d = _is_1d(fam)
-    if one_d:
-        x = _newton_orbit_1d(m, guess, period, tol, max_iter)
-        pts = _orbit_points(m, x, period, True)
-        dist = lambda u, v: abs(u - v)
-    else:
-        x = _newton_orbit_nd(m, guess, period, tol, max_iter)
-        pts = _orbit_points(m, x, period, False)
-        dist = lambda u, v: float(np.max(np.abs(np.asarray(u) - np.asarray(v))))
-    for i in range(1, period):
-        if dist(pts[i], pts[0]) < DISTINCT_TOL:
-            raise WrongPeriodError(
-                f"orbit closes after {i} steps, not {period}", true_period=i)
-    return pts
+    newton = _newton_orbit_1d if _is_1d(fam) else _newton_orbit_nd
+    pts = orbit(m, newton(m, guess, period, tol, max_iter), period - 1,
+                keep=period)[1]
+    close = np.flatnonzero(np.max(np.abs(pts[1:] - pts[0]), axis=1) < DISTINCT_TOL)
+    if close.size:
+        i = int(close[0]) + 1
+        raise WrongPeriodError(
+            f"orbit closes after {i} steps, not {period}", true_period=i)
+    return pts[:, 0].tolist() if _is_1d(fam) else list(pts)
 
 
 def orbit_multiplier(fam, t, orbit):
@@ -323,15 +346,8 @@ def _leading_real_multiplier(fam, t, orbit):
 
 def _orbit_by_iteration(fam, t, period, n_settle=6000):
     """Stable orbit at parameter t found by plain iteration, then polished."""
-    m = fam.map_at(t)
-    x = fam.start_at(t)
-    one_d = _is_1d(fam)
-    for i in range(n_settle):
-        x = m(x)
-        big = abs(x) if one_d else max(abs(v) for v in x)
-        if big > ESCAPE_LIMIT:
-            raise EscapeError(f"iteration escaped at step {i}", step=i)
-    return periodic_orbit(fam, t, period, x if one_d else np.asarray(x))
+    x = orbit(fam.map_at(t), fam.start_at(t), n_settle)[0]
+    return periodic_orbit(fam, t, period, x if _is_1d(fam) else np.asarray(x))
 
 
 def _continue_orbit(fam, t_from, t_to, period, orbit, max_sub=64):
@@ -504,31 +520,16 @@ def lyapunov_exponent(fam, t, n_transient=1000, n_iter=20000, x0=None):
             x0 = x0 + 0.0137
         else:
             x0 = np.asarray(x0, dtype=float) + np.array([0.0137] + [0.0] * (fam.dim - 1))
-    x = x0
-    if _is_1d(fam):
-        for i in range(n_transient):
-            x = m(x)
-            if abs(x) > ESCAPE_LIMIT:
-                raise EscapeError(f"orbit escaped in transient at step {i}", step=i)
-        total = 0.0
-        for i in range(n_iter):
-            d = abs(m.deriv(x))
-            total += math.log(max(d, 1e-300))
-            x = m(x)
-            if abs(x) > ESCAPE_LIMIT:
-                raise EscapeError(f"orbit escaped at step {i}", step=i)
-        return total / n_iter
-    x = np.asarray(x, dtype=float)
-    for i in range(n_transient):
-        x = np.asarray(m(x), dtype=float)
-        if np.max(np.abs(x)) > ESCAPE_LIMIT:
-            raise EscapeError(f"orbit escaped in transient at step {i}", step=i)
-    q = np.eye(fam.dim)
+    # the derivative is taken at the n_iter points before each step; the
+    # step after the last one is kept only for its escape check
+    pts = orbit(m, x0, n_transient + n_iter, keep=n_iter + 1)[1][:-1]
     total = 0.0
-    for i in range(n_iter):
+    if _is_1d(fam):
+        for x in pts[:, 0].tolist():
+            total += math.log(max(abs(m.deriv(x)), 1e-300))
+        return total / n_iter
+    q = np.eye(fam.dim)
+    for x in pts:
         q, r = np.linalg.qr(m.jac(x) @ q)
         total += math.log(max(abs(r[0, 0]), 1e-300))
-        x = np.asarray(m(x), dtype=float)
-        if np.max(np.abs(x)) > ESCAPE_LIMIT:
-            raise EscapeError(f"orbit escaped at step {i}", step=i)
     return total / n_iter

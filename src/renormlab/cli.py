@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from . import attractor as attractor_mod
 from . import cascade as cascade_mod
 from . import persistence as persistence_mod
 from . import renorm1d, renorm_nd, series
-from .errors import RenormLabError
+from .errors import EscapeError, RenormLabError
 
 _DEFAULTS = {
     "fixpoint": {"degree": 40, "tol": 1e-8, "max_iters": 25, "out": None,
@@ -46,8 +45,6 @@ def _build_parser():
     common.add_argument("--no-timestamp", action="store_true",
                         default=argparse.SUPPRESS,
                         help="omit the timestamp field for byte-identical reruns")
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker bound for parameter scans (results identical)")
 
     p = argparse.ArgumentParser(
         prog="renormlab",
@@ -279,29 +276,19 @@ def _cmd_manifold(cfg):
 
 def _cmd_bifdiag(cfg):
     fam = _family(cfg)
-    ts = np.linspace(cfg["tmin"], cfg["tmax"], cfg["tn"])
 
-    def sample(t):
-        m = fam.map_at(t)
-        x = fam.start_at(t)
-        out = []
+    def column(t):
+        """First coordinates of the kept orbit; none if the orbit escapes."""
         try:
-            for _ in range(cfg["transient"]):
-                x = m(x)
-            for _ in range(cfg["keep"]):
-                x = m(x)
-                out.append(x if fam.dim == 1 else x[0])
-        except (OverflowError, ValueError):
+            return cascade_mod.orbit(fam.map_at(t), fam.start_at(t),
+                                     cfg["transient"] + cfg["keep"],
+                                     keep=cfg["keep"])[1][:, 0]
+        except EscapeError:
             return []
-        return [v for v in out if abs(v) < 1e6]
 
-    jobs = cfg.get("jobs") or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        columns = list(pool.map(sample, ts))
-    rows = []
-    for t, col in zip(ts, columns):
-        for v in col:
-            rows.append([repr(float(t)), repr(float(v))])
+    rows = [[repr(float(t)), repr(float(v))]
+            for t in np.linspace(cfg["tmin"], cfg["tmax"], cfg["tn"])
+            for v in column(t)]
     return {"rows": len(rows), "families": cfg["family"],
             "t_range": [cfg["tmin"], cfg["tmax"]]}, rows, ["t", "x"]
 
@@ -325,13 +312,18 @@ def _validate(parser, cmd, cfg):
                      ("max_iters", lambda v: v >= 1, "--max-iters must be >= 1")],
         "cascade": [("nmax", lambda v: v >= 0, "--nmax must be >= 0")],
         "attractor": [("generations", lambda v: 1 <= v <= 12,
-                       "--generations must be in [1, 12]")],
+                       "--generations must be in [1, 12]"),
+                      ("points", lambda v: v == 0 or v >= 2 ** (cfg["generations"] + 6),
+                       "--points must be 0 (auto) or at least 2^(generations+6)")],
         "ndcheck": [("levels", lambda v: v >= 1, "--levels must be >= 1"),
                     ("samples", lambda v: v >= 1000, "--samples must be >= 1000"),
                     degree_check],
         "manifold": [("depth", lambda v: v >= 6, "--depth must be >= 6"),
                      ("h", lambda v: v > 0, "--h must be > 0")],
-        "bifdiag": [("tn", lambda v: v >= 2, "--tn must be >= 2")],
+        "bifdiag": [("tn", lambda v: v >= 2, "--tn must be >= 2"),
+                    ("tmax", lambda v: cfg["tmin"] < v, "--tmin must be < --tmax"),
+                    ("transient", lambda v: v >= 0, "--transient must be >= 0"),
+                    ("keep", lambda v: v >= 1, "--keep must be >= 1")],
     }
     for key, ok, msg in checks.get(cmd, []):
         if key in cfg and not ok(cfg[key]):
@@ -345,7 +337,6 @@ def main(argv=None):
     config_path = args.pop("config", None)
 
     cfg = dict(_DEFAULTS[cmd])
-    cfg.setdefault("jobs", None)
     if config_path:
         try:
             raw = _load_config(config_path)

@@ -163,22 +163,6 @@ def solve_fixed_point(initial=None, degree=DEFAULT_DEGREE, tol=1e-8,
         last=AnalyticUnimodal(c), residual=res)
 
 
-def _power_iteration(mat, iters=400, tol=1e-12):
-    x = np.ones(mat.shape[0]) / np.sqrt(mat.shape[0])
-    mu = 0.0
-    for _ in range(iters):
-        y = mat @ x
-        ny = np.linalg.norm(y)
-        if ny < 1e-300:
-            return 0.0, x
-        x_new = y / ny
-        mu_new = float(x_new @ (mat @ x_new))
-        if abs(mu_new - mu) < tol * max(1.0, abs(mu_new)):
-            return mu_new, x_new
-        x, mu = x_new, mu_new
-    return mu, x
-
-
 def linearize(phi0, fd_step=1e-6, residual_tol=1e-6):
     """Finite-difference Jacobian of R at phi0 with its spectral summary.
 
@@ -201,19 +185,13 @@ def linearize(phi0, fd_step=1e-6, residual_tol=1e-6):
         except (RangeError, SingularScalingError) as exc:
             raise LinearizationError(
                 f"perturbed map not renormalizable along e_{j}: {exc}")
-    pinned = jac[1:, 1:]
-    lead, vec = _power_iteration(pinned)
-    # deflation check: remove the found pair, confirm a genuine gap
-    if abs(lead) > 0 and np.linalg.norm(vec) > 0:
-        deflated = pinned - lead * np.outer(vec, vec) / float(vec @ vec)
-        second, _ = _power_iteration(deflated)
-    else:
-        second = 0.0
     full_eigs = np.linalg.eigvals(jac)
-    pinned_eigs = np.linalg.eigvals(pinned)
+    pinned_eigs = np.linalg.eigvals(jac[1:, 1:])
+    # largest magnitude first; the appended 0 is the second of a 1x1 slice
+    lead, second = np.append(pinned_eigs[np.argsort(-np.abs(pinned_eigs))], 0.0)[:2]
     return LinearizationResult(
         jacobian=jac,
-        leading_eigenvalue=float(lead),
+        leading_eigenvalue=float(lead.real),
         expanding_count=int(np.sum(np.abs(full_eigs) > 1.0)),
         pinned_expanding_count=int(np.sum(np.abs(pinned_eigs) > 1.0)),
         eigen_gap=float(abs(lead) - abs(second)),

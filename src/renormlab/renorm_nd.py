@@ -22,8 +22,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (ESCAPE_LIMIT, DimensionError, DiskError, EscapeError,
-                     RefitError, RangeError)
+from .cascade import orbit
+from .errors import (DimensionError, DiskError, EscapeError, RefitError,
+                     RangeError)
 from .series import AnalyticUnimodal
 
 BLOCK = 4096     # points per evaluation block: bounds the monomial table
@@ -157,26 +158,11 @@ def identity_map(n):
     return MapND(np.eye(n), np.eye(n), family="identity")
 
 
-def _orbit(psi, x, steps, keep=0):
-    """Apply psi steps times from x; return the last point and, as rows, the
-    last `keep` images.  Raises EscapeError, with the 1-based step, once a
-    coordinate is not finite or exceeds ESCAPE_LIMIT."""
-    p = np.asarray(x, dtype=float)
-    kept = np.empty((keep, p.size))
-    for i in range(steps):
-        p = psi(p)
-        if not np.max(np.abs(p)) <= ESCAPE_LIMIT:      # also catches nan
-            raise EscapeError(f"orbit escaped at step {i + 1}", step=i + 1)
-        if i >= steps - keep:
-            kept[i - steps + keep] = p
-    return p, kept
-
-
 def iterate(psi, x, k):
     """k-fold application; raises EscapeError past coordinate size 1e10."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _orbit(psi, x, k)[0]
+    return np.asarray(orbit(psi, x, k)[0], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +437,7 @@ def attractor_cloud(psi, start=None, transient=500, n_points=2500):
     last_exc = None
     for s in starts:
         try:
-            return _orbit(psi, s, transient + n_points, keep=n_points)[1]
+            return orbit(psi, s, transient + n_points, keep=n_points)[1]
         except EscapeError as exc:
             last_exc = exc
     raise last_exc

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from renormlab import attractor, cascade
-from renormlab.errors import InsufficientDataError
+from renormlab.errors import InsufficientDataError, ResolutionError
 
 LAMBDA_UNIVERSAL = 0.3995
 
@@ -110,6 +110,36 @@ def test_scaling_ratios_insufficient():
 def test_build_atoms_validates_points(logistic, logistic_cascade12):
     with pytest.raises(ValueError):
         attractor.build_atoms(logistic, logistic_cascade12.t_inf, 8, 100)
+
+
+def test_overlap_names_first_pair(logistic):
+    # two-band chaos: generation 1 separates, generation 2 does not; the
+    # reported pair is the first one a plain double loop over boxes finds
+    t, gens, n = 3.6, 3, 2 ** 10
+    pts = cascade.orbit(logistic.map_at(t), logistic.start_at(t), 4096 + n, keep=n)[1]
+    first = None
+    for gen in range(gens + 1):
+        k = 2 ** gen
+        boxes = [(pts[p::k].min(axis=0), pts[p::k].max(axis=0)) for p in range(k)]
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)
+                 if not (np.any(boxes[i][1] < boxes[j][0]) or np.any(boxes[j][1] < boxes[i][0]))]
+        if pairs:
+            first = (gen, *pairs[0])
+            break
+    assert first is not None and first[0] == 2 and first[1:] != (0, 1)
+    with pytest.raises(ResolutionError, match=r"generation %d: atoms %d and %d overlap" % first):
+        attractor.build_atoms(logistic, t, gens, n)
+
+
+def test_overlap_names_pair_after_the_first_atom():
+    # sample p (image p + 1) has second coordinate values[p % 4], so phases 1
+    # and 3 coincide and every other pair is apart; the step counter in the
+    # first coordinate keeps all boxes overlapping along that axis
+    values = (0.0, 1.0, 0.1, 1.0)
+    fam = SimpleNamespace(map_at=lambda t: lambda p: (p[0] + 1.0, values[int(p[0]) % 4]),
+                          start_at=lambda t: (0.0, 0.0), dim=2)
+    with pytest.raises(ResolutionError, match="generation 2: atoms 1 and 3 overlap"):
+        attractor.build_atoms(fam, 0.0, 2, 256, transient=0)
 
 
 def test_periodic_saddles_logistic(logistic, logistic_cascade12):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from renormlab import cascade
-from renormlab.errors import (BracketError, InsufficientDataError,
-                              WrongPeriodError)
+from renormlab import cascade, renorm_nd
+from renormlab.errors import (ESCAPE_LIMIT, BracketError, EscapeError,
+                              InsufficientDataError, WrongPeriodError)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -71,6 +71,89 @@ SUPERSTABLE_BRACKETS = [
 ]
 
 
+# --- the shared orbit loop ------------------------------------------------
+
+HENON_ND = renorm_nd.MapND([[0, 0], [2, 0], [0, 1], [1, 0]],
+                           [[1.0, 0.0], [-1.4, 0.0], [1.0, 0.0], [0.0, 0.3]])
+
+
+def hand_orbit(m, x, steps):
+    pts = [x]
+    for _ in range(steps):
+        x = m(x)
+        pts.append(x)
+    return pts
+
+
+def as_rows(pts, n):
+    return np.array(pts, dtype=float).reshape(len(pts), n)
+
+
+@pytest.mark.parametrize("m, x0", [
+    (cascade.Map1D((0.0, 3.7, -3.7)), 0.3),
+    (cascade.Henon(1.4, 0.3), (0.1, 0.1)),
+    (HENON_ND, np.array([0.1, 0.1])),
+], ids=["Map1D", "Henon", "MapND"])
+def test_orbit_matches_hand_loop(m, x0):
+    steps, n = 2 * cascade.ESCAPE_CHECK + 37, np.size(x0)
+    ref = hand_orbit(m, x0, steps)
+    for keep in (0, 1, 300, steps, steps + 1):
+        last, kept = cascade.orbit(m, x0, steps, keep=keep)
+        assert np.array_equal(as_rows([last], n), as_rows(ref[-1:], n))
+        assert kept.shape == (keep, n)
+        assert np.array_equal(kept, as_rows(ref[len(ref) - keep:], n))
+
+
+def test_orbit_zero_steps():
+    x0 = (0.1, 0.2)
+    last, kept = cascade.orbit(cascade.Henon(1.4), x0, 0)
+    assert last is x0 and kept.shape == (0, 2)
+    last, kept = cascade.orbit(cascade.Henon(1.4), x0, 0, keep=1)
+    assert np.array_equal(kept, [[0.1, 0.2]])
+
+
+def test_orbit_rejects_keep_beyond_orbit():
+    with pytest.raises(ValueError):
+        cascade.orbit(cascade.Henon(1.4), (0.1, 0.2), 5, keep=7)
+
+
+@pytest.mark.parametrize("step", [1, 100, cascade.ESCAPE_CHECK,
+                                  cascade.ESCAPE_CHECK + 1, 3 * cascade.ESCAPE_CHECK - 5])
+def test_orbit_escape_step(step):
+    # x -> x + 1 passes ESCAPE_LIMIT exactly at the given step
+    with pytest.raises(EscapeError) as err:
+        cascade.orbit(lambda x: x + 1.0, ESCAPE_LIMIT - step + 1, 4 * cascade.ESCAPE_CHECK,
+                      keep=10)
+    assert err.value.step == step
+    assert str(step) in str(err.value)
+
+
+def test_orbit_escape_step_nan():
+    def m(x):
+        return x + 1.0 if x < 299.5 else math.nan
+    with pytest.raises(EscapeError) as err:
+        cascade.orbit(m, 0.0, 1000)
+    assert err.value.step == 301
+
+
+def test_orbit_escape_one_coordinate():
+    # the second coordinate is 10^k after k steps; 1e11 is the first past 1e10
+    with pytest.raises(EscapeError) as err:
+        cascade.orbit(lambda p: (p[0], 10.0 * p[1]), (0.5, 1.0), 40)
+    assert err.value.step == 11
+
+
+def test_lyapunov_escape_counts_from_orbit_start(logistic):
+    # a = 4.5 sends the start point 0.5 + 0.0137 out of [0, 1] and on to
+    # -infinity after the transient; the step counts the transient too
+    m, x, step = logistic.map_at(4.5), 0.5 + 0.0137, 0
+    while abs(x) <= ESCAPE_LIMIT:
+        x, step = m(x), step + 1
+    with pytest.raises(EscapeError) as err:
+        cascade.lyapunov_exponent(logistic, 4.5, n_transient=3, n_iter=100)
+    assert err.value.step == step > 3
+
+
 # --- periodic orbits -------------------------------------------------------
 
 def test_logistic_fixed_point(logistic):
@@ -89,6 +172,19 @@ def test_logistic_period_two(logistic):
 def test_wrong_period_reports_divisor(logistic):
     with pytest.raises(WrongPeriodError) as err:
         cascade.periodic_orbit(logistic, 2.0, 2, 0.3)
+    assert err.value.true_period == 1
+
+
+def test_periodic_orbit_returns_floats_for_1d(logistic):
+    orbit = cascade.periodic_orbit(logistic, 3.5, 4, 0.5)
+    assert len(orbit) == 4 and all(type(x) is float for x in orbit)
+
+
+def test_wrong_period_reports_divisor_henon(henon):
+    # a = 0.3 is before the first doubling: the period-4 solve finds the
+    # fixed point
+    with pytest.raises(WrongPeriodError) as err:
+        cascade.periodic_orbit(henon, 0.3, 4, np.array([0.6, 0.2]))
     assert err.value.true_period == 1
 
 

@@ -121,14 +121,51 @@ def test_bifdiag_csv(tmp_path):
     assert len(lines) > 200
 
 
-def test_bifdiag_jobs_flag_keeps_output(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    r1 = run_cli("bifdiag", "--tn", "20", "--keep", "5", "--csv", str(a),
-                 "--jobs", "1", "--no-timestamp")
-    r2 = run_cli("bifdiag", "--tn", "20", "--keep", "5", "--csv", str(b),
-                 "--jobs", "4", "--no-timestamp")
-    assert r1.returncode == 0 and r2.returncode == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_bifdiag_drops_escaping_parameters(tmp_path):
+    # past a = 4 the logistic orbit leaves [0, 1] and escapes
+    csv_path = tmp_path / "bif.csv"
+    r = run_cli("bifdiag", "--tmin", "3.9", "--tmax", "4.3", "--tn", "41",
+                "--keep", "5", "--csv", str(csv_path), "--no-timestamp")
+    assert r.returncode == 0, r.stderr
+    ts = {float(line.split(",")[0])
+          for line in csv_path.read_text().strip().splitlines()[1:]}
+    assert max(ts) <= 4.0 and len(ts) == 11
+    assert json.loads(r.stdout)["rows"] == 55
+
+
+def usage_error(*args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    return r
+
+
+def test_bifdiag_jobs_flag_is_gone():
+    usage_error("bifdiag", "--jobs", "2")
+
+
+def test_attractor_too_few_points_exits_2():
+    r = usage_error("attractor", "--points", "10", "--generations", "2")
+    assert "--points" in r.stderr
+
+
+def test_bifdiag_empty_range_exits_2():
+    usage_error("bifdiag", "--tmin", "4", "--tmax", "2.9")
+
+
+def test_bifdiag_negative_keep_exits_2():
+    usage_error("bifdiag", "--keep", "-3")
+
+
+def test_bifdiag_negative_transient_exits_2():
+    usage_error("bifdiag", "--transient", "-1")
+
+
+def test_bifdiag_config_values_are_validated(tmp_path):
+    for text in ("tmin = 4\ntmax = 2.9\n", "transient = -5\n"):
+        cfg = tmp_path / "bif.cfg"
+        cfg.write_text(text)
+        usage_error("bifdiag", "--config", str(cfg))
 
 
 def test_ndcheck_single_level(tmp_path):
