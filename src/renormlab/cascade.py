@@ -24,6 +24,7 @@ from .errors import (ESCAPE_LIMIT, BracketError, ComplexMultiplierError,
 
 DISTINCT_TOL = 1e-10
 ESCAPE_CHECK = 256      # images stepped between two escape checks
+MAX_LEVEL = 16          # deepest cascade level: period 2^16, where the logistic cascade is lost
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +78,15 @@ class Henon:
         x, y = pt
         return (1.0 - self.a * x * x + y, self.b * x)
 
-    def jac(self, pt):
-        x = pt[0]
-        return np.array([[-2.0 * self.a * x, 1.0], [self.b, 0.0]])
+    def jac(self, pts):
+        """Derivative at one point (2,) -> (2, 2), or at each row of a stack
+        (m, 2) -> (m, 2, 2)."""
+        x = np.asarray(pts, dtype=float)[..., 0]
+        out = np.zeros(x.shape + (2, 2))
+        out[..., 0, 0] = -2.0 * self.a * x
+        out[..., 0, 1] = 1.0
+        out[..., 1, 0] = self.b
+        return out
 
     def __add__(self, other):
         # the parameter direction is d/da, so adding it shifts a
@@ -99,9 +106,6 @@ class _HenonDirection:
     def __call__(self, pt):
         return (-self.scale * pt[0] * pt[0], 0.0)
 
-    def jac(self, pt):
-        return np.array([[-2.0 * self.scale * pt[0], 0.0], [0.0, 0.0]])
-
     def __mul__(self, s):
         return _HenonDirection(self.scale * float(s))
 
@@ -113,7 +117,7 @@ class OneParamFamily:
     """C^1 assignment t -> psi_t with an evaluable parameter derivative.
 
     map_at(t) returns the map at parameter t (callable; 1-D maps expose
-    .deriv, n-D maps expose .jac).  bracket0 must bracket the first
+    .deriv, n-D maps expose .jac at one point or at a stack of points).  bracket0 must bracket the first
     doubling (the period-1 orbit's multiplier crossing -1) and gap_hint
     estimates the first inter-doubling gap, which seeds level-1 brackets.
     """
@@ -264,20 +268,28 @@ def _newton_orbit_1d(m, x0, period, tol, max_iter):
                              last=x, residual=abs(step))
 
 
+def _chain(jacs):
+    """J[p-1] @ ... @ J[0] for a (p, n, n) stack, by pairwise batched
+    products: ceil(log2 p) rounds instead of p single products."""
+    while len(jacs) > 1:
+        even = len(jacs) & ~1
+        prod = jacs[1:even:2] @ jacs[0:even:2]
+        jacs = np.concatenate([prod, jacs[even:]]) if even < len(jacs) else prod
+    return jacs[0]
+
+
 def _newton_orbit_nd(m, x0, period, tol, max_iter):
     x = np.asarray(x0, dtype=float)
     n = x.size
     prev = math.inf
     for _ in range(max_iter):
-        y = x.copy()
-        jac = np.eye(n)
+        try:
+            pts = orbit(m, x.tolist(), period, keep=period + 1)[1]
+        except EscapeError as exc:
+            raise NoConvergenceError("orbit escaped inside Newton", last=x) from exc
+        g = pts[-1] - x
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(period):
-                jac = m.jac(y) @ jac
-                y = np.asarray(m(y), dtype=float)
-                if not np.all(np.isfinite(y)):
-                    raise NoConvergenceError("orbit overflow inside Newton", last=x)
-        g = y - x
+            jac = _chain(m.jac(pts[:-1]))
         if not np.all(np.isfinite(jac)):
             raise NoConvergenceError("Jacobian overflow inside Newton", last=x)
         try:
@@ -325,10 +337,7 @@ def orbit_multiplier(fam, t, orbit):
         for x in orbit:
             prod *= m.deriv(x)
         return [prod]
-    jac = np.eye(fam.dim)
-    for x in orbit:
-        jac = m.jac(x) @ jac
-    eigs = np.linalg.eigvals(jac)
+    eigs = np.linalg.eigvals(_chain(m.jac(orbit)))
     return list(eigs[np.argsort(-np.abs(eigs))])
 
 
@@ -529,7 +538,7 @@ def lyapunov_exponent(fam, t, n_transient=1000, n_iter=20000, x0=None):
             total += math.log(max(abs(m.deriv(x)), 1e-300))
         return total / n_iter
     q = np.eye(fam.dim)
-    for x in pts:
-        q, r = np.linalg.qr(m.jac(x) @ q)
+    for jac in m.jac(pts):
+        q, r = np.linalg.qr(jac @ q)
         total += math.log(max(abs(r[0, 0]), 1e-300))
     return total / n_iter

@@ -310,7 +310,8 @@ def _validate(parser, cmd, cfg):
         "fixpoint": [degree_check,
                      ("tol", lambda v: v > 0, "--tol must be > 0"),
                      ("max_iters", lambda v: v >= 1, "--max-iters must be >= 1")],
-        "cascade": [("nmax", lambda v: v >= 0, "--nmax must be >= 0")],
+        "cascade": [("nmax", lambda v: 0 <= v <= cascade_mod.MAX_LEVEL,
+                     f"--nmax must be in [0, {cascade_mod.MAX_LEVEL}]")],
         "attractor": [("generations", lambda v: 1 <= v <= 12,
                        "--generations must be in [1, 12]"),
                       ("points", lambda v: v == 0 or v >= 2 ** (cfg["generations"] + 6),
@@ -318,7 +319,8 @@ def _validate(parser, cmd, cfg):
         "ndcheck": [("levels", lambda v: v >= 1, "--levels must be >= 1"),
                     ("samples", lambda v: v >= 1000, "--samples must be >= 1000"),
                     degree_check],
-        "manifold": [("depth", lambda v: v >= 6, "--depth must be >= 6"),
+        "manifold": [("depth", lambda v: 6 <= v <= cascade_mod.MAX_LEVEL,
+                      f"--depth must be in [6, {cascade_mod.MAX_LEVEL}]"),
                      ("h", lambda v: v > 0, "--h must be > 0")],
         "bifdiag": [("tn", lambda v: v >= 2, "--tn must be >= 2"),
                     ("tmax", lambda v: cfg["tmin"] < v, "--tmin must be < --tmax"),

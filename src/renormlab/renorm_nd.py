@@ -112,11 +112,12 @@ class MapND:
         exps[:, axis] = np.maximum(e - 1, 0)
         return MapND(exps, self.coeffs * e[:, None], family=self.family)
 
-    def jacobian(self, pt):
-        """n x n derivative matrix at a single point."""
+    def jac(self, pts):
+        """Derivative at one point (n,) -> (n, n), or at each row of a stack
+        (m, n) -> (m, n, n); column j holds the partials along axis j."""
         if self._jac is None:
             self._jac = [self._derivative(ax) for ax in range(self.dim)]
-        return np.column_stack([d(pt) for d in self._jac])
+        return np.stack([d(pts) for d in self._jac], axis=-1)
 
     def __add__(self, other):
         if not isinstance(other, MapND) or other.dim != self.dim:

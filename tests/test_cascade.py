@@ -5,7 +5,8 @@ import pytest
 
 from renormlab import cascade, renorm_nd
 from renormlab.errors import (ESCAPE_LIMIT, BracketError, EscapeError,
-                              InsufficientDataError, WrongPeriodError)
+                              InsufficientDataError, NoConvergenceError,
+                              WrongPeriodError)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -152,6 +153,45 @@ def test_lyapunov_escape_counts_from_orbit_start(logistic):
     with pytest.raises(EscapeError) as err:
         cascade.lyapunov_exponent(logistic, 4.5, n_transient=3, n_iter=100)
     assert err.value.step == step > 3
+
+
+# --- batched Jacobians and the chain product --------------------------------
+
+def sequential_product(jacs):
+    prod = np.eye(jacs.shape[-1])
+    for j in jacs:
+        prod = j @ prod
+    return prod
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 512])
+def test_chain_matches_sequential_product(p):
+    henon = cascade.Henon(1.4)
+    along_orbit = henon.jac(cascade.orbit(henon, (0.1, 0.1), 600, keep=p)[1])
+    random3 = np.random.default_rng(p).normal(size=(p, 3, 3))
+    for jacs in (along_orbit, random3):
+        ref = sequential_product(jacs)
+        got = cascade._chain(jacs)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_henon_jac_stack_matches_single_points():
+    h = cascade.Henon(1.3, 0.25)
+    pts = cascade.orbit(h, (0.1, 0.1), 40, keep=41)[1]
+    stacked = h.jac(pts)
+    assert stacked.shape == (41, 2, 2)
+    assert np.array_equal(stacked, [h.jac(pt) for pt in pts])
+    assert np.array_equal(h.jac((0.5, 7.0)), [[-1.3, 1.0], [0.25, 0.0]])
+
+
+def test_newton_trial_orbit_escape_is_no_convergence():
+    # Henon(6) sends (3, 0) past ESCAPE_LIMIT at step 4, still finite
+    fam = cascade.henon_family()
+    with pytest.raises(NoConvergenceError) as err:
+        cascade.periodic_orbit(fam, 6.0, 4, np.array([3.0, 0.0]))
+    assert np.array_equal(err.value.last, [3.0, 0.0])
+    assert isinstance(err.value.__cause__, EscapeError)
 
 
 # --- periodic orbits -------------------------------------------------------

@@ -168,6 +168,16 @@ def test_bifdiag_config_values_are_validated(tmp_path):
         usage_error("bifdiag", "--config", str(cfg))
 
 
+def test_levels_above_max_level_are_usage_errors(tmp_path):
+    # MAX_LEVEL = 16: period 65536, where the logistic cascade already fails
+    assert "--nmax must be in [0, 16]" in usage_error("cascade", "--nmax", "17").stderr
+    assert "--depth must be in [6, 16]" in usage_error("manifold", "--depth", "17").stderr
+    for cmd, key in (("cascade", "nmax"), ("manifold", "depth")):
+        cfg = tmp_path / f"{cmd}.cfg"
+        cfg.write_text(f"{key} = 17\n")
+        usage_error(cmd, "--config", str(cfg))
+
+
 def test_ndcheck_single_level(tmp_path):
     out = tmp_path / "nd.json"
     r = run_cli("ndcheck", "--levels", "1", "--degree", "16",

@@ -242,13 +242,23 @@ def test_check_deterministic(std_map, std_disk):
 def test_mapnd_jacobian_matches_fd():
     psi = henon_mapnd(1.2, 0.3)
     pt = np.array([0.3, -0.2])
-    jac = psi.jacobian(pt)
+    jac = psi.jac(pt)
     h = 1e-6
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
         fd = (psi(pt + e) - psi(pt - e)) / (2 * h)
         assert np.allclose(jac[:, j], fd, atol=1e-8)
+
+
+def test_cascade_on_mapnd_family_matches_henon(henon, henon_cascade7):
+    # the Henon family as sparse MapNDs: base + a * (-x^2, 0)
+    fam = cascade.linear_family(
+        henon_mapnd(0.0), renorm_nd.MapND([[2, 0]], [[-1.0, 0.0]]),
+        bracket0=henon.bracket0, gap_hint=henon.gap_hint,
+        start_at=henon.start_at, window=henon.param_range, dim=2)
+    res = cascade.run_cascade(fam, 4)
+    assert np.allclose(res.params, henon_cascade7.params[:5], rtol=0, atol=1e-12)
 
 
 def test_distance_to_standard_diagnostic(std_map, std_disk, phi20):
@@ -288,15 +298,17 @@ def test_batched_eval_matches_naive_sum(phi40, refit8):
 
 def test_single_points_match_batched_rows_across_block(refit8):
     pts = random_ball_points(renorm_nd.BLOCK + 1, seed=1)
-    batched = refit8(pts)
+    batched, jacs = refit8(pts), refit8.jac(pts)
+    assert jacs.shape == (renorm_nd.BLOCK + 1, 2, 2)
     for i in (0, renorm_nd.BLOCK - 1, renorm_nd.BLOCK):
         np.testing.assert_allclose(refit8(pts[i]), batched[i], rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(refit8.jac(pts[i]), jacs[i], rtol=1e-15, atol=1e-15)
 
 
 def test_refit_jacobian_matches_fd(refit8):
     h = 1e-6
     for pt in random_ball_points(5, seed=2) * 0.9:
-        jac = refit8.jacobian(pt)
+        jac = refit8.jac(pt)
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
