@@ -12,7 +12,7 @@ import numpy as np
 
 from renormlab import renorm1d, series
 
-fp = renorm1d.solve_fixed_point(degree=40, tol=1e-8)
+fp = renorm1d.solve_fixed_point(degree=40)
 phi = fp.phi0
 
 print("Newton iterations:", fp.newton_iters)

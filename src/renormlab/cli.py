@@ -24,8 +24,8 @@ from . import renorm1d, renorm_nd, series
 from .errors import EscapeError, RenormLabError
 
 _DEFAULTS = {
-    "fixpoint": {"degree": 40, "tol": 1e-8, "max_iters": 25, "out": None,
-                 "coeffs_out": None},
+    "fixpoint": {"degree": renorm1d.DEFAULT_DEGREE, "tol": renorm1d.DEFAULT_TOL,
+                 "max_iters": 25, "out": None, "coeffs_out": None},
     "cascade": {"family": "logistic", "nmax": 10, "b": 0.3, "out": None,
                 "csv": None},
     "attractor": {"family": "logistic", "generations": 8, "points": 0,
@@ -321,7 +321,9 @@ def _validate(parser, cmd, cfg):
                     degree_check],
         "manifold": [("depth", lambda v: 6 <= v <= cascade_mod.MAX_LEVEL,
                       f"--depth must be in [6, {cascade_mod.MAX_LEVEL}]"),
-                     ("h", lambda v: v > 0, "--h must be > 0")],
+                     ("h", lambda v: v > 0, "--h must be > 0"),
+                     ("shifts", lambda v: all(abs(t) < 0.5 for t in v),
+                      "--shifts must each lie in (-0.5, 0.5)")],
         "bifdiag": [("tn", lambda v: v >= 2, "--tn must be >= 2"),
                     ("tmax", lambda v: cfg["tmin"] < v, "--tmin must be < --tmax"),
                     ("transient", lambda v: v >= 0, "--transient must be >= 0"),
@@ -355,6 +357,8 @@ def main(argv=None):
         report, rows, header = _COMMANDS[cmd](cfg)
     except RenormLabError as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
+        err.update((k, getattr(exc, k)) for k in ("residual", "step", "true_period")
+                   if getattr(exc, k, None) is not None)
         completed = getattr(exc, "completed", None)
         if completed and cfg.get("out"):
             _write_report({"error": err, "completed_prefix": list(completed)},

@@ -3,8 +3,8 @@
 The operator takes f to f(1)^-1 * f(f(f(1)*x)), refit to a truncated even
 series.  Its normalized fixed point is found by a damped Newton iteration in
 coefficient space with the c0 = 1 component pinned, and the operator's
-derivative at the fixed point comes from central finite differences column
-by column.
+derivative comes from the chain rule through the sampled values, exact up
+to rounding; Newton and the linearization share it.
 
 On the full coefficient space the derivative carries one extra expanding
 eigenvalue produced by the scaling/normalization direction (numerically
@@ -22,9 +22,10 @@ import numpy as np
 from .errors import (LinearizationError, NoConvergenceError, RangeError,
                      SingularScalingError)
 from .series import (AnalyticUnimodal, MAX_DEGREE, _eval_in_u, _fit_operator,
-                     _fit_values, evaluate, sup_distance, sup_norm)
+                     _fit_values, evaluate, sup_distance)
 
 DEFAULT_DEGREE = 40
+DEFAULT_TOL = 1e-10
 DEFAULT_INITIAL = (1.0, -1.4)
 
 
@@ -46,8 +47,8 @@ class LinearizationResult:
     eigen_gap: float              # |lead| - |second| on the pinned slice
 
 
-def _renorm_coeffs(c, degree):
-    """Coefficient image of the doubling operator; c is a plain array."""
+def _sample(c, degree):
+    """s = g(1), the fit grid size m, u = (s x)^2 at its nodes and g(u)."""
     s = float(_eval_in_u(c, np.array(1.0)))
     if abs(s) < 1e-13:
         raise SingularScalingError("f(1) = 0: cannot rescale by f(1)")
@@ -55,13 +56,34 @@ def _renorm_coeffs(c, degree):
         raise RangeError(f"|f(1)| = {abs(s):.6g} > 1: rescaled domain escapes [-1, 1]")
     m = 2 * max(degree, 1) + 1
     nodes, _, _ = _fit_operator(m, degree)
-    inner = _eval_in_u(c, (s * nodes) ** 2)
+    u = (s * nodes) ** 2
+    inner = _eval_in_u(c, u)
     # small analytic slack: perturbed maps may overshoot the interval a hair
     if np.max(np.abs(inner)) > 1.0 + 1e-3:
         raise RangeError(
             f"orbit escapes the domain: |f(f(1)x)| reaches {np.max(np.abs(inner)):.6g}")
-    vals = _eval_in_u(c, inner**2) / s
-    return _fit_values(vals, m, degree)
+    return s, m, u, inner
+
+
+def _renorm_coeffs(c, degree):
+    """Coefficient image of the doubling operator; c is a plain array."""
+    s, m, _, inner = _sample(c, degree)
+    return _fit_values(_eval_in_u(c, inner**2) / s, m, degree)
+
+
+def _renorm_jacobian(c, degree):
+    """Exact derivative of _renorm_coeffs at c, by the chain rule.
+
+    The fit is linear in the samples v = g(w)/s, w = g(u)^2, u = s^2 x^2,
+    s = g(1), so dv/dc_j = (w^j + 2 g(u) g'(w) (u^j + 2 u g'(u)/s) - v) / s.
+    """
+    s, m, u, inner = _sample(c, degree)
+    w, k = inner**2, c.size
+    dg = c[1:] * np.arange(1, k)            # coefficients of g'
+    d_inner = np.vander(u, k, increasing=True) + (2 * u * _eval_in_u(dg, u) / s)[:, None]
+    dv = (np.vander(w, k, increasing=True) + (2 * inner * _eval_in_u(dg, w))[:, None] * d_inner
+          - (_eval_in_u(c, w) / s)[:, None]) / s
+    return _fit_values(dv, m, degree)
 
 
 def renormalize(f, degree=None):
@@ -83,13 +105,13 @@ def lambda_of(phi0):
     return -evaluate(phi0, 1.0)
 
 
-def solve_fixed_point(initial=None, degree=DEFAULT_DEGREE, tol=1e-8,
-                      max_iters=25, fd_step=1e-6):
+def solve_fixed_point(initial=None, degree=DEFAULT_DEGREE, tol=DEFAULT_TOL,
+                      max_iters=25):
     """Newton solve of R(phi) = phi on the normalized slice c0 = 1.
 
     The c0 component is pinned (the normalization replaces that equation;
     R preserves f(0) = 1 exactly) and the Jacobian of the remaining system
-    is built by central finite differences.  Steps are damped by simple
+    is the exact one, restricted to that slice.  Steps are damped by simple
     halving whenever the sup-norm residual would not decrease.
     """
     if initial is None:
@@ -110,30 +132,16 @@ def solve_fixed_point(initial=None, degree=DEFAULT_DEGREE, tol=1e-8,
         return float(np.max(np.abs(_eval_in_u(_renorm_coeffs(cv, degree), grid2)
                                    - _eval_in_u(cv, grid2))))
 
-    def finish(cv, iters, steps):
-        # canonicalize through the fit projection: Newton can leave residue
-        # in the pseudoinverse's truncated directions, which carries no
-        # function content but breaks coefficient round-trips
-        m = 2 * degree + 1
-        nodes, a, _ = _fit_operator(m, degree)
-        cv = _fit_values(a @ cv, m, degree)
-        cv[0] = 1.0
-        phi0 = AnalyticUnimodal(cv, normalized=True)
-        return FixedPointResult(phi0, lambda_of(phi0), residual(phi0),
-                                iters, tuple(steps))
-
     steps = []
     res = func_residual(c)
-    for it in range(max_iters):
+    for it in range(max_iters + 1):
         if res < tol:
-            return finish(c, it, steps)
+            phi0 = AnalyticUnimodal(c, normalized=True)
+            return FixedPointResult(phi0, lambda_of(phi0), residual(phi0), it, tuple(steps))
+        if it == max_iters:
+            break
         f_vec = (_renorm_coeffs(c, degree) - c)[1:]
-        jac = np.empty((degree, degree))
-        for j in range(1, degree + 1):
-            cp = c.copy(); cp[j] += fd_step
-            cm = c.copy(); cm[j] -= fd_step
-            jac[:, j - 1] = ((_renorm_coeffs(cp, degree) - cp)
-                             - (_renorm_coeffs(cm, degree) - cm))[1:] / (2 * fd_step)
+        jac = _renorm_jacobian(c, degree)[1:, 1:] - np.eye(degree)
         try:
             step = np.linalg.solve(jac, -f_vec)
         except np.linalg.LinAlgError as exc:
@@ -156,35 +164,21 @@ def solve_fixed_point(initial=None, degree=DEFAULT_DEGREE, tol=1e-8,
         steps.append(damp * float(np.max(np.abs(step))))
         c, res = c_try, res_try
 
-    if res < tol:
-        return finish(c, max_iters, steps)
     raise NoConvergenceError(
         f"no convergence after {max_iters} iterations (residual {res:.3e})",
         last=AnalyticUnimodal(c), residual=res)
 
 
-def linearize(phi0, fd_step=1e-6, residual_tol=1e-6):
-    """Finite-difference Jacobian of R at phi0 with its spectral summary.
+def linearize(phi0, residual_tol=1e-6):
+    """Exact Jacobian of R at phi0 with its spectral summary.
 
-    Column j is (coeffs(R(phi0 + h e_j)) - coeffs(R(phi0 - h e_j))) / 2h.
     Degenerate inputs (e.g. the constant series) yield a near-zero Jacobian
     and a sub-unit leading eigenvalue rather than an error.
     """
     if residual(phi0) >= residual_tol:
         raise LinearizationError(
             f"phi0 is not a solved fixed point (residual >= {residual_tol})")
-    degree = phi0.trunc_degree
-    c = phi0.coeffs
-    jac = np.empty((degree + 1, degree + 1))
-    for j in range(degree + 1):
-        cp = c.copy(); cp[j] += fd_step
-        cm = c.copy(); cm[j] -= fd_step
-        try:
-            jac[:, j] = (_renorm_coeffs(cp, degree)
-                         - _renorm_coeffs(cm, degree)) / (2 * fd_step)
-        except (RangeError, SingularScalingError) as exc:
-            raise LinearizationError(
-                f"perturbed map not renormalizable along e_{j}: {exc}")
+    jac = _renorm_jacobian(phi0.coeffs, phi0.trunc_degree)
     full_eigs = np.linalg.eigvals(jac)
     pinned_eigs = np.linalg.eigvals(jac[1:, 1:])
     # largest magnitude first; the appended 0 is the second of a 1x1 slice

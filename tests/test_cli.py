@@ -2,6 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from renormlab import cli
+from renormlab.errors import EscapeError, WrongPeriodError
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "renormlab", *args],
@@ -197,3 +202,34 @@ def test_degree_above_series_bound_is_a_usage_error():
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert "--degree must be in [1, 256]" in r.stderr
+
+
+def test_manifold_shift_out_of_range_is_a_usage_error(tmp_path):
+    r = usage_error("manifold", "--shifts", "0.6")
+    assert "--shifts must each lie in (-0.5, 0.5)" in r.stderr
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("shifts = 0.05,-0.5\n")
+    usage_error("manifold", "--config", str(cfg))
+
+
+def test_error_object_carries_numeric_fields():
+    r = run_cli("fixpoint", "--max-iters", "1")
+    assert r.returncode == 1
+    err = json.loads(r.stdout)
+    assert err["error"] == "NoConvergenceError"
+    assert 0 < err["residual"] < 1e-2
+    assert "last" not in err
+
+
+@pytest.mark.parametrize("exc, field, value", [
+    (EscapeError("escaped", step=7), "step", 7),
+    (WrongPeriodError("closes early", true_period=2), "true_period", 2),
+])
+def test_error_object_serializes_step_and_true_period(monkeypatch, capsys,
+                                                      exc, field, value):
+    def fail(cfg):
+        raise exc
+    monkeypatch.setitem(cli._COMMANDS, "cascade", fail)
+    assert cli.main(["cascade"]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err == {"error": type(exc).__name__, "message": str(exc), field: value}

@@ -175,3 +175,27 @@ def test_jacobian_central_difference_order():
     num = np.linalg.norm(j1 - j2)
     den = np.linalg.norm(j2 - j4)
     assert 2.5 < num / den < 5.5
+
+    # the stencil converges to the exact Jacobian at the same rate; distances
+    # are taken as functions on the fit grid, since single coefficients carry
+    # the fit's rounding amplified by 1/h
+    exact = renorm1d._renorm_jacobian(c, k)
+    _, a, _ = series._fit_operator(2 * k + 1, k)
+    d1, d2, d4 = (np.linalg.norm(a @ (j - exact)) for j in (j1, j2, j4))
+    assert 3.5 < d1 / d2 < 4.5
+    assert 3.5 < d2 / d4 < 4.5
+    assert np.array_equal(renorm1d.linearize(fp.phi0).jacobian, exact)
+
+
+# Briggs (1991), Math. Comp. 57, "A precise calculation of the Feigenbaum
+# constants"
+BRIGGS_DELTA = 4.669201609102990
+BRIGGS_ALPHA = 2.502907875095893
+
+
+@pytest.mark.parametrize("degree", [20, 40, 80, 120])
+def test_operator_accuracy_against_briggs(degree):
+    fp = renorm1d.solve_fixed_point(degree=degree)
+    assert abs(fp.lam - 1.0 / BRIGGS_ALPHA) < 1e-11
+    lead = renorm1d.linearize(fp.phi0).leading_eigenvalue
+    assert abs(lead - BRIGGS_DELTA) < 1e-10
