@@ -11,17 +11,16 @@ persistence  persistence function a, manifold chart b, shift law
 cli          reproducible command-line experiments
 """
 
-from .series import (AnalyticUnimodal, ChebGrid, cheb_nodes, compose_unimodal,
-                     evaluate, fit_from_samples, load_coeffs, save_coeffs,
-                     scale_conjugate, sup_distance, sup_norm)
+from .series import (AnalyticUnimodal, cheb_nodes, compose_unimodal, evaluate,
+                     load_coeffs, save_coeffs, scale_conjugate, sup_distance,
+                     sup_norm)
 from .renorm1d import (FixedPointResult, LinearizationResult, lambda_of,
                        linearize, renormalize, residual, solve_fixed_point)
 from .renorm_nd import (DiskND, DiskSearch, MapND, RenormCheck, ball_samples,
-                        check_renormalizable, distance_to_standard,
-                        find_renorm_disk, identity_map, iterate,
+                        check_renormalizable, distance_to_standard, iterate,
                         renormalize_nd, search_renorm_disk, standard_fct_map)
-from .cascade import (AccumulationEstimate, CascadeResult, Henon, Map1D,
-                      OneParamFamily, accumulation_parameter,
+from .cascade import (AccumulationEstimate, CascadeResult, DoubleDouble, Henon,
+                      Map1D, OneParamFamily, accumulation_parameter,
                       find_doubling_bifurcation, henon_family, linear_family,
                       logistic_family, lyapunov_exponent, orbit,
                       orbit_multiplier, periodic_orbit, recenter, run_cascade,
@@ -30,8 +29,7 @@ from .attractor import (Atom, AtomTree, atom_diameters, build_atoms,
                         scaling_ratios, verify_periodic_saddles)
 from .persistence import (PersistenceChart, build_chart, chart_b,
                           chart_gradient, chart_validity_radius,
-                          manifold_chart_b, persistence_a,
-                          verify_shift_property)
+                          persistence_a, verify_shift_property)
 from . import errors
 
 __version__ = "0.1.0"

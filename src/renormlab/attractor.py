@@ -14,12 +14,13 @@ witnesses the attractor.  The disk-chain view stays available through
 renorm_nd for the standard map.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import (_is_1d, _continue_orbit, _orbit_by_iteration, orbit,
-                      orbit_multiplier, run_cascade)
+from .cascade import (_is_1d, _orbit_by_iteration, orbit, orbit_multiplier,
+                      periodic_orbit, run_cascade)
 from .errors import InsufficientDataError, RenormLabError, ResolutionError
 
 MAX_GENERATIONS = 12
@@ -132,7 +133,9 @@ def verify_periodic_saddles(fam, t, levels, cascade_result=None):
 
     Each orbit is found at the midpoint of its stability window (where it
     is the attractor) and then continued in the parameter to t, where it
-    generically survives as a repeller (1-D) or saddle (n-D).
+    generically survives as a repeller (1-D) or saddle (n-D).  The
+    continuation solves the orbit afresh at steps of half the window's
+    width, each from the whole orbit of the step before.
     """
     levels = sorted(levels)
     if cascade_result is None:
@@ -149,7 +152,9 @@ def verify_periodic_saddles(fam, t, levels, cascade_result=None):
                 window = (ts[lv - 1], ts[lv])
             t_mid = 0.5 * (window[0] + window[1])
             orbit = _orbit_by_iteration(fam, t_mid, period)
-            orbit = _continue_orbit(fam, t_mid, t, period, orbit)
+            steps = max(1, math.ceil(2 * abs(t - t_mid) / (window[1] - window[0])))
+            for s in np.linspace(t_mid, t, steps + 1)[1:]:
+                orbit = periodic_orbit(fam, s, period, orbit)
             mults = orbit_multiplier(fam, t, orbit)
             reports.append(SaddleReport(lv, True, _classify(mults, one_d),
                                         tuple(mults), tuple(orbit)))

@@ -1,34 +1,49 @@
 """One-parameter families, periodic orbits, and period-doubling cascades.
 
-A doubling event is detected as the parameter where the leading real
-multiplier of the period-2^N orbit crosses -1: the sink hands its stability
-to a sink of double period and survives as a saddle.  Successive doubling
-parameters shrink geometrically, so brackets for level N+1 are seeded from
-the last gap, and the accumulation parameter is produced by Aitken
-extrapolation of the t_N sequence.
+A doubling parameter t_N is where the multiplier of the period-2^N orbit
+crosses -1: the sink hands its stability to a sink of double period and
+survives as a saddle.  t_N is one Newton solve of the standard
+period-doubling defining system for cycles of maps, in all p = 2^N orbit
+points and t: the cyclic orbit equations x_(i+1) = psi_t(x_i) plus the
+doubling row det(M + I) = 0, M the monodromy matrix.  Each step is an
+affine scan along the orbit in ceil(log2 p) batched rounds, closed by an
+(n+1) x (n+1) bordered solve.  Residuals are double-double (orbit points
+and t kept as hi + lo pairs), so the gaps between doubling parameters keep
+their digits far below the ulp of t.  A periodic orbit at a fixed
+parameter is the same solve with t held fixed and no doubling row.
+
+Successive doubling parameters shrink geometrically, so the starting point
+for level N+1 is seeded from the last gap, and the accumulation parameter
+is produced by Aitken extrapolation of the t_N sequence.
 
 Builtin families: the logistic interval family a*x*(1-x) and the dissipative
 Henon family (x, y) -> (1 - a x^2 + y, b x); plus families linear in a fixed
 direction, psi_t = base + t*direction, used by the persistence module.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import (ESCAPE_LIMIT, BracketError, ComplexMultiplierError,
-                     ContinuationError, EscapeError, InsufficientDataError,
-                     NoConvergenceError, RenormLabError, WrongPeriodError)
+from .errors import (ESCAPE_LIMIT, BracketError, EscapeError,
+                     InsufficientDataError, NoConvergenceError, RenormLabError,
+                     WrongPeriodError)
 
 DISTINCT_TOL = 1e-10
 ESCAPE_CHECK = 256      # images stepped between two escape checks
-MAX_LEVEL = 16          # deepest cascade level: period 2^16, where the logistic cascade is lost
+MAX_LEVEL = 16          # deepest cascade level offered by the CLI: period 2^16
+MAX_NEWTON = 12         # Newton iterations before an orbit solve gives up
 
 
 # ---------------------------------------------------------------------------
 # concrete map objects
+#
+# Every map exposes `terms`, its polynomial as (exponents (M, n), coeffs
+# (M, n_out)): row k is the monomial x1^e1 ... xn^en with coefficient
+# coeffs[k, i] in output i.  The orbit solver evaluates maps through it.
 
 class Map1D:
     """Polynomial interval map p(x) = sum coeffs[k] x^k."""
@@ -49,6 +64,10 @@ class Map1D:
         for k in range(len(self.coeffs) - 1, 0, -1):
             r = r * x + k * self.coeffs[k]
         return r
+
+    @property
+    def terms(self):
+        return np.arange(len(self.coeffs))[:, None], np.array(self.coeffs)[:, None]
 
     def __add__(self, other):
         if not isinstance(other, Map1D):
@@ -81,12 +100,12 @@ class Henon:
     def jac(self, pts):
         """Derivative at one point (2,) -> (2, 2), or at each row of a stack
         (m, 2) -> (m, 2, 2)."""
-        x = np.asarray(pts, dtype=float)[..., 0]
-        out = np.zeros(x.shape + (2, 2))
-        out[..., 0, 0] = -2.0 * self.a * x
-        out[..., 0, 1] = 1.0
-        out[..., 1, 0] = self.b
-        return out
+        return _jacobian(self, pts)
+
+    @property
+    def terms(self):
+        return (np.array([[0, 0], [2, 0], [0, 1], [1, 0]]),
+                np.array([[1.0, 0.0], [-self.a, 0.0], [1.0, 0.0], [0.0, self.b]]))
 
     def __add__(self, other):
         # the parameter direction is d/da, so adding it shifts a
@@ -106,6 +125,10 @@ class _HenonDirection:
     def __call__(self, pt):
         return (-self.scale * pt[0] * pt[0], 0.0)
 
+    @property
+    def terms(self):
+        return np.array([[2, 0]]), np.array([[-self.scale, 0.0]])
+
     def __mul__(self, s):
         return _HenonDirection(self.scale * float(s))
 
@@ -116,10 +139,12 @@ class _HenonDirection:
 class OneParamFamily:
     """C^1 assignment t -> psi_t with an evaluable parameter derivative.
 
-    map_at(t) returns the map at parameter t (callable; 1-D maps expose
-    .deriv, n-D maps expose .jac at one point or at a stack of points).  bracket0 must bracket the first
-    doubling (the period-1 orbit's multiplier crossing -1) and gap_hint
-    estimates the first inter-doubling gap, which seeds level-1 brackets.
+    map_at(t) returns the map at parameter t and deriv_at(t) its derivative
+    in t; both are callable and expose `terms` (1-D maps also expose .deriv,
+    n-D maps .jac at one point or at a stack of points).  bracket0 must
+    bracket the first doubling (the period-1 orbit's multiplier crossing
+    -1), with a sink at its lower end, and gap_hint estimates the first
+    inter-doubling gap, which seeds level 1.
     """
     kind: str
     dim: int
@@ -129,8 +154,6 @@ class OneParamFamily:
     bracket0: tuple
     gap_hint: float
     start_at: Callable
-    base: object = None
-    direction: object = None
 
 
 def logistic_family(window=(2.5, 4.0)):
@@ -146,18 +169,24 @@ def logistic_family(window=(2.5, 4.0)):
 
 
 def henon_family(b=0.3, window=(0.1, 1.4)):
+    """The Henon family in a; its first two doublings are known in closed
+    form: the fixed point flips at a0 = 3(1-b)^2/4 and the 2-cycle (trace
+    of M = -1 - b^2) at a1 = (1-b)^2 + (1+b)^2/4."""
     def start(a):
         disc = (1.0 - b) ** 2 + 4.0 * a
         x = (-(1.0 - b) + math.sqrt(disc)) / (2.0 * a) if a != 0 else 0.0
         return (x + 1e-3, b * x)
 
+    a0 = 0.75 * (1.0 - b) ** 2
+    a1 = (1.0 - b) ** 2 + 0.25 * (1.0 + b) ** 2
     return OneParamFamily(
         kind="henon", dim=2,
         map_at=lambda a: Henon(a, b),
         deriv_at=lambda a: _HenonDirection(),
         param_range=tuple(window),
-        bracket0=(0.25, 0.55),
-        gap_hint=0.55,
+        # the fixed point exists for a > -(1-b)^2/4 and is a sink below a0
+        bracket0=(a0 / 3.0, a0 + 0.5 * (a1 - a0)),
+        gap_hint=a1 - a0,
         start_at=start,
     )
 
@@ -173,7 +202,6 @@ def linear_family(base, direction, bracket0, gap_hint, start_at,
         bracket0=tuple(bracket0),
         gap_hint=gap_hint,
         start_at=start_at,
-        base=base, direction=direction,
     )
 
 
@@ -190,13 +218,124 @@ def recenter(fam, t0):
     b0, b1 = fam.bracket0
     return replace(
         fam,
-        kind=fam.kind,
         map_at=lambda t: fam.map_at(t + t0),
         deriv_at=lambda t: fam.deriv_at(t + t0),
         param_range=(lo - t0, hi - t0),
         bracket0=(b0 - t0, b1 - t0),
         start_at=lambda t: fam.start_at(t + t0),
     )
+
+
+# ---------------------------------------------------------------------------
+# double-double arithmetic (Dekker 1971): a value is the unevaluated sum
+# hi + lo of two floats; numpy arrays and Python floats both work
+
+def _two_sum(a, b):
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b       # Veltkamp split by 2^27 + 1
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(ah, al, bh, bl):
+    s, e = _two_sum(ah, bh)
+    return _two_sum(s, e + (al + bl))
+
+
+def _dd_mul(ah, al, bh, bl):
+    p, e = _two_prod(ah, bh)
+    return _two_sum(p, e + (ah * bl + al * bh))
+
+
+class DoubleDouble(float):
+    """A float, the high part of a double-double value, carrying its low
+    part in `lo`."""
+
+    __slots__ = ("lo",)
+
+    def __new__(cls, hi, lo=0.0):
+        self = super().__new__(cls, hi)
+        self.lo = float(lo)
+        return self
+
+
+def _diff(a, b):
+    """a - b to double-double accuracy, for floats or DoubleDoubles."""
+    s, e = _two_sum(float(a), -float(b))
+    return s + (e + (getattr(a, "lo", 0.0) - getattr(b, "lo", 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# polynomial maps by their terms
+
+@functools.lru_cache(maxsize=64)
+def _jet_plan(key, shape, order):
+    """Monomials of a jet table and, per block, the matrix taking the map's
+    coefficients to the block's; see _jet."""
+    exps = np.frombuffer(key, dtype=np.intp).reshape(shape)
+    m, n = shape
+    blocks = level = [(exps, np.eye(m))]
+    for _ in range(order):
+        level = [(np.where(np.arange(n) == j, np.maximum(e - 1, 0), e), w * e[:, j, None])
+                 for e, w in level for j in range(n)]
+        blocks = blocks + level
+    jet_exps, inverse = np.unique(np.vstack([e for e, _ in blocks]), axis=0,
+                                  return_inverse=True)
+    plan = np.zeros((len(jet_exps), len(blocks), m))
+    for b, rows in enumerate(inverse.reshape(len(blocks), m)):
+        np.add.at(plan[:, b], rows, blocks[b][1])
+    return jet_exps, plan
+
+
+def _jet(terms, order):
+    """Term table of a map and its partial derivatives up to `order`, on
+    shared monomials.  Output column (a, b) holds block b of output a; the
+    blocks are f, then d/dx_j, then d2/dx_j dx_l (j, l row-major)."""
+    exps = np.asarray(terms[0], dtype=np.intp)
+    jet_exps, plan = _jet_plan(exps.tobytes(), exps.shape, order)
+    return jet_exps, np.einsum("rbm,ma->rab", plan, terms[1]).reshape(len(jet_exps), -1)
+
+
+def _dd_poly(terms, xh, xl):
+    """The polynomial at every row of x = xh + xl, (p, n), in double-double:
+    returns hi, lo of shape (p, n_out).  Entries are exact in relative terms
+    even where they cancel to nearly 0, as f' does near a critical point."""
+    exps, coeffs = terms
+    powers = [[None, (xh[:, ax], xl[:, ax])] for ax in range(xh.shape[1])]
+    sh = np.zeros((xh.shape[0], coeffs.shape[1]))
+    sl = np.zeros_like(sh)
+    for e, c in zip(exps, coeffs):
+        if not c.any():
+            continue
+        mono = None
+        for ax in np.flatnonzero(e):
+            pw = powers[ax]
+            while len(pw) <= e[ax]:
+                pw.append(_dd_mul(*pw[-1], *pw[1]))
+            mono = pw[e[ax]] if mono is None else _dd_mul(*mono, *pw[e[ax]])
+        if mono is None:
+            sh, sl = _dd_add(sh, sl, c, 0.0)
+        else:
+            th, tl = _two_prod(mono[0][:, None], c)
+            sh, sl = _dd_add(sh, sl, th, tl + mono[1][:, None] * c)
+    return sh, sl
+
+
+def _jacobian(m, pts):
+    """Derivative of a map at one point (n,) -> (n, n), or at each row of a
+    stack (k, n) -> (k, n, n); column j holds the partials along axis j."""
+    x = np.asarray(pts, dtype=float)
+    n = x.shape[-1]
+    flat = x.reshape(-1, n)
+    hi = _dd_poly(_jet(m.terms, 1), flat, np.zeros_like(flat))[0]
+    return hi.reshape(x.shape[:-1] + (n, n + 1))[..., 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -240,188 +379,189 @@ def orbit(m, x, steps, keep=0):
     return x, kept
 
 
-def _newton_orbit_1d(m, x0, period, tol, max_iter):
-    x = float(x0)
-    prev = math.inf
-    for _ in range(max_iter):
-        y = x
-        dprod = 1.0
-        for _ in range(period):
-            dprod *= m.deriv(y)
-            y = m(y)
-        g = y - x
-        dg = dprod - 1.0
-        if abs(dg) < 1e-14:
-            raise NoConvergenceError("degenerate Newton derivative", last=x)
-        step = -g / dg
-        x += step
-        if not math.isfinite(x) or abs(x) > ESCAPE_LIMIT:
-            raise NoConvergenceError("Newton iterate escaped", last=x)
-        if abs(step) < tol:
-            return x
-        # long orbits evaluate with rounding amplified by partial derivative
-        # products; accept stagnation at that noise floor
-        if abs(step) < 1e-8 and abs(step) >= 0.5 * prev:
-            return x
-        prev = abs(step)
-    raise NoConvergenceError(f"no orbit convergence after {max_iter} iterations",
-                             last=x, residual=abs(step))
-
-
 def _chain(jacs):
-    """J[p-1] @ ... @ J[0] for a (p, n, n) stack, by pairwise batched
-    products: ceil(log2 p) rounds instead of p single products."""
-    while len(jacs) > 1:
-        even = len(jacs) & ~1
-        prod = jacs[1:even:2] @ jacs[0:even:2]
-        jacs = np.concatenate([prod, jacs[even:]]) if even < len(jacs) else prod
-    return jacs[0]
+    """J[p-1] @ ... @ J[0] for a (p, n, n) stack, in ceil(log2 p) batched
+    rounds."""
+    return _scan(jacs, jacs[:, :, :0])[0][-1]
 
 
-def _newton_orbit_nd(m, x0, period, tol, max_iter):
-    x = np.asarray(x0, dtype=float)
-    n = x.size
-    prev = math.inf
-    for _ in range(max_iter):
-        try:
-            pts = orbit(m, x.tolist(), period, keep=period + 1)[1]
-        except EscapeError as exc:
-            raise NoConvergenceError("orbit escaped inside Newton", last=x) from exc
-        g = pts[-1] - x
-        with np.errstate(over="ignore", invalid="ignore"):
-            jac = _chain(m.jac(pts[:-1]))
-        if not np.all(np.isfinite(jac)):
-            raise NoConvergenceError("Jacobian overflow inside Newton", last=x)
-        try:
-            step = np.linalg.solve(jac - np.eye(n), -g)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"singular orbit Jacobian: {exc}", last=x)
-        x = x + step
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > ESCAPE_LIMIT:
-            raise NoConvergenceError("Newton iterate escaped", last=x)
-        sn = float(np.max(np.abs(step)))
-        if sn < tol:
-            return x
-        if sn < 1e-8 and sn >= 0.5 * prev:
-            return x
-        prev = sn
-    raise NoConvergenceError(f"no orbit convergence after {max_iter} iterations",
-                             last=x, residual=float(np.max(np.abs(step))))
+def _scan(jacs, cols):
+    """Prefix compositions of the affine maps z -> J[i] z + cols[i] w.
+
+    Returns (P, V), where z -> P[k] z + V[k] w is the composite of maps 0..k:
+    P[k] = J[k] @ ... @ J[0].  ceil(log2 p) batched rounds, each composing
+    every map with the one d places before it (Hillis-Steele).
+    """
+    prod, off = jacs.copy(), cols.copy()
+    d = 1
+    while d < len(prod):
+        off[d:] = prod[d:] @ off[:-d] + off[d:]
+        prod[d:] = prod[d:] @ prod[:-d]
+        d *= 2
+    return prod, off
 
 
-def periodic_orbit(fam, t, period, guess, tol=1e-13, max_iter=80):
-    """Newton solve of psi_t^period(x) = x; returns the full orbit.
+def _adjugate(a):
+    """Transposed cofactor matrix: adj(A) A = det(A) I, also for singular A."""
+    n = a.shape[0]
+    adj = np.empty_like(a)
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
+            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
+    return adj
 
-    The orbit must consist of `period` distinct points; if it closes up
-    early the period is a proper divisor and WrongPeriodError reports it.
+
+def _doubling_row(mono, prefix, jacs, hess, d_jac):
+    """Value, orbit gradient (p, n) and parameter derivative of the doubling
+    row det(M + I), from the prefix products P_k = J_(k-1)...J_0, the suffix
+    products S_k = J_(p-1)...J_(k+1) and adj(M + I): by Jacobi's formula its
+    derivative along any J_k is tr(P_k adj(M + I) S_k dJ_k).  hess holds
+    dJ_k/dx_j and d_jac dJ_k/dt, at every orbit point."""
+    eye = np.eye(mono.shape[0])
+    rev = np.swapaxes(jacs[:0:-1], 1, 2)            # J_(p-1)^T, ..., J_1^T
+    suffix = np.swapaxes(_scan(rev, rev[:, :, :0])[0][::-1], 1, 2)
+    weight = prefix @ _adjugate(mono + eye) @ np.concatenate([suffix, eye[None]])
+    return (np.linalg.det(mono + eye), np.einsum("kba,kabj->kj", weight, hess),
+            np.einsum("kba,kab->", weight, d_jac))
+
+
+def _newton(fam, pts, t, doubling):
+    """Multiple-shooting Newton solve of the cyclic orbit equations
+    x_(i+1) = psi_t(x_i), i mod p, in all p points of `pts` (p, n), with t
+    held fixed or, when `doubling`, free and the row det(M + I) = 0 added.
+
+    Residuals and Jacobians are double-double, rounded to binary64; t's low
+    part enters as t_lo * d(psi_t)/dt.  Each step scans z_(i+1) = J_i z_i +
+    b_i dt + r_i along the orbit and closes it with an (n+1) x (n+1)
+    bordered solve.  Returns the orbit's high parts (p, n) and t as hi, lo;
+    raises NoConvergenceError after MAX_NEWTON iterations, on escape or on a
+    singular step, and WrongPeriodError if the orbit closes up early.
+    """
+    xh = np.array(pts, dtype=float).reshape(len(pts), -1)
+    p, n = xh.shape
+    xl = np.zeros_like(xh)
+    th, tl, dt = float(t), 0.0, 0.0
+    prev = res = math.inf
+    eye = np.eye(n)
+    for _ in range(MAX_NEWTON):
+        last = th if doubling else (xh[0, 0] if n == 1 else xh[0].copy())
+        with np.errstate(all="ignore"):
+            jet = _jet(fam.map_at(th).terms, 1 + doubling)
+            hi, lo = (v.reshape(p, n, -1) for v in _dd_poly(jet, xh, xl))
+            r = ((hi[:, :, 0] - np.roll(xh, -1, axis=0))
+                 + (lo[:, :, 0] - np.roll(xl, -1, axis=0)))
+            jacs, cols = hi[:, :, 1:n + 1], r[:, :, None]
+            if doubling:
+                d = _dd_poly(_jet(fam.deriv_at(th).terms, 1), xh, xl)[0].reshape(p, n, -1)
+                r += tl * d[:, :, 0]
+                jacs = jacs + tl * d[:, :, 1:]
+                cols = np.stack([d[:, :, 0], r], axis=-1)
+            prod, off = _scan(jacs, cols)
+            prefix = np.concatenate([eye[None], prod[:-1]])
+            offset = np.concatenate([np.zeros((1,) + off.shape[1:]), off[:-1]])
+            border = np.hstack([eye - prod[-1], -off[-1, :, :-1]])
+            rhs = off[-1, :, -1]
+            res = float(np.max(np.abs(r)))
+            if doubling:
+                g, grad, g_t = _doubling_row(prod[-1], prefix, jacs,
+                                             hi[:, :, n + 1:].reshape(p, n, n, n),
+                                             d[:, :, 1:])
+                res = max(res, abs(g))
+                border = np.vstack([border, np.append(
+                    np.einsum("kj,kjl->l", grad, prefix),
+                    np.einsum("kj,kj->", grad, offset[:, :, 0]) + g_t)])
+                rhs = np.append(rhs, -g - np.einsum("kj,kj->", grad, offset[:, :, 1]))
+            try:
+                sol = np.linalg.solve(border, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergenceError(f"singular orbit system: {exc}",
+                                         last=last, residual=res) from exc
+            dx = prefix @ sol[:n] + offset[:, :, -1]
+            if doubling:
+                dt = sol[n]
+                dx += offset[:, :, 0] * dt
+            xh, xl = _dd_add(xh, xl, dx, 0.0)
+            th, tl = _dd_add(th, tl, dt, 0.0)
+        if not (np.all(np.abs(xh) <= ESCAPE_LIMIT) and abs(th) <= ESCAPE_LIMIT):
+            raise NoConvergenceError("Newton iterate escaped", last=last, residual=res)
+        size = max(float(np.max(np.abs(dx))), abs(dt))
+        # near the solution the correction shrinks until it stalls at the
+        # rounding floor; one below 2^-56 of the values only refines the low
+        # parts, and leaves an error far below binary64's resolution
+        scale = max(1.0, abs(th), float(np.max(np.abs(xh))))
+        if size <= 2.0 ** -56 * scale or (size <= 1e-10 and size >= 0.5 * prev):
+            close = np.flatnonzero(np.max(np.abs(xh[1:] - xh[0]), axis=1) < DISTINCT_TOL)
+            if close.size:
+                i = int(close[0]) + 1
+                raise WrongPeriodError(f"orbit closes after {i} steps, not {p}",
+                                       true_period=i)
+            return xh, th, tl
+        prev = size
+    raise NoConvergenceError(f"no orbit convergence after {MAX_NEWTON} iterations",
+                             last=last, residual=res)
+
+
+def periodic_orbit(fam, t, period, guess):
+    """The period-`period` orbit of psi_t, by multiple-shooting Newton.
+
+    guess is one point of the orbit, whose images start the solve, or all
+    `period` points of it (a (period, n) stack; period floats in 1-D).  The
+    orbit must consist of `period` distinct points; if it closes up early
+    the period is a proper divisor and WrongPeriodError reports it.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
-    m = fam.map_at(t)
-    newton = _newton_orbit_1d if _is_1d(fam) else _newton_orbit_nd
-    pts = orbit(m, newton(m, guess, period, tol, max_iter), period - 1,
-                keep=period)[1]
-    close = np.flatnonzero(np.max(np.abs(pts[1:] - pts[0]), axis=1) < DISTINCT_TOL)
-    if close.size:
-        i = int(close[0]) + 1
-        raise WrongPeriodError(
-            f"orbit closes after {i} steps, not {period}", true_period=i)
+    start = np.asarray(guess, dtype=float)
+    if start.ndim == (0 if _is_1d(fam) else 1):
+        try:
+            start = orbit(fam.map_at(t), guess, period - 1, keep=period)[1]
+        except EscapeError as exc:
+            raise NoConvergenceError("starting orbit escaped", last=guess) from exc
+    pts = _newton(fam, start, t, doubling=False)[0]
     return pts[:, 0].tolist() if _is_1d(fam) else list(pts)
 
 
 def orbit_multiplier(fam, t, orbit):
-    """Eigenvalues of the derivative of the return map along the orbit."""
-    m = fam.map_at(t)
-    if _is_1d(fam):
-        prod = 1.0
-        for x in orbit:
-            prod *= m.deriv(x)
-        return [prod]
-    eigs = np.linalg.eigvals(_chain(m.jac(orbit)))
+    """Eigenvalues of the derivative of the return map along the orbit,
+    largest modulus first."""
+    jacs = _jacobian(fam.map_at(t), np.reshape(orbit, (len(orbit), fam.dim)))
+    eigs = np.linalg.eigvals(_chain(jacs))
     return list(eigs[np.argsort(-np.abs(eigs))])
 
 
-def _leading_real_multiplier(fam, t, orbit):
-    mults = orbit_multiplier(fam, t, orbit)
-    lead = mults[0]
-    if isinstance(lead, complex) or isinstance(lead, np.complexfloating):
-        if abs(np.imag(lead)) > 1e-8 * max(1.0, abs(np.real(lead))):
-            raise ComplexMultiplierError(
-                f"leading multiplier {lead} is a complex pair; "
-                "doubling detection needs a real eigenvalue near -1")
-        lead = np.real(lead)
-    return float(lead)
-
-
 def _orbit_by_iteration(fam, t, period, n_settle=6000):
-    """Stable orbit at parameter t found by plain iteration, then polished."""
-    x = orbit(fam.map_at(t), fam.start_at(t), n_settle)[0]
+    """Stable orbit at parameter t found by plain iteration (64 periods, at
+    most n_settle steps), then polished."""
+    x = orbit(fam.map_at(t), fam.start_at(t), min(n_settle, 64 * period))[0]
     return periodic_orbit(fam, t, period, x if _is_1d(fam) else np.asarray(x))
 
 
-def _continue_orbit(fam, t_from, t_to, period, orbit, max_sub=64):
-    """Continue a periodic orbit in the parameter by Newton stepping."""
-    sub = 1
-    while sub <= max_sub:
-        try:
-            cur = orbit
-            for i in range(1, sub + 1):
-                t = t_from + (t_to - t_from) * i / sub
-                pts = periodic_orbit(fam, t, period, cur[0])
-                cur = pts
-            return cur
-        except (NoConvergenceError, WrongPeriodError):
-            sub *= 2
-    raise ContinuationError(
-        f"orbit of period {period} lost between t={t_from:.6g} and t={t_to:.6g}")
-
-
-def find_doubling_bifurcation(fam, level, bracket, orbit_lo=None,
-                              mult_tol=1e-9):
+def find_doubling_bifurcation(fam, level, bracket, orbit_lo=None):
     """Parameter where the period-2^level orbit's multiplier crosses -1.
 
-    Bisection on multiplier + 1 with the orbit continued from the nearest
-    solved parameter, then a secant polish.  The multiplier tolerance is
-    floored by the attainable parameter resolution (one ulp brackets).
+    One Newton solve of the doubling system, started from the orbit at the
+    bracket's lower end, where it is a sink (`orbit_lo`, or found there by
+    iteration).  Returns a DoubleDouble; a solution outside the bracket
+    raises BracketError.
     """
     period = 2 ** level
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not t_lo < t_hi:
         raise BracketError(f"empty bracket ({t_lo}, {t_hi})")
-    orb_lo = orbit_lo if orbit_lo is not None else _orbit_by_iteration(fam, t_lo, period)
-    m_lo = _leading_real_multiplier(fam, t_lo, orb_lo)
-    if m_lo + 1.0 <= 0:
+    if orbit_lo is None:
+        orbit_lo = _orbit_by_iteration(fam, t_lo, period)
+    _, th, tl = _newton(fam, orbit_lo, t_lo, doubling=True)
+    if not t_lo < th < t_hi:
         raise BracketError(
-            f"orbit already unstable at t_lo={t_lo:.6g} (multiplier {m_lo:.6g})")
-    orb_hi = _continue_orbit(fam, t_lo, t_hi, period, orb_lo)
-    m_hi = _leading_real_multiplier(fam, t_hi, orb_hi)
-    if m_hi + 1.0 >= 0:
-        raise BracketError(
-            f"no multiplier sign change on the bracket: m(t_hi)={m_hi:.6g}")
-
-    lo, hi = t_lo, t_hi
-    f_lo, f_hi = m_lo + 1.0, m_hi + 1.0
-    orb = orb_lo
-    t_near = t_lo
-    while hi - lo > 4 * np.spacing(max(abs(lo), abs(hi), 1.0)):
-        mid = 0.5 * (lo + hi)
-        orb = _continue_orbit(fam, t_near, mid, period, orb)
-        t_near = mid
-        f_mid = _leading_real_multiplier(fam, mid, orb) + 1.0
-        if abs(f_mid) < mult_tol:
-            return mid
-        if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    # secant polish inside the final bracket
-    t_star = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else lo
-    return min(max(t_star, lo), hi)
+            f"the period-{period} orbit doubles at t={th:.9g}, outside the "
+            f"bracket ({t_lo:.6g}, {t_hi:.6g})")
+    return DoubleDouble(th, tl)
 
 
 @dataclass(frozen=True)
 class CascadeResult:
-    doubling_params: tuple        # ((level, t_level), ...)
+    doubling_params: tuple        # ((level, t_level), ...), t_level a DoubleDouble
     delta_estimates: tuple        # gap ratios, one per interior level
     t_inf: float
     t_inf_error: float
@@ -440,79 +580,75 @@ class AccumulationEstimate:
 def accumulation_parameter(sequence, delta=None):
     """Iterated Aitken extrapolation of the doubling-parameter sequence.
 
-    Exact for geometric sequences.  The attached error estimate is the
-    geometric-tail bound |t_inf - t_last| / (delta - 1).
+    Exact for geometric sequences.  Works on offsets from the last term, so
+    DoubleDouble terms keep their low parts.  The attached error estimate
+    is the geometric-tail bound |t_inf - t_last| / (delta - 1).
     """
-    if isinstance(sequence, CascadeResult):
-        seq = sequence.params
-    else:
-        seq = [float(v) for v in sequence]
+    seq = sequence.params if isinstance(sequence, CascadeResult) else list(sequence)
     if len(seq) < 4:
         raise InsufficientDataError(
             f"need at least 4 doubling parameters, got {len(seq)}")
-    cur = list(seq)
+    ref = seq[-1]
+    cur = [_diff(v, ref) for v in seq]
+    gaps = np.diff(cur)
+    scale = max(abs(float(ref)), 1.0)
     while len(cur) >= 3:
         nxt = []
         for i in range(len(cur) - 2):
             d1 = cur[i + 1] - cur[i]
             d2 = cur[i + 2] - cur[i + 1]
             den = d2 - d1
-            if abs(den) < 1e-15 * max(abs(cur[i + 2]), 1.0):
+            if abs(den) < 1e-15 * scale:
                 nxt = []
                 break
             nxt.append(cur[i + 2] - d2 * d2 / den)
         if not nxt:
             break
         cur = nxt
-    value = cur[-1]
+    offset = cur[-1]
     if delta is None:
-        gaps = np.diff(seq)
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = abs(gaps[-2] / gaps[-1]) if abs(gaps[-1]) > 0 else 4.0
     delta = max(float(delta), 1.0 + 1e-9)
-    err = abs(value - seq[-1]) * (1.0 / delta) / (1.0 - 1.0 / delta)
-    return AccumulationEstimate(float(value), float(err))
+    err = abs(offset) * (1.0 / delta) / (1.0 - 1.0 / delta)
+    return AccumulationEstimate(float(ref) + (getattr(ref, "lo", 0.0) + offset),
+                                float(err))
 
 
-def run_cascade(fam, n_max, mult_tol=1e-9):
+def run_cascade(fam, n_max):
     """Doubling parameters t_0 .. t_n_max, gap ratios, and the accumulation.
 
-    Level-(N+1) brackets are seeded from the last gap: the lower end sits
-    just past t_N and the upper end halfway through the previous gap, which
-    always covers the next doubling once gaps shrink faster than 2.
-    On failure the exception carries the completed prefix in `.completed`.
+    Level N+1 starts just past t_N, at 0.08 of the last gap, where the
+    period-2^(N+1) orbit is a sink; its solution must lie within half the
+    last gap, which holds once gaps shrink faster than 2.  Gaps, ratios and
+    the extrapolation use the parameters' low parts.  On failure the
+    exception carries the completed prefix in `.completed`.
     """
     ts = []
-    orbit = None
     try:
-        t0 = find_doubling_bifurcation(fam, 0, fam.bracket0, mult_tol=mult_tol)
-        ts.append(t0)
+        ts.append(find_doubling_bifurcation(fam, 0, fam.bracket0))
         for level in range(1, n_max + 1):
             if len(ts) >= 2:
-                # gaps shrink by roughly the universal ratio; half the last
-                # gap always covers the next doubling
-                gap = ts[-1] - ts[-2]
+                gap = _diff(ts[-1], ts[-2])
                 lo = ts[-1] + 0.08 * gap
                 hi = ts[-1] + 0.5 * gap
             else:
                 # provisional: gap_hint estimates the first gap itself
                 lo = ts[-1] + 0.15 * fam.gap_hint
                 hi = min(ts[-1] + 1.4 * fam.gap_hint, fam.param_range[1])
-            period = 2 ** level
-            orbit = _orbit_by_iteration(fam, lo, period)
-            t_level = find_doubling_bifurcation(fam, level, (lo, hi),
-                                                orbit_lo=orbit, mult_tol=mult_tol)
-            ts.append(t_level)
+            orbit_lo = _orbit_by_iteration(fam, lo, 2 ** level)
+            ts.append(find_doubling_bifurcation(fam, level, (lo, hi),
+                                                orbit_lo=orbit_lo))
     except RenormLabError as exc:
         exc.completed = tuple(enumerate(ts))
         raise
-    gaps = np.diff(ts)
-    deltas = tuple(float(gaps[i] / gaps[i + 1]) for i in range(len(gaps) - 1))
+    gaps = [_diff(b, a) for a, b in zip(ts, ts[1:])]
+    deltas = tuple(gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1))
     if len(ts) >= 4:
-        acc = accumulation_parameter(ts, delta=deltas[-1] if deltas else None)
+        acc = accumulation_parameter(ts, delta=deltas[-1])
         t_inf, t_err = acc.value, acc.error
     else:
-        t_inf, t_err = ts[-1], float("nan")
+        t_inf, t_err = float(ts[-1]), float("nan")
     return CascadeResult(tuple(enumerate(ts)), deltas, t_inf, t_err)
 
 

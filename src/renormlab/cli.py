@@ -174,11 +174,9 @@ def _cmd_fixpoint(cfg):
 
 
 def _cascade_rows(res):
-    rows = []
-    for (level, t) in res.doubling_params:
-        delta = res.delta_estimates[level - 1] if 1 <= level <= len(res.delta_estimates) else ""
-        rows.append([level, repr(t), repr(delta) if delta != "" else ""])
-    return rows
+    d = res.delta_estimates
+    return [[level, repr(t), repr(d[level - 1]) if 1 <= level <= len(d) else ""]
+            for level, t in res.doubling_params]
 
 
 def _cmd_cascade(cfg):
@@ -343,12 +341,10 @@ def main(argv=None):
     cfg = dict(_DEFAULTS[cmd])
     if config_path:
         try:
-            raw = _load_config(config_path)
+            cfg.update((key, _coerce(val, cfg[key]))
+                       for key, val in _load_config(config_path).items() if key in cfg)
         except (OSError, ValueError) as exc:
             parser.error(f"bad config file: {exc}")
-        for key, val in raw.items():
-            if key in cfg:
-                cfg[key] = _coerce(val, _DEFAULTS[cmd].get(key))
     timestamp = not args.pop("no_timestamp", False)
     cfg.update(args)
     _validate(parser, cmd, cfg)
@@ -359,6 +355,10 @@ def main(argv=None):
         err = {"error": type(exc).__name__, "message": str(exc)}
         err.update((k, getattr(exc, k)) for k in ("residual", "step", "true_period")
                    if getattr(exc, k, None) is not None)
+        # the last iterate, when it is numeric (a point, an orbit or a parameter)
+        last = getattr(exc, "last", None)
+        if isinstance(last, (float, np.ndarray)):
+            err["last"] = np.ravel(last).tolist()
         completed = getattr(exc, "completed", None)
         if completed and cfg.get("out"):
             _write_report({"error": err, "completed_prefix": list(completed)},

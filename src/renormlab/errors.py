@@ -20,10 +20,6 @@ class SingularScalingError(RenormLabError):
     """A rescaling factor is zero (or numerically indistinguishable from it)."""
 
 
-class FitError(RenormLabError):
-    """A polynomial fit is structurally rank deficient."""
-
-
 class NoConvergenceError(RenormLabError):
     """An iterative solve failed; carries the last iterate and residual."""
 
@@ -63,14 +59,6 @@ class EscapeError(RenormLabError):
 
 class BracketError(RenormLabError):
     """A root bracket does not actually bracket a sign change."""
-
-
-class ComplexMultiplierError(BracketError):
-    """Leading multiplier is a complex pair; doubling detection needs a real one."""
-
-
-class ContinuationError(RenormLabError):
-    """A periodic orbit was lost while stepping in the parameter."""
 
 
 class WrongPeriodError(RenormLabError):

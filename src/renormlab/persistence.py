@@ -87,17 +87,6 @@ def build_chart(fam, depth, a_tolerance=1e-5):
     )
 
 
-def manifold_chart_b(psi0, v0, chi, depth, *, bracket0, gap_hint, start_at,
-                     dim=1):
-    """b(chi) = accumulation parameter of the linear family {chi + t v0}.
-
-    b(chi) = 0 is the numerical membership test for the local
-    codimension-one manifold through psi0.
-    """
-    fam = linear_family(chi, v0, bracket0, gap_hint, start_at, dim=dim)
-    return persistence_a(fam, depth)
-
-
 def chart_b(chart, chi):
     """b(chi) using the chart's stored cascade configuration."""
     return persistence_a(chart.family_through(chi), chart.depth)

@@ -22,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .cascade import orbit
+from .cascade import _jacobian, orbit
 from .errors import (DimensionError, DiskError, EscapeError, RefitError,
                      RangeError)
 from .series import AnalyticUnimodal
@@ -57,7 +57,6 @@ class MapND:
         self.dim = n
         self.family = family
         self.fit_residual = None
-        self._jac = None
         # the power table holds, per axis, the rows x^0 .. x^top; the steps
         # fill rows x^(k+1) .. x^(k+s) as x^1 .. x^s times x^k
         tops = exps.max(axis=0)
@@ -105,19 +104,14 @@ class MapND:
                           out=out[s:s + blk.shape[0]])
         return out[0] if single else out
 
-    def _derivative(self, axis):
-        """The partial derivative along one axis: exponents shifted down."""
-        e = self.exponents[:, axis]
-        exps = self.exponents.copy()
-        exps[:, axis] = np.maximum(e - 1, 0)
-        return MapND(exps, self.coeffs * e[:, None], family=self.family)
+    @property
+    def terms(self):
+        return self.exponents, self.coeffs
 
     def jac(self, pts):
         """Derivative at one point (n,) -> (n, n), or at each row of a stack
         (m, n) -> (m, n, n); column j holds the partials along axis j."""
-        if self._jac is None:
-            self._jac = [self._derivative(ax) for ax in range(self.dim)]
-        return np.stack([d(pts) for d in self._jac], axis=-1)
+        return _jacobian(self, pts)
 
     def __add__(self, other):
         if not isinstance(other, MapND) or other.dim != self.dim:
@@ -152,11 +146,6 @@ def standard_fct_map(n, phi0):
     coeffs[0, 0] = 1.0
     coeffs[1:, -1] = phi0.coeffs
     return MapND(exps, coeffs, family="standard-fct")
-
-
-def identity_map(n):
-    """The identity as a MapND (handy degenerate test subject)."""
-    return MapND(np.eye(n), np.eye(n), family="identity")
 
 
 def iterate(psi, x, k):
@@ -357,63 +346,6 @@ def _sq_chart_norms(im, centers, inv):
     rel = inv @ (im - centers[:, None, :]).transpose(0, 2, 1)     # (nc, n, s)
     sq = sum(rel[:, i] ** 2 for i in range(rel.shape[1]))
     return np.where(np.isfinite(sq), sq, np.inf)
-
-
-def find_renorm_disk(psi, seed_segment, widths, samples=2048):
-    """Search segment-aligned ellipsoidal disks over the given widths.
-
-    Candidates keep their major axis on the seed segment (with a few axis
-    inflations and transverse center offsets) and give each width in turn
-    to the isotropic transverse semi-axis.  Returns the passing candidate
-    of maximal combined margin, or a not-found report with the best
-    margins seen.
-    """
-    p0 = np.asarray(seed_segment[0], dtype=float)
-    p1 = np.asarray(seed_segment[1], dtype=float)
-    n = p0.size
-    axis = p1 - p0
-    halflen = np.linalg.norm(axis) / 2
-    if halflen <= 0:
-        raise ValueError("seed segment is degenerate")
-    e1 = axis / (2 * halflen)
-    basis = _complete_basis(e1)
-    mid = (p0 + p1) / 2
-    centers, linears = [], []
-    t_offsets = (-1.0, -0.5, 0.0, 0.5, 1.0)             # transverse, units of h
-    l_offsets = (-0.3, -0.15, 0.0, 0.15, 0.3)           # along the axis
-    for h in widths:
-        for infl in (0.7, 0.85, 1.0, 1.15, 1.3):
-            cols = np.column_stack([halflen * infl * e1]
-                                   + [h * b for b in basis[1:]])
-            for off_t in t_offsets:
-                for off_l in l_offsets:
-                    centers.append(mid + off_t * h * basis[1]
-                                   + off_l * halflen * e1)
-                    linears.append(cols)
-    centers = np.array(centers)
-    linears = np.array(linears)
-    dj, ins = _batched_margins(psi, centers, linears, max(samples, 1000))
-    combined = np.minimum(dj, ins)
-    best = int(np.argmax(combined))
-    disk = DiskND(centers[best], linears[best])
-    check = check_renormalizable(psi, disk, max(samples, 1000))
-    return DiskSearch(check.passed, disk if check.passed else None,
-                      check, len(centers))
-
-
-def _complete_basis(e1):
-    n = e1.size
-    basis = [e1]
-    for k in range(n):
-        v = np.zeros(n)
-        v[k] = 1.0
-        for b in basis:
-            v = v - (v @ b) * b
-        if np.linalg.norm(v) > 1e-8:
-            basis.append(v / np.linalg.norm(v))
-        if len(basis) == n:
-            break
-    return basis
 
 
 def distance_to_standard(psi, phi0, disk, samples=2048):

@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 
-from .errors import DomainError, FitError, RangeError, SingularScalingError
+from .errors import DomainError, RangeError, SingularScalingError
 
 # truncation degrees above this are refused outright
 MAX_DEGREE = 256
@@ -90,25 +90,6 @@ class AnalyticUnimodal:
     __rmul__ = __mul__
 
 
-class ChebGrid:
-    """Sample abscissae in [-1, 1] (Chebyshev extrema by default) with values."""
-
-    __slots__ = ("nodes", "values")
-
-    def __init__(self, nodes, values):
-        nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != values.shape:
-            raise ValueError("nodes and values must be matching 1-D arrays")
-        if nodes.size < 1 or np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        self.nodes = nodes
-        self.values = values
-
-    def __len__(self):
-        return self.nodes.size
-
-
 def cheb_nodes(m):
     """m Chebyshev extrema of [-1, 1], strictly increasing."""
     if m < 2:
@@ -134,18 +115,6 @@ def evaluate(f, x):
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
 
-def eval_derivative(f, x):
-    """phi'(x) = 2x * g'(x^2)."""
-    xs = np.asarray(x, dtype=float)
-    c = f.coeffs
-    if c.size == 1:
-        gp = np.zeros_like(xs)
-    else:
-        gp = _eval_in_u(c[1:] * np.arange(1, c.size), xs**2)
-    out = 2.0 * xs * gp
-    return float(out) if np.isscalar(x) or xs.ndim == 0 else out
-
-
 _FIT_CACHE = {}
 
 
@@ -157,31 +126,6 @@ def _fit_operator(m, degree, halfwidth=1.0):
         a = np.vander(nodes**2, degree + 1, increasing=True)
         _FIT_CACHE[key] = (nodes, a, np.linalg.pinv(a, rcond=FIT_RCOND))
     return _FIT_CACHE[key]
-
-
-def _solve_fit(a, values, degree):
-    u_distinct = np.unique(np.round(a[:, 1] if degree >= 1 else a[:, 0], 14))
-    if u_distinct.size < degree + 1 and degree >= 1:
-        raise FitError(
-            f"need {degree + 1} distinct squared nodes, have {u_distinct.size}")
-    p = np.linalg.pinv(a, rcond=FIT_RCOND)
-    c = p @ values
-    # one refinement pass recovers exactness for well-conditioned degrees
-    return c + p @ (values - a @ c)
-
-
-def fit_from_samples(grid, degree):
-    """Least-squares even series of the sampled function.
-
-    Exact (to rounding) when the samples come from an even polynomial of
-    degree <= 2*degree in x and the grid supplies degree+1 distinct squares.
-    """
-    if degree < 0 or degree > MAX_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
-    if len(grid) < degree + 1:
-        raise FitError(f"need at least {degree + 1} nodes, grid has {len(grid)}")
-    a = np.vander(grid.nodes**2, degree + 1, increasing=True)
-    return AnalyticUnimodal(_solve_fit(a, grid.values, degree))
 
 
 def _fit_values(values, m, degree, halfwidth=1.0):

@@ -1,4 +1,6 @@
 import math
+import time
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -9,6 +11,15 @@ from renormlab.errors import (ESCAPE_LIMIT, BracketError, EscapeError,
                               WrongPeriodError)
 
 SQRT6 = math.sqrt(6.0)
+# Briggs (1991), Math. Comp. 57: the doubling ratio and the logistic
+# accumulation parameter
+DELTA = 4.669201609102990
+R_INF = 3.569945671870945
+
+
+@pytest.fixture(scope="module")
+def logistic_cascade16(logistic):
+    return cascade.run_cascade(logistic, 16)
 
 
 def attractor_period(fam, t, period_cap, settle=60000):
@@ -186,12 +197,45 @@ def test_henon_jac_stack_matches_single_points():
 
 
 def test_newton_trial_orbit_escape_is_no_convergence():
-    # Henon(6) sends (3, 0) past ESCAPE_LIMIT at step 4, still finite
+    # Henon(6) sends (3, 0) past ESCAPE_LIMIT at step 4, inside the eight
+    # points that start the period-8 solve
     fam = cascade.henon_family()
     with pytest.raises(NoConvergenceError) as err:
-        cascade.periodic_orbit(fam, 6.0, 4, np.array([3.0, 0.0]))
+        cascade.periodic_orbit(fam, 6.0, 8, np.array([3.0, 0.0]))
     assert np.array_equal(err.value.last, [3.0, 0.0])
     assert isinstance(err.value.__cause__, EscapeError)
+
+
+def test_orbit_solve_that_cannot_converge_stops_at_the_cap():
+    # the period-4 orbit through (3, 0) of Henon(6) has no nearby solution
+    fam = cascade.henon_family()
+    with pytest.raises(NoConvergenceError, match=f"after {cascade.MAX_NEWTON} iterations") as err:
+        cascade.periodic_orbit(fam, 6.0, 4, np.array([3.0, 0.0]))
+    assert np.shape(err.value.last) == (2,) and err.value.residual > 0
+
+
+def test_doubling_solve_without_solution_stops_at_the_cap():
+    # psi_t(x) = (t^2 - 0.99) x: the fixed point 0 has multiplier t^2 - 0.99,
+    # which never reaches -1, so Newton on t^2 + 0.01 = 0 wanders
+    calls = []
+
+    def map_at(t):
+        calls.append(t)
+        return cascade.Map1D((0.0, t * t - 0.99))
+
+    fam = cascade.OneParamFamily(
+        kind="no-doubling", dim=1, map_at=map_at,
+        deriv_at=lambda t: cascade.Map1D((0.0, 2.0 * t)),
+        param_range=(-2.0, 2.0), bracket0=(0.5, 1.0), gap_hint=0.1,
+        start_at=lambda t: 0.0)
+    with pytest.raises(NoConvergenceError, match=f"after {cascade.MAX_NEWTON} iterations") as err:
+        cascade.find_doubling_bifurcation(fam, 0, fam.bracket0)
+    assert cascade.MAX_NEWTON <= 12
+    # one map per Newton iteration, after the settle, the starting orbit
+    # and the one-step fixed-parameter polish
+    assert len(calls) == cascade.MAX_NEWTON + 3
+    assert isinstance(err.value.last, float) and err.value.last == calls[-1]
+    assert err.value.residual >= 0.01
 
 
 # --- periodic orbits -------------------------------------------------------
@@ -268,12 +312,12 @@ def test_family_derivative_consistency(logistic, henon):
 
 def test_first_doubling_exact(logistic):
     t0 = cascade.find_doubling_bifurcation(logistic, 0, (2.8, 3.2))
-    assert abs(t0 - 3.0) < 1e-9
+    assert abs(t0 - 3.0) < 1e-13
 
 
 def test_second_doubling_matches_oracle_and_algebra(logistic):
     t1 = cascade.find_doubling_bifurcation(logistic, 1, (3.2, 3.5))
-    assert t1 == pytest.approx(1.0 + SQRT6, abs=1e-9)
+    assert t1 == pytest.approx(1.0 + SQRT6, abs=1e-13)
     oracle = scan_doubling_oracle(logistic, 3.40, 3.46, 2)
     assert t1 == pytest.approx(oracle, abs=1e-4)
     assert t1 == pytest.approx(3.449490, abs=1e-5)
@@ -289,6 +333,17 @@ def test_third_doubling_matches_oracle(logistic):
 def test_bracket_error(logistic):
     with pytest.raises(BracketError):
         cascade.find_doubling_bifurcation(logistic, 0, (2.0, 2.5))
+
+
+def test_doubling_parameters_carry_low_parts(logistic):
+    # hi + lo is closer to the exact anchors 3 and 1 + sqrt(6) than the
+    # ulp of binary64 (4.4e-16 at 3.45) allows the high part alone to be
+    getcontext().prec = 40
+    for level, bracket, exact in ((0, (2.8, 3.2), Decimal(3)),
+                                  (1, (3.2, 3.5), 1 + Decimal(6).sqrt())):
+        t = cascade.find_doubling_bifurcation(logistic, level, bracket)
+        assert isinstance(t, cascade.DoubleDouble)
+        assert abs(Decimal(float(t)) + Decimal(t.lo) - exact) < Decimal("1e-16")
 
 
 # --- cascades --------------------------------------------------------------
@@ -331,6 +386,42 @@ def test_henon_universality(henon_cascade7, logistic_cascade10):
     d_h = henon_cascade7.delta_estimates[-1]
     d_l = logistic_cascade10.delta_estimates[-1]
     assert abs(d_h - d_l) < 0.02 * d_l
+
+
+def test_logistic_delta_to_level_16(logistic_cascade16):
+    # delta_N, the last ratio of a cascade to level N, against Briggs' delta
+    d = logistic_cascade16.delta_estimates
+    assert len(d) == 15
+    for level in range(13, 17):
+        assert abs(d[level - 2] - DELTA) < 1e-8, level
+    assert abs(logistic_cascade16.t_inf - R_INF) < 1e-9
+
+
+def test_gaps_use_low_parts(logistic_cascade16):
+    ts = logistic_cascade16.params
+    hi_only = (ts[-3] - ts[-2]) / (ts[-2] - ts[-1])
+    assert abs(logistic_cascade16.delta_estimates[-1] - DELTA) < abs(hi_only - DELTA)
+
+
+def test_henon_delta_no_worse(henon_cascade9):
+    # the error of delta_9 before the double-double solve was 2.0144e-5
+    assert abs(henon_cascade9.delta_estimates[-1] - DELTA) <= 2.0144e-5
+
+
+def best_time(fn, runs=3):
+    best = math.inf
+    for _ in range(runs):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_cascade_time_budgets(logistic, henon):
+    # a fifth of the bisecting solver's 12.2 s for logistic level 15, and
+    # its 0.40 s for Henon level 9
+    assert best_time(lambda: cascade.run_cascade(logistic, 15), runs=1) < 12.2 / 5
+    assert best_time(lambda: cascade.run_cascade(henon, 9)) < 0.40
 
 
 def test_cascade_error_carries_prefix(logistic):

@@ -2,10 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from renormlab import cli
-from renormlab.errors import EscapeError, WrongPeriodError
+from renormlab.errors import EscapeError, NoConvergenceError, WrongPeriodError
 
 
 def run_cli(*args, cwd=None):
@@ -233,3 +234,61 @@ def test_error_object_serializes_step_and_true_period(monkeypatch, capsys,
     assert cli.main(["cascade"]) == 1
     err = json.loads(capsys.readouterr().out)
     assert err == {"error": type(exc).__name__, "message": str(exc), field: value}
+
+
+@pytest.mark.parametrize("last, listed", [
+    (np.array([0.25, -1.5]), [0.25, -1.5]),
+    (3.5, [3.5]),
+], ids=["array", "float"])
+def test_error_object_serializes_last(monkeypatch, capsys, last, listed):
+    def fail(cfg):
+        raise NoConvergenceError("stalled", last=last, residual=0.5)
+    monkeypatch.setitem(cli._COMMANDS, "cascade", fail)
+    assert cli.main(["cascade"]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err == {"error": "NoConvergenceError", "message": "stalled",
+                   "last": listed, "residual": 0.5}
+
+
+@pytest.mark.parametrize("cmd, text", [
+    ("fixpoint", "degree = abc\n"),
+    ("manifold", "shifts =\n"),
+], ids=["bad-int", "empty-list"])
+def test_bad_config_value_is_a_usage_error(tmp_path, cmd, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    r = usage_error(cmd, "--config", str(cfg))
+    assert "bad config file" in r.stderr
+
+
+def test_cascade_reaches_level_16(tmp_path):
+    out = tmp_path / "c16.json"
+    r = run_cli("cascade", "--nmax", "16", "--out", str(out), "--no-timestamp")
+    assert r.returncode == 0, r.stdout + r.stderr
+    report = json.loads(out.read_text())
+    assert [lvl for lvl, _ in report["doubling_params"]] == list(range(17))
+    assert abs(report["delta_estimates"][-1] - 4.669201609102990) < 1e-8
+
+
+@pytest.mark.parametrize("b", [0.3, 0.6, 0.9])
+def test_henon_first_doublings_follow_b(tmp_path, b):
+    # the fixed point flips at a0 = 3(1-b)^2/4, the 2-cycle at
+    # a1 = (1-b)^2 + (1+b)^2/4, where the trace of its M is -1 - b^2
+    out = tmp_path / "h.json"
+    r = run_cli("cascade", "--family", "henon", "--b", repr(b), "--nmax", "1",
+                "--out", str(out), "--no-timestamp")
+    assert r.returncode == 0, r.stdout + r.stderr
+    (_, t0), (_, t1) = json.loads(out.read_text())["doubling_params"]
+    assert abs(t0 - 0.75 * (1 - b) ** 2) < 1e-12
+    assert abs(t1 - ((1 - b) ** 2 + 0.25 * (1 + b) ** 2)) < 1e-12
+
+
+def test_henon_deep_levels_fail_as_typed_errors():
+    # at b = 0.9 the settle orbit, started next to the unstable fixed point,
+    # can escape; whatever level the cascade reaches, a failure is a JSON
+    # error object, never a traceback
+    r = run_cli("cascade", "--family", "henon", "--b", "0.9", "--nmax", "4",
+                "--no-timestamp")
+    assert r.returncode in (0, 1) and "Traceback" not in r.stderr
+    if r.returncode == 1:
+        assert set(json.loads(r.stdout)) >= {"error", "message"}

@@ -1,0 +1,22 @@
+"""The narrative demos run end to end: each exits 0."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+SRC = DEMOS.parent / "src"
+
+
+@pytest.mark.parametrize("name", ["cascade_demo.py", "attractor_demo.py",
+                                  "persistence_demo.py"])
+def test_demo_exits_zero(tmp_path, name):
+    # run from a scratch directory: a demo may write its plot to the cwd
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, str(DEMOS / name)], cwd=tmp_path, env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stdout[-2000:] + r.stderr[-2000:]

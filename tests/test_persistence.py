@@ -72,10 +72,13 @@ def test_b_linear_along_v0(chart):
 
 
 def test_manifold_chart_b_function(chart):
-    val = persistence.manifold_chart_b(
-        chart.psi0, chart.v0, chart.psi0 + 0.01 * chart.v0, chart.depth,
-        bracket0=chart.bracket0, gap_hint=chart.gap_hint,
-        start_at=chart.start_at)
+    # b(chi) is a of the linear family {chi + t v0} in the chart's own
+    # cascade configuration
+    chi = chart.psi0 + 0.01 * chart.v0
+    fam = cascade.linear_family(chi, chart.v0, chart.bracket0, chart.gap_hint,
+                                chart.start_at)
+    val = persistence.chart_b(chart, chi)
+    assert val == persistence.persistence_a(fam, chart.depth)
     assert val == pytest.approx(-0.01, abs=1e-5)
 
 

@@ -16,6 +16,10 @@ def constant_mapnd(p):
     return renorm_nd.MapND([[0, 0]], [p])
 
 
+def identity_mapnd():
+    return renorm_nd.MapND(np.eye(2, dtype=int), np.eye(2))
+
+
 # --- standard map ----------------------------------------------------------
 
 def test_standard_map_critical_point(std_map):
@@ -90,12 +94,12 @@ def test_disk_rejects_singular_linear():
 def test_check_requires_samples():
     d = renorm_nd.DiskND(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
-        renorm_nd.check_renormalizable(renorm_nd.identity_map(2), d, 100)
+        renorm_nd.check_renormalizable(identity_mapnd(), d, 100)
 
 
 def test_identity_never_disjoint():
     d = renorm_nd.DiskND(np.array([0.2, 0.1]), np.diag([0.3, 0.2]))
-    chk = renorm_nd.check_renormalizable(renorm_nd.identity_map(2), d, 1024)
+    chk = renorm_nd.check_renormalizable(identity_mapnd(), d, 1024)
     assert not chk.disjoint_ok and chk.disjoint_margin <= 0
     assert chk.image_inside_ok is (chk.inside_margin > 0)
 
@@ -179,38 +183,17 @@ def test_renormalized_map_renormalizes_again(std_map, std_disk):
 
 # --- disk searches ---------------------------------------------------------
 
-def test_find_renorm_disk_standard(std_map):
-    cloud = renorm_nd.attractor_cloud(std_map, start=np.array([0.3, 0.5]))
-    results = []
-    for parity in (0, 1):
-        sub = cloud[parity::2]
-        center = sub.mean(axis=0)
-        _, vecs = np.linalg.eigh(np.cov(sub.T))
-        e1 = vecs[:, -1]
-        half = 1.3 * np.ptp(sub @ e1) / 2
-        seed = (center - half * e1, center + half * e1)
-        results.append(renorm_nd.find_renorm_disk(
-            std_map, seed, widths=np.arange(0.06, 0.32, 0.03), samples=1024))
-    assert any(r.found for r in results)
-    best = max(results, key=lambda r: min(r.check.disjoint_margin, r.check.inside_margin))
-    assert best.check.disjoint_margin > 1e-3 and best.check.inside_margin > 1e-3
-
-
-def test_find_renorm_disk_identity_not_found():
-    nf = renorm_nd.find_renorm_disk(
-        renorm_nd.identity_map(2),
-        (np.array([0.0, 0.0]), np.array([1.0, 0.0])),
-        widths=[0.05, 0.1], samples=1024)
+def test_search_renorm_disk_identity_not_found():
+    nf = renorm_nd.search_renorm_disk(identity_mapnd(), start=np.array([0.3, 0.2]),
+                                      samples=256, rounds=1, verify_samples=1024)
     assert not nf.found and nf.disk is None
     assert nf.check.disjoint_margin <= 0
 
 
-def test_find_renorm_disk_henon_period2(henon):
+def test_search_renorm_disk_henon_period2(henon):
     orbit = cascade._orbit_by_iteration(henon, 0.6, 2)
-    q1 = np.asarray(orbit[0])
-    seed = (q1 - np.array([0.08, 0.0]), q1 + np.array([0.08, 0.0]))
-    found = renorm_nd.find_renorm_disk(henon_mapnd(0.6), seed,
-                                       widths=[0.04, 0.08, 0.12], samples=1024)
+    found = renorm_nd.search_renorm_disk(henon_mapnd(0.6), start=np.asarray(orbit[0]),
+                                         samples=256, rounds=1, verify_samples=1024)
     assert found.found
     assert found.check.disjoint_margin > 1e-3
     assert found.check.inside_margin > 1e-3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from renormlab import series
-from renormlab.errors import DomainError, FitError, RangeError, SingularScalingError
+from renormlab.errors import DomainError, RangeError, SingularScalingError
 
 
 def test_eval_constant():
@@ -122,17 +122,14 @@ def test_scale_round_trip():
 
 
 def test_fit_exact_parabola():
-    nodes = series.cheb_nodes(8)
     f = series.AnalyticUnimodal([1.0, -1.0])
-    grid = series.ChebGrid(nodes, series.evaluate(f, nodes))
-    out = series.fit_from_samples(grid, 3)
-    assert np.allclose(out.coeffs, [1.0, -1.0, 0.0, 0.0], atol=1e-12)
+    out = series._fit_values(series.evaluate(f, series.cheb_nodes(8)), 8, 3)
+    assert np.allclose(out, [1.0, -1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_fit_constant():
-    grid = series.ChebGrid(series.cheb_nodes(4), np.ones(4))
-    out = series.fit_from_samples(grid, 0)
-    assert np.allclose(out.coeffs, [1.0], atol=1e-14)
+    out = series._fit_values(np.ones(4), 4, 0)
+    assert np.allclose(out, [1.0], atol=1e-14)
 
 
 def test_fit_round_trip_fixed_point(phi40):
@@ -140,9 +137,9 @@ def test_fit_round_trip_fixed_point(phi40):
     # coefficients are limited by the degree-40 monomial conditioning
     phi = phi40.phi0
     k = phi.trunc_degree
-    nodes = series.cheb_nodes(2 * k + 1)
-    grid = series.ChebGrid(nodes, series.evaluate(phi, nodes))
-    out = series.fit_from_samples(grid, k)
+    m = 2 * k + 1
+    out = series.AnalyticUnimodal(
+        series._fit_values(series.evaluate(phi, series.cheb_nodes(m)), m, k))
     assert series.sup_distance(out, phi) < 1e-12
     # binary64 floor: the pseudoinverse amplifies sampling rounding by the
     # inverse of its singular-value cutoff (~5e-9 at degree 40)
@@ -158,23 +155,9 @@ def test_fit_round_trip_random(degree):
     for _ in range(10):
         c = rng.uniform(-2, 2, degree + 1)
         f = series.AnalyticUnimodal(c)
-        nodes = series.cheb_nodes(2 * degree + 1) if degree else series.cheb_nodes(2)
-        grid = series.ChebGrid(nodes, series.evaluate(f, nodes))
-        out = series.fit_from_samples(grid, degree)
-        assert np.max(np.abs(out.coeffs - c)) < 1e-10
-
-
-def test_fit_rank_deficiency():
-    # symmetric node pairs give duplicate squares: too few distinct u values
-    nodes = np.array([-0.9, -0.5, 0.5, 0.9])
-    grid = series.ChebGrid(nodes, np.ones(4))
-    with pytest.raises(FitError):
-        series.fit_from_samples(grid, 3)
-
-
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        series.ChebGrid([0.5, 0.5, 0.7], [1.0, 2.0, 3.0])
+        m = 2 * degree + 1 if degree else 2
+        out = series._fit_values(series.evaluate(f, series.cheb_nodes(m)), m, degree)
+        assert np.max(np.abs(out - c)) < 1e-10
 
 
 def test_sup_norm_values():
