@@ -4,8 +4,9 @@ Modules
 -------
 series       truncated even power series (the analytic unimodal class)
 renorm1d     1-D doubling renormalization, fixed point, linearization
-renorm_nd    polynomial maps of the n-disk, disks, renormalizability checks
-cascade      one-parameter families, orbits, doubling cascades, Lyapunov
+renorm_nd    disks of the n-disk, renormalizability checks, refits
+cascade      the polynomial map class MapND (any n >= 1), one-parameter
+             families, orbits, doubling cascades, Lyapunov
 attractor    nested Cantor-attractor atoms and scaling ratios
 persistence  persistence function a, manifold chart b, shift law
 cli          reproducible command-line experiments
@@ -16,11 +17,11 @@ from .series import (AnalyticUnimodal, cheb_nodes, compose_unimodal, evaluate,
                      sup_norm)
 from .renorm1d import (FixedPointResult, LinearizationResult, lambda_of,
                        linearize, renormalize, residual, solve_fixed_point)
-from .renorm_nd import (DiskND, DiskSearch, MapND, RenormCheck, ball_samples,
+from .renorm_nd import (DiskND, DiskSearch, RenormCheck, ball_samples,
                         check_renormalizable, distance_to_standard, iterate,
                         renormalize_nd, search_renorm_disk, standard_fct_map)
-from .cascade import (AccumulationEstimate, CascadeResult, DoubleDouble, Henon,
-                      Map1D, OneParamFamily, accumulation_parameter,
+from .cascade import (AccumulationEstimate, CascadeResult, DoubleDouble, MapND,
+                      OneParamFamily, accumulation_parameter,
                       find_doubling_bifurcation, henon_family, linear_family,
                       logistic_family, lyapunov_exponent, orbit,
                       orbit_multiplier, periodic_orbit, recenter, run_cascade,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import (_is_1d, _orbit_by_iteration, orbit, orbit_multiplier,
+from .cascade import (_orbit_by_iteration, orbit, orbit_multiplier,
                       periodic_orbit, run_cascade)
 from .errors import InsufficientDataError, RenormLabError, ResolutionError
 
@@ -117,10 +117,8 @@ class SaddleReport:
     orbit: tuple
 
 
-def _classify(mults, one_d):
+def _classify(mults):
     mags = [abs(m) for m in mults]
-    if one_d:
-        return "repeller" if mags[0] > 1 else "sink"
     if all(v < 1 for v in mags):
         return "sink"
     if all(v > 1 for v in mags):
@@ -142,7 +140,6 @@ def verify_periodic_saddles(fam, t, levels, cascade_result=None):
         cascade_result = run_cascade(fam, max(levels) + 1)
     ts = cascade_result.params
     reports = []
-    one_d = _is_1d(fam)
     for lv in levels:
         period = 2 ** lv
         try:
@@ -156,7 +153,7 @@ def verify_periodic_saddles(fam, t, levels, cascade_result=None):
             for s in np.linspace(t_mid, t, steps + 1)[1:]:
                 orbit = periodic_orbit(fam, s, period, orbit)
             mults = orbit_multiplier(fam, t, orbit)
-            reports.append(SaddleReport(lv, True, _classify(mults, one_d),
+            reports.append(SaddleReport(lv, True, _classify(mults),
                                         tuple(mults), tuple(orbit)))
         except RenormLabError:
             reports.append(SaddleReport(lv, False, "not-found", (), ()))

@@ -16,9 +16,11 @@ Successive doubling parameters shrink geometrically, so the starting point
 for level N+1 is seeded from the last gap, and the accumulation parameter
 is produced by Aitken extrapolation of the t_N sequence.
 
-Builtin families: the logistic interval family a*x*(1-x) and the dissipative
-Henon family (x, y) -> (1 - a x^2 + y, b x); plus families linear in a fixed
-direction, psi_t = base + t*direction, used by the persistence module.
+Every map is a MapND, a polynomial of R^n for any n >= 1, the interval
+(n = 1) included.  Builtin families: the logistic interval family
+a*x*(1-x) and the dissipative Henon family (x, y) -> (1 - a x^2 + y, b x);
+plus families linear in a fixed direction, psi_t = base + t*direction,
+used by the persistence module.
 """
 
 import functools
@@ -28,111 +30,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ESCAPE_LIMIT, BracketError, EscapeError,
+from .errors import (ESCAPE_LIMIT, BracketError, DimensionError, EscapeError,
                      InsufficientDataError, NoConvergenceError, RenormLabError,
                      WrongPeriodError)
 
+BLOCK = 4096            # points per MapND evaluation block: bounds the monomial table
 DISTINCT_TOL = 1e-10
 ESCAPE_CHECK = 256      # images stepped between two escape checks
+LYAPUNOV_CHUNK = 64     # Jacobians multiplied between two renormalizations
 MAX_LEVEL = 16          # deepest cascade level offered by the CLI: period 2^16
 MAX_NEWTON = 12         # Newton iterations before an orbit solve gives up
-
-
-# ---------------------------------------------------------------------------
-# concrete map objects
-#
-# Every map exposes `terms`, its polynomial as (exponents (M, n), coeffs
-# (M, n_out)): row k is the monomial x1^e1 ... xn^en with coefficient
-# coeffs[k, i] in output i.  The orbit solver evaluates maps through it.
-
-class Map1D:
-    """Polynomial interval map p(x) = sum coeffs[k] x^k."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(float(c) for c in coeffs)
-
-    def __call__(self, x):
-        r = 0.0
-        for c in reversed(self.coeffs):
-            r = r * x + c
-        return r
-
-    def deriv(self, x):
-        r = 0.0
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            r = r * x + k * self.coeffs[k]
-        return r
-
-    @property
-    def terms(self):
-        return np.arange(len(self.coeffs))[:, None], np.array(self.coeffs)[:, None]
-
-    def __add__(self, other):
-        if not isinstance(other, Map1D):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0.0] * (n - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            a[k] += c
-        return Map1D(a)
-
-    def __mul__(self, s):
-        return Map1D([c * float(s) for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-
-class Henon:
-    """(x, y) -> (1 - a x^2 + y, b x)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0.3):
-        self.a = float(a)
-        self.b = float(b)
-
-    def __call__(self, pt):
-        x, y = pt
-        return (1.0 - self.a * x * x + y, self.b * x)
-
-    def jac(self, pts):
-        """Derivative at one point (2,) -> (2, 2), or at each row of a stack
-        (m, 2) -> (m, 2, 2)."""
-        return _jacobian(self, pts)
-
-    @property
-    def terms(self):
-        return (np.array([[0, 0], [2, 0], [0, 1], [1, 0]]),
-                np.array([[1.0, 0.0], [-self.a, 0.0], [1.0, 0.0], [0.0, self.b]]))
-
-    def __add__(self, other):
-        # the parameter direction is d/da, so adding it shifts a
-        if isinstance(other, _HenonDirection):
-            return Henon(self.a + other.scale, self.b)
-        return NotImplemented
-
-
-class _HenonDirection:
-    """d/da of the Henon family, scaled: (x, y) -> scale * (-x^2, 0)."""
-
-    __slots__ = ("scale",)
-
-    def __init__(self, scale=1.0):
-        self.scale = float(scale)
-
-    def __call__(self, pt):
-        return (-self.scale * pt[0] * pt[0], 0.0)
-
-    @property
-    def terms(self):
-        return np.array([[2, 0]]), np.array([[-self.scale, 0.0]])
-
-    def __mul__(self, s):
-        return _HenonDirection(self.scale * float(s))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -140,8 +47,8 @@ class OneParamFamily:
     """C^1 assignment t -> psi_t with an evaluable parameter derivative.
 
     map_at(t) returns the map at parameter t and deriv_at(t) its derivative
-    in t; both are callable and expose `terms` (1-D maps also expose .deriv,
-    n-D maps .jac at one point or at a stack of points).  bracket0 must
+    in t, both MapNDs of dimension `dim`; start_at(t) returns a point, a
+    float when dim is 1.  bracket0 must
     bracket the first doubling (the period-1 orbit's multiplier crossing
     -1), with a sink at its lower end, and gap_hint estimates the first
     inter-doubling gap, which seeds level 1.
@@ -156,11 +63,15 @@ class OneParamFamily:
     start_at: Callable
 
 
+_LOGISTIC_EXPS = np.array([[1], [2]])                  # a x - a x^2
+_HENON_EXPS = np.array([[0, 0], [2, 0], [0, 1], [1, 0]])  # 1 - a x^2 + y, b x
+
+
 def logistic_family(window=(2.5, 4.0)):
     return OneParamFamily(
         kind="logistic", dim=1,
-        map_at=lambda a: Map1D((0.0, a, -a)),
-        deriv_at=lambda a: Map1D((0.0, 1.0, -1.0)),
+        map_at=lambda a: MapND(_LOGISTIC_EXPS, [[a], [-a]]),
+        deriv_at=lambda a: MapND(_LOGISTIC_EXPS, [[1.0], [-1.0]]),
         param_range=tuple(window),
         bracket0=(2.8, 3.2),
         gap_hint=0.45,
@@ -181,8 +92,8 @@ def henon_family(b=0.3, window=(0.1, 1.4)):
     a1 = (1.0 - b) ** 2 + 0.25 * (1.0 + b) ** 2
     return OneParamFamily(
         kind="henon", dim=2,
-        map_at=lambda a: Henon(a, b),
-        deriv_at=lambda a: _HenonDirection(),
+        map_at=lambda a: MapND(_HENON_EXPS, [[1.0, 0.0], [-a, 0.0], [1.0, 0.0], [0.0, b]]),
+        deriv_at=lambda a: MapND([[2, 0]], [[-1.0, 0.0]]),
         param_range=tuple(window),
         # the fixed point exists for a > -(1-b)^2/4 and is a sink below a0
         bracket0=(a0 / 3.0, a0 + 0.5 * (a1 - a0)),
@@ -193,7 +104,7 @@ def henon_family(b=0.3, window=(0.1, 1.4)):
 
 def linear_family(base, direction, bracket0, gap_hint, start_at,
                   window=(-1.0, 1.0), dim=1, kind="linear"):
-    """psi_t = base + t*direction for objects supporting + and scalar *."""
+    """psi_t = base + t*direction, for MapNDs base and direction."""
     return OneParamFamily(
         kind=kind, dim=dim,
         map_at=lambda t: base + t * direction,
@@ -338,35 +249,209 @@ def _jacobian(m, pts):
     return hi.reshape(x.shape[:-1] + (n, n + 1))[..., 1:]
 
 
+@functools.lru_cache(maxsize=64)
+def _step_factory(key, shape):
+    """make(coeffs) -> step for one exponent table: step evaluates the map at
+    one point in plain float arithmetic, forming powers and monomials as
+    MapND._monomials does.  The source is generated so that a step costs
+    about as much as a hand-written map; see MapND.step."""
+    exps = np.frombuffer(key, dtype=np.intp).reshape(shape)
+    m, n = shape
+
+    def power(j, p):
+        return f"x{j}" if p == 1 else f"x{j}_{p}"
+
+    lines = ["x0 = x" if n == 1 else ", ".join(f"x{j}" for j in range(n)) + ", = x"]
+    for j in range(n):
+        for p in range(2, int(exps[:, j].max()) + 1):
+            half = 1 << (p - 1).bit_length() - 1         # the largest 2^i < p
+            lines.append(f"{power(j, p)} = {power(j, p - half)} * {power(j, half)}")
+    monos = []
+    for k, e in enumerate(exps):
+        factors = [power(j, e[j]) for j in range(n) if e[j]]
+        if len(factors) > 1:
+            lines.append(f"m{k} = {' * '.join(factors)}")
+            factors = [f"m{k}"]
+        monos.append(factors)
+    for i in range(n):
+        terms = [" * ".join([f"c{k * n + i}"] + f) for k, f in enumerate(monos)]
+        # sums of at most 256 terms stay shallow enough to compile, and
+        # still add left to right
+        for s in range(0, len(terms), 256):
+            lines.append(f"o{i} = " + " + ".join(([f"o{i}"] if s else []) + terms[s:s + 256]))
+    lines.append("return " + ", ".join(f"o{i}" for i in range(n)) + ("" if n == 1 else ","))
+    src = ("def make(c):\n    " + "".join(f"c{i}, " for i in range(m * n)) + "= c\n"
+           "    def step(x):\n" + "".join(f"        {ln}\n" for ln in lines)
+           + "    return step\n")
+    namespace = {}
+    exec(src, namespace)
+    return namespace["make"]
+
+
+class MapND:
+    """Polynomial map of R^n, n >= 1, stored sparse.
+
+    Row k of exponents (M, n) is the monomial x1^e1 * ... * xn^en, and
+    coeffs[k, i] is its coefficient in output coordinate i.  Calling the
+    map evaluates an (m, n) block of points, or one n-point, in blocks of
+    BLOCK: each block builds the powers of every axis once, gathers them
+    into one monomial table shared by all output coordinates, and finishes
+    with a single matrix product.  `step` evaluates one point at a time, for
+    orbits that must be followed point by point.
+    """
+
+    def __init__(self, exponents, coeffs, family=""):
+        exps = np.asarray(exponents, dtype=np.intp)
+        coeffs = np.asarray(coeffs, dtype=float)
+        if exps.ndim != 2 or exps.shape[0] == 0:
+            raise ValueError("exponents must be a non-empty (M, n) table")
+        n = exps.shape[1]
+        if n < 1:
+            raise DimensionError("MapND needs dimension n >= 1")
+        if np.any(exps < 0):
+            raise ValueError("exponents must be >= 0")
+        if coeffs.shape != exps.shape:
+            raise ValueError("coeffs must have the shape of exponents")
+        self.exponents = exps
+        self.coeffs = coeffs
+        self.dim = n
+        self.family = family
+        self.fit_residual = None
+
+    @functools.cached_property
+    def _plan(self):
+        """Layout of the power table, built on the first block call: per
+        axis the rows x^0 .. x^top; the steps fill rows x^(k+1) .. x^(k+s)
+        as x^1 .. x^s times x^k."""
+        exps = self.exponents
+        tops = exps.max(axis=0)
+        offsets = np.concatenate([[0], np.cumsum(tops[:-1] + 1)])
+        active = np.flatnonzero(tops)
+        steps = []
+        for off, top in zip(offsets, tops):
+            k = 1
+            while k < top:
+                s = min(k, top - k)
+                steps.append((slice(off + 1, off + 1 + s), off + k,
+                              slice(off + k + 1, off + k + 1 + s)))
+                k += s
+        gather = [offsets[ax] + exps[:, ax] for ax in active]
+        return int(offsets[-1] + tops[-1] + 1), offsets, active, steps, gather
+
+    def _monomials(self, pts):
+        """(M, m) table of every monomial at an (m, n) block of points."""
+        rows, offsets, active, steps, gather = self._plan
+        if not gather:
+            return np.ones((self.exponents.shape[0], pts.shape[0]))
+        table = np.empty((rows, pts.shape[0]))
+        table[offsets] = 1.0
+        table[offsets[active] + 1] = pts.T[active]
+        for src, row, dst in steps:
+            np.multiply(table[src], table[row], out=table[dst])
+        mono = table[gather[0]]
+        for idx in gather[1:]:
+            mono *= table[idx]
+        return mono
+
+    def __call__(self, pts):
+        """Evaluate at an (m, n) array of points or a single n-point."""
+        p = np.asarray(pts, dtype=float)
+        single = p.ndim == 1
+        if single:
+            p = p[None, :]
+        if p.ndim != 2 or p.shape[1] != self.dim:
+            raise ValueError(f"points must have {self.dim} coordinates")
+        out = np.empty(p.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, p.shape[0], BLOCK):
+                blk = p[s:s + BLOCK]
+                np.matmul(self._monomials(blk).T, self.coeffs,
+                          out=out[s:s + blk.shape[0]])
+        return out[0] if single else out
+
+    @functools.cached_property
+    def step(self):
+        """The map at one point: a float in and out when n is 1, otherwise a
+        sequence of n floats in and a tuple out.  Agrees with __call__ up to
+        the order of summation."""
+        exps = self.exponents
+        return _step_factory(exps.tobytes(), exps.shape)(tuple(self.coeffs.ravel().tolist()))
+
+    @property
+    def terms(self):
+        return self.exponents, self.coeffs
+
+    def jac(self, pts):
+        """Derivative at one point (n,) -> (n, n), or at each row of a stack
+        (m, n) -> (m, n, n); column j holds the partials along axis j."""
+        return _jacobian(self, pts)
+
+    def __add__(self, other):
+        if not isinstance(other, MapND) or other.dim != self.dim:
+            return NotImplemented
+        exps, inverse = np.unique(np.vstack([self.exponents, other.exponents]),
+                                  axis=0, return_inverse=True)
+        coeffs = np.zeros(exps.shape)
+        np.add.at(coeffs, inverse.reshape(-1),
+                  np.vstack([self.coeffs, other.coeffs]))
+        return MapND(exps, coeffs, family=self.family)
+
+    def __mul__(self, s):
+        return MapND(self.exponents, self.coeffs * float(s), family=self.family)
+
+    __rmul__ = __mul__
+
+
 # ---------------------------------------------------------------------------
 # orbits and multipliers
 
-def _is_1d(fam):
-    return fam.dim == 1
-
-
 def orbit(m, x, steps, keep=0):
-    """Apply m steps times from x; return the last point and, as the rows of
-    a (keep, n) array, the last `keep` points of the orbit x, m(x), ...
+    """Apply the MapND m steps times from x; return the last point and the
+    last `keep` points of the orbit x, m(x), ..., stacked along axis 0.
 
-    keep may be steps + 1, which keeps the start point too.  Points may be
-    floats (Map1D), tuples (Henon) or arrays (MapND): m is applied to its own
-    outputs, exactly as in a plain loop.  Raises EscapeError, with the
-    1-based step of the first escaped image, once an image is not finite or
-    has a coordinate beyond ESCAPE_LIMIT.  The check runs once per block of
-    ESCAPE_CHECK images, so m may see escaped points before it raises.
+    keep may be steps + 1, which keeps the start point too.  x is one point
+    (a float when m is 1-D, else n coordinates), stepped by m.step, with
+    kept points (keep, n); or a (P, n) block, one orbit per row, stepped by
+    m(x), for which m may be any callable on blocks, with kept points
+    (keep, P, n).  An image escapes when it is not finite or has a
+    coordinate beyond ESCAPE_LIMIT.  One point raises EscapeError, with the
+    1-based step of the first escaped image; the check runs once per
+    ESCAPE_CHECK images, so m.step may see escaped points before it raises.
+    A block row reads nan from its first escaped image on, and EscapeError,
+    with the step where the last row escaped, follows only once every row
+    has escaped.
     """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     if not 0 <= keep <= steps + 1:
         raise ValueError("keep must be in [0, steps + 1]")
-    n = np.size(x)
-    kept = np.empty((keep, n))
     first = steps + 1 - keep            # orbit index of kept[0]
+    if np.ndim(x) == 2:
+        x = np.array(x, dtype=float)
+        kept = np.empty((keep,) + x.shape)
+        if first == 0:
+            kept[0] = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            for done in range(1, steps + 1):
+                x = m(x)
+                gone = ~(np.abs(x) <= ESCAPE_LIMIT).all(axis=1)     # also catches nan
+                if gone.all():
+                    raise EscapeError(f"every orbit escaped by step {done}", step=done)
+                x[gone] = np.nan
+                if done >= first:
+                    kept[done - first] = x
+        return x, kept
+    advance = m.step
+    pt = np.asarray(x, dtype=float).ravel().tolist()
+    x = pt[0] if m.dim == 1 else tuple(pt)
+    n = len(pt)
+    kept = np.empty((keep, n))
     if first == 0:
-        kept[0] = np.reshape(x, n)
+        kept[0] = pt
     done = 0
     while done < steps:
         with np.errstate(over="ignore", invalid="ignore"):
-            block = [x := m(x) for _ in range(min(ESCAPE_CHECK, steps - done))]
+            block = [x := advance(x) for _ in range(min(ESCAPE_CHECK, steps - done))]
         imgs = np.reshape(np.asarray(block, dtype=float), (len(block), n))
         ok = (np.abs(imgs) <= ESCAPE_LIMIT).all(axis=1)      # also catches nan
         if not ok.all():
@@ -382,7 +467,7 @@ def orbit(m, x, steps, keep=0):
 def _chain(jacs):
     """J[p-1] @ ... @ J[0] for a (p, n, n) stack, in ceil(log2 p) batched
     rounds."""
-    return _scan(jacs, jacs[:, :, :0])[0][-1]
+    return _scan(jacs, jacs[..., :0])[0][-1]
 
 
 def _scan(jacs, cols):
@@ -513,13 +598,13 @@ def periodic_orbit(fam, t, period, guess):
     if period < 1:
         raise ValueError("period must be >= 1")
     start = np.asarray(guess, dtype=float)
-    if start.ndim == (0 if _is_1d(fam) else 1):
+    if start.ndim == (0 if fam.dim == 1 else 1):
         try:
             start = orbit(fam.map_at(t), guess, period - 1, keep=period)[1]
         except EscapeError as exc:
             raise NoConvergenceError("starting orbit escaped", last=guess) from exc
     pts = _newton(fam, start, t, doubling=False)[0]
-    return pts[:, 0].tolist() if _is_1d(fam) else list(pts)
+    return pts[:, 0].tolist() if fam.dim == 1 else list(pts)
 
 
 def orbit_multiplier(fam, t, orbit):
@@ -534,7 +619,7 @@ def _orbit_by_iteration(fam, t, period, n_settle=6000):
     """Stable orbit at parameter t found by plain iteration (64 periods, at
     most n_settle steps), then polished."""
     x = orbit(fam.map_at(t), fam.start_at(t), min(n_settle, 64 * period))[0]
-    return periodic_orbit(fam, t, period, x if _is_1d(fam) else np.asarray(x))
+    return periodic_orbit(fam, t, period, np.asarray(x))
 
 
 def find_doubling_bifurcation(fam, level, bracket, orbit_lo=None):
@@ -653,28 +738,39 @@ def run_cascade(fam, n_max):
 
 
 def lyapunov_exponent(fam, t, n_transient=1000, n_iter=20000, x0=None):
-    """Largest Lyapunov exponent of psi_t (QR-accumulated for n-D maps)."""
+    """Largest Lyapunov exponent of psi_t: the mean log growth per step of
+    e1 carried along the orbit by the Jacobians.
+
+    e1 follows the first column of a per-step QR, so this is the QR
+    exponent without a QR per step.  Each Jacobian is scaled by a power of
+    two, exactly, and the chunks of LYAPUNOV_CHUNK are multiplied by _chain,
+    with e1 renormalized between chunks, so no product leaves the range of
+    binary64.
+    """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
+    if n_transient < 0:
+        raise ValueError("n_transient must be >= 0")
     m = fam.map_at(t)
     if x0 is None:
         # nudge off the family's seed: the exact critical point can land on
         # an eventually-fixed orbit (logistic a=4: 0.5 -> 1 -> 0)
-        x0 = fam.start_at(t)
-        if _is_1d(fam):
-            x0 = x0 + 0.0137
-        else:
-            x0 = np.asarray(x0, dtype=float) + np.array([0.0137] + [0.0] * (fam.dim - 1))
+        x0 = np.add(fam.start_at(t), 0.0137 * np.eye(fam.dim)[0])
     # the derivative is taken at the n_iter points before each step; the
     # step after the last one is kept only for its escape check
     pts = orbit(m, x0, n_transient + n_iter, keep=n_iter + 1)[1][:-1]
-    total = 0.0
-    if _is_1d(fam):
-        for x in pts[:, 0].tolist():
-            total += math.log(max(abs(m.deriv(x)), 1e-300))
-        return total / n_iter
-    q = np.eye(fam.dim)
-    for jac in m.jac(pts):
-        q, r = np.linalg.qr(jac @ q)
-        total += math.log(max(abs(r[0, 0]), 1e-300))
+    jacs = m.jac(pts)
+    scale = np.frexp(np.max(np.abs(jacs), axis=(1, 2)))[1]
+    total = math.log(2.0) * float(np.sum(scale))
+    eye = np.eye(fam.dim)
+    # identities pad the last chunk; all chunks are multiplied at once
+    chunks = np.concatenate([
+        np.ldexp(jacs, -scale[:, None, None]),
+        np.broadcast_to(eye, (-n_iter % LYAPUNOV_CHUNK,) + eye.shape)])
+    v = eye[0]
+    for prod in _chain(chunks.reshape((-1, LYAPUNOV_CHUNK) + eye.shape).swapaxes(0, 1)):
+        v = prod @ v
+        size = max(float(np.sqrt(v @ v)), 1e-300)
+        total += math.log(size)
+        v /= size
     return total / n_iter

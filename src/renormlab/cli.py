@@ -274,19 +274,21 @@ def _cmd_manifold(cfg):
 
 def _cmd_bifdiag(cfg):
     fam = _family(cfg)
-
-    def column(t):
-        """First coordinates of the kept orbit; none if the orbit escapes."""
-        try:
-            return cascade_mod.orbit(fam.map_at(t), fam.start_at(t),
-                                     cfg["transient"] + cfg["keep"],
-                                     keep=cfg["keep"])[1][:, 0]
-        except EscapeError:
-            return []
-
-    rows = [[repr(float(t)), repr(float(v))]
-            for t in np.linspace(cfg["tmin"], cfg["tmax"], cfg["tn"])
-            for v in column(t)]
+    ts = np.linspace(cfg["tmin"], cfg["tmax"], cfg["tn"])
+    # both families are linear in t, so all parameters step as one block of
+    # rows, psi_0(x) + t * d(psi_t)/dt(x); an escaped row reads nan
+    base, slope = fam.map_at(0.0), fam.deriv_at(0.0)
+    starts = np.array([np.reshape(fam.start_at(t), fam.dim) for t in ts])
+    try:
+        kept = cascade_mod.orbit(lambda x: base(x) + ts[:, None] * slope(x), starts,
+                                 cfg["transient"] + cfg["keep"], keep=cfg["keep"])[1]
+    except EscapeError:                     # every orbit escaped
+        kept = np.full((cfg["keep"], ts.size, fam.dim), np.nan)
+    rows = []
+    for t, col in zip(ts, kept[:, :, 0].T):
+        if not np.isnan(col[-1]):           # the orbit never escaped
+            label = repr(float(t))
+            rows.extend([label, repr(v)] for v in col.tolist())
     return {"rows": len(rows), "families": cfg["family"],
             "t_range": [cfg["tmin"], cfg["tmax"]]}, rows, ["t", "x"]
 
@@ -355,8 +357,11 @@ def main(argv=None):
         err = {"error": type(exc).__name__, "message": str(exc)}
         err.update((k, getattr(exc, k)) for k in ("residual", "step", "true_period")
                    if getattr(exc, k, None) is not None)
-        # the last iterate, when it is numeric (a point, an orbit or a parameter)
+        # the last iterate, when it is numeric (a point, an orbit or a
+        # parameter) or a series, as its coefficients
         last = getattr(exc, "last", None)
+        if isinstance(last, series.AnalyticUnimodal):
+            last = last.coeffs
         if isinstance(last, (float, np.ndarray)):
             err["last"] = np.ravel(last).tolist()
         completed = getattr(exc, "completed", None)

@@ -1,11 +1,8 @@
 """Polynomial maps of the n-disk and their doubling renormalization.
 
-A region is an affine image of the closed unit ball (DiskND).  A map
-(MapND) is sparse: an integer exponent table with one row per monomial
-and a coefficient matrix with one column per output coordinate.  Points
-are evaluated in blocks of BLOCK: each block builds the powers of every
-axis once, gathers them into one monomial table shared by all output
-coordinates, and finishes with a single matrix product.  Doubling
+A region is an affine image of the closed unit ball (DiskND).  A map is a
+cascade.MapND: an integer exponent table with one row per monomial and a
+coefficient matrix with one column per output coordinate.  Doubling
 renormalizability of psi on a disk D1 means psi(D1) is disjoint from D1
 while psi^2(D1) lands strictly inside it; both conditions are checked on a
 deterministic low-discrepancy sample of D1 and reported as signed margins
@@ -22,112 +19,14 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .cascade import _jacobian, orbit
+from .cascade import MapND, orbit
 from .errors import (DimensionError, DiskError, EscapeError, RefitError,
                      RangeError)
 from .series import AnalyticUnimodal
 
-BLOCK = 4096     # points per evaluation block: bounds the monomial table
-
 
 # ---------------------------------------------------------------------------
 # maps
-
-class MapND:
-    """Polynomial self-map of an n-dimensional region, n >= 2.
-
-    Row k of exponents (M, n) is the monomial x1^e1 * ... * xn^en, and
-    coeffs[k, i] is its coefficient in output coordinate i.
-    """
-
-    def __init__(self, exponents, coeffs, family=""):
-        exps = np.asarray(exponents, dtype=np.intp)
-        coeffs = np.asarray(coeffs, dtype=float)
-        if exps.ndim != 2 or exps.shape[0] == 0:
-            raise ValueError("exponents must be a non-empty (M, n) table")
-        n = exps.shape[1]
-        if n < 2:
-            raise DimensionError("MapND needs dimension n >= 2")
-        if np.any(exps < 0):
-            raise ValueError("exponents must be >= 0")
-        if coeffs.shape != exps.shape:
-            raise ValueError("coeffs must have the shape of exponents")
-        self.exponents = exps
-        self.coeffs = coeffs
-        self.dim = n
-        self.family = family
-        self.fit_residual = None
-        # the power table holds, per axis, the rows x^0 .. x^top; the steps
-        # fill rows x^(k+1) .. x^(k+s) as x^1 .. x^s times x^k
-        tops = exps.max(axis=0)
-        offsets = np.concatenate([[0], np.cumsum(tops[:-1] + 1)])
-        self._rows = int(offsets[-1] + tops[-1] + 1)
-        self._offsets = offsets
-        self._active = np.flatnonzero(tops)
-        self._steps = []
-        for off, top in zip(offsets, tops):
-            k = 1
-            while k < top:
-                s = min(k, top - k)
-                self._steps.append((slice(off + 1, off + 1 + s), off + k,
-                                    slice(off + k + 1, off + k + 1 + s)))
-                k += s
-        self._gather = [offsets[ax] + exps[:, ax] for ax in self._active]
-
-    def _monomials(self, pts):
-        """(M, m) table of every monomial at an (m, n) block of points."""
-        if not self._gather:
-            return np.ones((self.exponents.shape[0], pts.shape[0]))
-        table = np.empty((self._rows, pts.shape[0]))
-        table[self._offsets] = 1.0
-        table[self._offsets[self._active] + 1] = pts.T[self._active]
-        for src, row, dst in self._steps:
-            np.multiply(table[src], table[row], out=table[dst])
-        mono = table[self._gather[0]]
-        for rows in self._gather[1:]:
-            mono *= table[rows]
-        return mono
-
-    def __call__(self, pts):
-        """Evaluate at an (m, n) array of points or a single n-point."""
-        p = np.asarray(pts, dtype=float)
-        single = p.ndim == 1
-        if single:
-            p = p[None, :]
-        if p.ndim != 2 or p.shape[1] != self.dim:
-            raise ValueError(f"points must have {self.dim} coordinates")
-        out = np.empty(p.shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(0, p.shape[0], BLOCK):
-                blk = p[s:s + BLOCK]
-                np.matmul(self._monomials(blk).T, self.coeffs,
-                          out=out[s:s + blk.shape[0]])
-        return out[0] if single else out
-
-    @property
-    def terms(self):
-        return self.exponents, self.coeffs
-
-    def jac(self, pts):
-        """Derivative at one point (n,) -> (n, n), or at each row of a stack
-        (m, n) -> (m, n, n); column j holds the partials along axis j."""
-        return _jacobian(self, pts)
-
-    def __add__(self, other):
-        if not isinstance(other, MapND) or other.dim != self.dim:
-            return NotImplemented
-        exps, inverse = np.unique(np.vstack([self.exponents, other.exponents]),
-                                  axis=0, return_inverse=True)
-        coeffs = np.zeros(exps.shape)
-        np.add.at(coeffs, inverse.reshape(-1),
-                  np.vstack([self.coeffs, other.coeffs]))
-        return MapND(exps, coeffs, family=self.family)
-
-    def __mul__(self, s):
-        return MapND(self.exponents, self.coeffs * float(s), family=self.family)
-
-    __rmul__ = __mul__
-
 
 def standard_fct_map(n, phi0):
     """The endomorphism (x1, ..., xn) -> (xn, 0, ..., 0, phi0(xn)).
@@ -150,8 +49,6 @@ def standard_fct_map(n, phi0):
 
 def iterate(psi, x, k):
     """k-fold application; raises EscapeError past coordinate size 1e10."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     return np.asarray(orbit(psi, x, k)[0], dtype=float)
 
 

@@ -54,7 +54,7 @@ def test_atoms_cyclically_permuted(logistic, logistic_cascade12, logistic_tree):
             cluster = pts[k::k_count][:50, 0]
             target = atoms[(k + 1) % k_count]
             for x in cluster:
-                y = m(x)
+                y = m.step(x)
                 assert target.lo[0] - 1e-9 <= y <= target.hi[0] + 1e-9
 
 
@@ -132,12 +132,24 @@ def test_overlap_names_first_pair(logistic):
 
 
 def test_overlap_names_pair_after_the_first_atom():
-    # sample p (image p + 1) has second coordinate values[p % 4], so phases 1
-    # and 3 coincide and every other pair is apart; the step counter in the
-    # first coordinate keeps all boxes overlapping along that axis
+    # a linear 5-D map whose second coordinate y has the period-4 pattern
+    # values[p % 4] at sample p (image p + 1), so phases 1 and 3 coincide in
+    # y and every other pair is apart.  The other coordinates are a step
+    # counter x and the next three pattern values, each plus x: they keep
+    # all boxes overlapping along those axes.  (x, y, v2, v3, v4) ->
+    # (x + 1, v2 - x, v3 + 1, v4 + 1, y + x + 1)
+    exps = np.vstack([np.zeros(5, dtype=int), np.eye(5, dtype=int)])
+    coeffs = np.array([[1.0, 0.0, 1.0, 1.0, 1.0],       # constant
+                       [1.0, -1.0, 0.0, 0.0, 1.0],      # x
+                       [0.0, 0.0, 0.0, 0.0, 1.0],       # y
+                       [0.0, 1.0, 0.0, 0.0, 0.0],       # v2
+                       [0.0, 0.0, 1.0, 0.0, 0.0],       # v3
+                       [0.0, 0.0, 0.0, 1.0, 0.0]])      # v4
     values = (0.0, 1.0, 0.1, 1.0)
-    fam = SimpleNamespace(map_at=lambda t: lambda p: (p[0] + 1.0, values[int(p[0]) % 4]),
-                          start_at=lambda t: (0.0, 0.0), dim=2)
+    fam = SimpleNamespace(map_at=lambda t: cascade.MapND(exps, coeffs),
+                          start_at=lambda t: (0.0,) + values[3:] + values[:3], dim=5)
+    pts = cascade.orbit(fam.map_at(0.0), fam.start_at(0.0), 256, keep=256)[1]
+    assert np.allclose(pts[:, 1], np.resize(values, 256), rtol=0, atol=1e-12)
     with pytest.raises(ResolutionError, match="generation 2: atoms 1 and 3 overlap"):
         attractor.build_atoms(fam, 0.0, 2, 256, transient=0)
 

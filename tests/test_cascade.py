@@ -5,7 +5,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from renormlab import cascade, renorm_nd
+from renormlab import cascade
 from renormlab.errors import (ESCAPE_LIMIT, BracketError, EscapeError,
                               InsufficientDataError, NoConvergenceError,
                               WrongPeriodError)
@@ -27,10 +27,10 @@ def attractor_period(fam, t, period_cap, settle=60000):
     m = fam.map_at(t)
     x = fam.start_at(t)
     for _ in range(settle):
-        x = m(x)
+        x = m.step(x)
     x0 = x
     for p in range(1, period_cap + 1):
-        x = m(x)
+        x = m.step(x)
         if abs(x - x0) < 1e-7:
             return p
     return period_cap + 1
@@ -61,7 +61,7 @@ def superstable_oracle(fam, bracket, period):
         m = fam.map_at(t)
         x = 0.5
         for _ in range(period):
-            x = m(x)
+            x = m.step(x)
         return x - 0.5
     lo, hi = bracket
     qlo, qhi = q(lo), q(hi)
@@ -85,14 +85,20 @@ SUPERSTABLE_BRACKETS = [
 
 # --- the shared orbit loop ------------------------------------------------
 
-HENON_ND = renorm_nd.MapND([[0, 0], [2, 0], [0, 1], [1, 0]],
-                           [[1.0, 0.0], [-1.4, 0.0], [1.0, 0.0], [0.0, 0.3]])
+HENON = cascade.henon_family().map_at(1.4)
+LOGISTIC = cascade.logistic_family().map_at(3.7)
+# a coupled 3-D map: (x, y, z) -> (1 - 1.4 x^2 + y, 0.3 x + 0.1 z^2, 0.5 z + 0.2 x y)
+COUPLED3 = cascade.MapND([[0, 0, 0], [2, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 2],
+                          [0, 0, 1], [1, 1, 0]],
+                         [[1.0, 0.0, 0.0], [-1.4, 0.0, 0.0], [1.0, 0.0, 0.0],
+                          [0.0, 0.3, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.5],
+                          [0.0, 0.0, 0.2]])
 
 
 def hand_orbit(m, x, steps):
     pts = [x]
     for _ in range(steps):
-        x = m(x)
+        x = m.step(x)
         pts.append(x)
     return pts
 
@@ -102,10 +108,10 @@ def as_rows(pts, n):
 
 
 @pytest.mark.parametrize("m, x0", [
-    (cascade.Map1D((0.0, 3.7, -3.7)), 0.3),
-    (cascade.Henon(1.4, 0.3), (0.1, 0.1)),
-    (HENON_ND, np.array([0.1, 0.1])),
-], ids=["Map1D", "Henon", "MapND"])
+    (LOGISTIC, 0.3),
+    (HENON, (0.1, 0.1)),
+    (COUPLED3, np.array([0.1, 0.1, 0.1])),
+], ids=["n1", "n2", "n3"])
 def test_orbit_matches_hand_loop(m, x0):
     steps, n = 2 * cascade.ESCAPE_CHECK + 37, np.size(x0)
     ref = hand_orbit(m, x0, steps)
@@ -118,41 +124,88 @@ def test_orbit_matches_hand_loop(m, x0):
 
 def test_orbit_zero_steps():
     x0 = (0.1, 0.2)
-    last, kept = cascade.orbit(cascade.Henon(1.4), x0, 0)
-    assert last is x0 and kept.shape == (0, 2)
-    last, kept = cascade.orbit(cascade.Henon(1.4), x0, 0, keep=1)
+    last, kept = cascade.orbit(HENON, x0, 0)
+    assert last == x0 and kept.shape == (0, 2)
+    last, kept = cascade.orbit(HENON, x0, 0, keep=1)
     assert np.array_equal(kept, [[0.1, 0.2]])
 
 
 def test_orbit_rejects_keep_beyond_orbit():
-    with pytest.raises(ValueError):
-        cascade.orbit(cascade.Henon(1.4), (0.1, 0.2), 5, keep=7)
+    with pytest.raises(ValueError, match="keep must be"):
+        cascade.orbit(HENON, (0.1, 0.2), 5, keep=7)
+
+
+def test_orbit_rejects_negative_steps():
+    for x0 in ((0.1, 0.2), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            cascade.orbit(HENON, x0, -1)
 
 
 @pytest.mark.parametrize("step", [1, 100, cascade.ESCAPE_CHECK,
                                   cascade.ESCAPE_CHECK + 1, 3 * cascade.ESCAPE_CHECK - 5])
 def test_orbit_escape_step(step):
     # x -> x + 1 passes ESCAPE_LIMIT exactly at the given step
+    shift = cascade.MapND([[0], [1]], [[1.0], [1.0]])
     with pytest.raises(EscapeError) as err:
-        cascade.orbit(lambda x: x + 1.0, ESCAPE_LIMIT - step + 1, 4 * cascade.ESCAPE_CHECK,
-                      keep=10)
+        cascade.orbit(shift, ESCAPE_LIMIT - step + 1, 4 * cascade.ESCAPE_CHECK, keep=10)
     assert err.value.step == step
     assert str(step) in str(err.value)
 
 
 def test_orbit_escape_step_nan():
-    def m(x):
-        return x + 1.0 if x < 299.5 else math.nan
+    # x -> 1e300 x^2 - 1e300 x^2 + 1 + x (two rows for x^2) is x + 1 until
+    # 1e300 x^2 overflows, at x = 13408, and then inf - inf = nan
+    m = cascade.MapND([[2], [2], [0], [1]], [[1e300], [-1e300], [1.0], [1.0]])
     with pytest.raises(EscapeError) as err:
-        cascade.orbit(m, 0.0, 1000)
+        cascade.orbit(m, 13408.0 - 300, 1000)
     assert err.value.step == 301
 
 
 def test_orbit_escape_one_coordinate():
     # the second coordinate is 10^k after k steps; 1e11 is the first past 1e10
+    m = cascade.MapND([[1, 0], [0, 1]], [[1.0, 0.0], [0.0, 10.0]])
     with pytest.raises(EscapeError) as err:
-        cascade.orbit(lambda p: (p[0], 10.0 * p[1]), (0.5, 1.0), 40)
+        cascade.orbit(m, (0.5, 1.0), 40)
     assert err.value.step == 11
+
+
+# 496 monomials: step sums them in more than one statement
+WIDE = cascade.MapND(
+    [(i, j) for i in range(31) for j in range(31 - i)],
+    np.random.default_rng(9).normal(size=(496, 2)) / np.arange(1, 497)[:, None])
+
+
+@pytest.mark.parametrize("m, n", [(LOGISTIC, 1), (HENON, 2), (COUPLED3, 3), (WIDE, 2)],
+                         ids=["n1", "n2", "n3", "wide"])
+def test_step_matches_call_rows(m, n):
+    pts = np.random.default_rng(n).uniform(-1.0, 1.0, (200, n))
+    rows = m(pts)
+    steps = as_rows([m.step(p[0] if n == 1 else p) for p in pts.tolist()], n)
+    assert np.max(np.abs(steps - rows)) <= 1e-15 * np.max(np.abs(rows))
+
+
+def test_block_orbit_escapes():
+    # Henon(1.4) sends (3, 0) past ESCAPE_LIMIT at step 5, before the kept
+    # window of images 7..12, and (1.3, 0) at step 9, inside it
+    for x0, first in (((3.0, 0.0), 5), ((1.3, 0.0), 9)):
+        with pytest.raises(EscapeError) as err:
+            cascade.orbit(HENON, x0, 12)
+        assert err.value.step == first
+    # a block row steps through __call__, which sums in another order than
+    # step: the rows agree with single orbits to rounding
+    starts = np.array([[3.0, 0.0], [1.3, 0.0], [0.1, 0.1]])
+    last, kept = cascade.orbit(HENON, starts, 12, keep=6)
+    assert kept.shape == (6, 3, 2) and np.array_equal(last, kept[-1], equal_nan=True)
+    assert np.isnan(kept[:, 0]).all()
+    assert np.allclose(kept[:2, 1], cascade.orbit(HENON, starts[1], 8, keep=2)[1],
+                       rtol=0, atol=1e-12)
+    assert np.isnan(kept[2:, 1]).all()
+    assert np.allclose(kept[:, 2], cascade.orbit(HENON, starts[2], 12, keep=6)[1],
+                       rtol=0, atol=1e-12)
+    # every row escaped: raised at the step where the last one did
+    with pytest.raises(EscapeError) as err:
+        cascade.orbit(HENON, starts[:2], 12, keep=6)
+    assert err.value.step == 9
 
 
 def test_lyapunov_escape_counts_from_orbit_start(logistic):
@@ -160,7 +213,7 @@ def test_lyapunov_escape_counts_from_orbit_start(logistic):
     # -infinity after the transient; the step counts the transient too
     m, x, step = logistic.map_at(4.5), 0.5 + 0.0137, 0
     while abs(x) <= ESCAPE_LIMIT:
-        x, step = m(x), step + 1
+        x, step = m.step(x), step + 1
     with pytest.raises(EscapeError) as err:
         cascade.lyapunov_exponent(logistic, 4.5, n_transient=3, n_iter=100)
     assert err.value.step == step > 3
@@ -177,8 +230,7 @@ def sequential_product(jacs):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 7, 512])
 def test_chain_matches_sequential_product(p):
-    henon = cascade.Henon(1.4)
-    along_orbit = henon.jac(cascade.orbit(henon, (0.1, 0.1), 600, keep=p)[1])
+    along_orbit = HENON.jac(cascade.orbit(HENON, (0.1, 0.1), 600, keep=p)[1])
     random3 = np.random.default_rng(p).normal(size=(p, 3, 3))
     for jacs in (along_orbit, random3):
         ref = sequential_product(jacs)
@@ -188,7 +240,7 @@ def test_chain_matches_sequential_product(p):
 
 
 def test_henon_jac_stack_matches_single_points():
-    h = cascade.Henon(1.3, 0.25)
+    h = cascade.henon_family(0.25).map_at(1.3)
     pts = cascade.orbit(h, (0.1, 0.1), 40, keep=41)[1]
     stacked = h.jac(pts)
     assert stacked.shape == (41, 2, 2)
@@ -221,11 +273,11 @@ def test_doubling_solve_without_solution_stops_at_the_cap():
 
     def map_at(t):
         calls.append(t)
-        return cascade.Map1D((0.0, t * t - 0.99))
+        return cascade.MapND([[1]], [[t * t - 0.99]])
 
     fam = cascade.OneParamFamily(
         kind="no-doubling", dim=1, map_at=map_at,
-        deriv_at=lambda t: cascade.Map1D((0.0, 2.0 * t)),
+        deriv_at=lambda t: cascade.MapND([[1]], [[2.0 * t]]),
         param_range=(-2.0, 2.0), bracket0=(0.5, 1.0), gap_hint=0.1,
         start_at=lambda t: 0.0)
     with pytest.raises(NoConvergenceError, match=f"after {cascade.MAX_NEWTON} iterations") as err:
@@ -249,8 +301,8 @@ def test_logistic_period_two(logistic):
     orbit = cascade.periodic_orbit(logistic, 3.2, 2, 0.5)
     assert len(orbit) == 2
     m = logistic.map_at(3.2)
-    assert abs(m(m(orbit[0])) - orbit[0]) < 1e-12
-    assert abs(m(orbit[0]) - orbit[1]) < 1e-12
+    assert abs(m.step(m.step(orbit[0])) - orbit[0]) < 1e-12
+    assert abs(m.step(orbit[0]) - orbit[1]) < 1e-12
 
 
 def test_wrong_period_reports_divisor(logistic):
@@ -301,11 +353,24 @@ def test_henon_multiplier_product_is_jacobian_det(henon):
 def test_family_derivative_consistency(logistic, henon):
     # deriv matches finite differences of psi_t to O(h^2)
     h = 1e-5
-    for fam, x in ((logistic, 0.37), (henon, (0.3, 0.1))):
+    for fam, x in ((logistic, [0.37]), (henon, (0.3, 0.1))):
         t = 0.9
         fd = np.subtract(fam.map_at(t + h)(x), fam.map_at(t - h)(x)) / (2 * h)
         dv = fam.deriv_at(t)(x)
         assert np.allclose(fd, dv, atol=1e-9)
+
+
+@pytest.mark.parametrize("family, ts", [
+    (cascade.logistic_family(), (2.9, 3.57, 4.0)),
+    (cascade.henon_family(), (0.3, 1.06, 1.4)),
+], ids=["logistic", "henon"])
+def test_builtin_families_are_linear_in_t(family, ts):
+    # bifdiag steps every parameter at once as psi_0 + t * d(psi_t)/dt
+    pts = np.random.default_rng(5).uniform(-1.5, 1.5, (100, family.dim))
+    base, slope = family.map_at(0.0)(pts), family.deriv_at(0.0)(pts)
+    for t in ts:
+        assert np.allclose(family.map_at(t)(pts), base + t * slope, rtol=0, atol=1e-14)
+        assert np.array_equal(family.deriv_at(t)(pts), slope)
 
 
 # --- doubling detection ----------------------------------------------------
@@ -469,6 +534,28 @@ def test_lyapunov_fully_chaotic(logistic):
     # conjugacy with the tent map pins the value at log 2
     lam = cascade.lyapunov_exponent(logistic, 4.0)
     assert lam == pytest.approx(math.log(2.0), abs=0.01)
+
+
+def qr_lyapunov(fam, t, n_transient=1000, n_iter=8000):
+    """The per-step QR exponent, as a reference."""
+    m = fam.map_at(t)
+    x0 = np.add(fam.start_at(t), 0.0137 * np.eye(fam.dim)[0])
+    pts = cascade.orbit(m, x0, n_transient + n_iter, keep=n_iter + 1)[1][:-1]
+    q, total = np.eye(fam.dim), 0.0
+    for jac in m.jac(pts):
+        q, r = np.linalg.qr(jac @ q)
+        total += math.log(abs(r[0, 0]))
+    return total / n_iter
+
+
+@pytest.mark.parametrize("a", [1.06, 1.1, 1.2, 1.3])
+def test_henon_lyapunov_matches_per_step_qr(henon, a):
+    assert abs(cascade.lyapunov_exponent(henon, a, n_iter=8000) - qr_lyapunov(henon, a)) <= 1e-12
+
+
+def test_lyapunov_rejects_negative_transient(logistic):
+    with pytest.raises(ValueError, match="n_transient must be >= 0"):
+        cascade.lyapunov_exponent(logistic, 3.2, n_transient=-5, n_iter=100)
 
 
 def test_lyapunov_sink_negative(logistic):

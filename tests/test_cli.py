@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from renormlab import cli
+from renormlab import cascade, cli, renorm1d
 from renormlab.errors import EscapeError, NoConvergenceError, WrongPeriodError
 
 
@@ -139,6 +139,32 @@ def test_bifdiag_drops_escaping_parameters(tmp_path):
     assert json.loads(r.stdout)["rows"] == 55
 
 
+@pytest.mark.parametrize("family, tmin, tmax", [
+    ("logistic", 2.9, 3.5), ("henon", 0.3, 1.0)])
+def test_bifdiag_column_matches_single_orbit_at_sinks(tmp_path, capsys, family, tmin, tmax):
+    # the block of all parameters, one row each, gives every column of a
+    # single-parameter orbit; at sinks they agree far below plotting scale
+    csv_path = tmp_path / "bif.csv"
+    assert cli.main(["bifdiag", "--family", family, "--tmin", repr(tmin), "--tmax",
+                     repr(tmax), "--tn", "7", "--csv", str(csv_path), "--no-timestamp"]) == 0
+    lines = csv_path.read_text().strip().splitlines()[1:]
+    assert json.loads(capsys.readouterr().out)["rows"] == len(lines) == 7 * 80
+    fam = cascade.logistic_family() if family == "logistic" else cascade.henon_family()
+    for i, t in enumerate(np.linspace(tmin, tmax, 7)):
+        col = [float(line.split(",")[1]) for line in lines[80 * i:80 * (i + 1)]]
+        assert {line.split(",")[0] for line in lines[80 * i:80 * (i + 1)]} == {repr(float(t))}
+        ref = cascade.orbit(fam.map_at(t), fam.start_at(t), 480, keep=80)[1][:, 0]
+        assert np.max(np.abs(np.array(col) - ref)) <= 1e-9
+
+
+def test_bifdiag_every_orbit_escaping_exits_zero(tmp_path, capsys):
+    csv_path = tmp_path / "bif.csv"
+    assert cli.main(["bifdiag", "--tmin", "4.5", "--tmax", "5.0", "--tn", "6",
+                     "--csv", str(csv_path), "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 0
+    assert csv_path.read_text().strip() == "t,x"
+
+
 def usage_error(*args):
     r = run_cli(*args)
     assert r.returncode == 2
@@ -219,7 +245,10 @@ def test_error_object_carries_numeric_fields():
     err = json.loads(r.stdout)
     assert err["error"] == "NoConvergenceError"
     assert 0 < err["residual"] < 1e-2
-    assert "last" not in err
+    # the last iterate is a series: its coefficients, one per even power
+    degree = renorm1d.DEFAULT_DEGREE
+    assert len(err["last"]) == degree + 1
+    assert all(isinstance(c, float) for c in err["last"]) and err["last"][0] == 1.0
 
 
 @pytest.mark.parametrize("exc, field, value", [

@@ -37,18 +37,18 @@ def test_a_without_doublings_raises(logistic):
 def test_shift_family_zero_is_identity(logistic):
     shifted = cascade.shift_family(logistic, 0.0)
     for t in np.linspace(2.9, 3.6, 10):
-        assert shifted.map_at(t)(0.37) == logistic.map_at(t)(0.37)
+        assert shifted.map_at(t).step(0.37) == logistic.map_at(t).step(0.37)
 
 
 def test_shift_twice_is_identity(logistic):
     twice = cascade.shift_family(cascade.shift_family(logistic, 0.05), -0.05)
     for t in np.linspace(2.9, 3.6, 10):
-        assert twice.map_at(t)(0.41) == pytest.approx(logistic.map_at(t)(0.41), abs=1e-15)
+        assert twice.map_at(t).step(0.41) == pytest.approx(logistic.map_at(t).step(0.41), abs=1e-15)
 
 
 def test_shift_is_reparametrization(logistic):
     shifted = cascade.shift_family(logistic, 0.05)
-    assert shifted.map_at(0.0)(0.3) == logistic.map_at(0.05)(0.3)
+    assert shifted.map_at(0.0).step(0.3) == logistic.map_at(0.05).step(0.3)
 
 
 def test_shift_property_logistic(logistic):

@@ -280,12 +280,20 @@ def test_batched_eval_matches_naive_sum(phi40, refit8):
 
 
 def test_single_points_match_batched_rows_across_block(refit8):
-    pts = random_ball_points(renorm_nd.BLOCK + 1, seed=1)
+    pts = random_ball_points(cascade.BLOCK + 1, seed=1)
     batched, jacs = refit8(pts), refit8.jac(pts)
-    assert jacs.shape == (renorm_nd.BLOCK + 1, 2, 2)
-    for i in (0, renorm_nd.BLOCK - 1, renorm_nd.BLOCK):
+    assert jacs.shape == (cascade.BLOCK + 1, 2, 2)
+    for i in (0, cascade.BLOCK - 1, cascade.BLOCK):
         np.testing.assert_allclose(refit8(pts[i]), batched[i], rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(refit8.jac(pts[i]), jacs[i], rtol=1e-15, atol=1e-15)
+
+
+def test_refit_step_matches_call_rows(refit8):
+    # 45 monomials per coordinate, summed in another order than the matmul
+    pts = random_ball_points(500, seed=4)
+    rows = refit8(pts)
+    steps = np.array([refit8.step(p) for p in pts.tolist()])
+    assert np.max(np.abs(steps - rows)) <= 1e-15 * np.max(np.abs(rows))
 
 
 def test_refit_jacobian_matches_fd(refit8):
@@ -309,8 +317,10 @@ def test_sum_and_scalar_product_are_pointwise(refit8):
 
 
 def test_mapnd_rejects_bad_tables():
+    # n = 1 is a map (here the identity of the line); n = 0 is not
+    assert renorm_nd.MapND([[1]], [[1.0]]).step(0.25) == 0.25
     with pytest.raises(DimensionError):
-        renorm_nd.MapND([[1]], [[1.0]])
+        renorm_nd.MapND(np.zeros((1, 0), dtype=int), np.zeros((1, 0)))
     with pytest.raises(ValueError):
         renorm_nd.MapND([[0, 0], [1, 0]], [[1.0, 0.0]])
     with pytest.raises(ValueError):
