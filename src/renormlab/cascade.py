@@ -34,7 +34,7 @@ from .errors import (ESCAPE_LIMIT, BracketError, DimensionError, EscapeError,
                      InsufficientDataError, NoConvergenceError, RenormLabError,
                      WrongPeriodError)
 
-BLOCK = 4096            # points per MapND evaluation block: bounds the monomial table
+BLOCK = 2048            # points per MapND evaluation block: bounds the monomial table
 DISTINCT_TOL = 1e-10
 ESCAPE_CHECK = 256      # images stepped between two escape checks
 LYAPUNOV_CHUNK = 64     # Jacobians multiplied between two renormalizations
@@ -296,7 +296,8 @@ class MapND:
     map evaluates an (m, n) block of points, or one n-point, in blocks of
     BLOCK: each block builds the powers of every axis once, gathers them
     into one monomial table shared by all output coordinates, and finishes
-    with a single matrix product.  `step` evaluates one point at a time, for
+    with a single matrix product; a row's value does not depend on the
+    other rows of the call.  `step` evaluates one point at a time, for
     orbits that must be followed point by point.
     """
 
@@ -335,23 +336,23 @@ class MapND:
                 steps.append((slice(off + 1, off + 1 + s), off + k,
                               slice(off + k + 1, off + k + 1 + s)))
                 k += s
-        gather = [offsets[ax] + exps[:, ax] for ax in active]
+        # a constant map gathers its monomials from the row x1^0 = 1
+        gather = [offsets[ax] + exps[:, ax] for ax in active] or [offsets[:1] + exps[:, 0]]
         return int(offsets[-1] + tops[-1] + 1), offsets, active, steps, gather
 
-    def _monomials(self, pts):
-        """(M, m) table of every monomial at an (m, n) block of points."""
-        rows, offsets, active, steps, gather = self._plan
-        if not gather:
-            return np.ones((self.exponents.shape[0], pts.shape[0]))
-        table = np.empty((rows, pts.shape[0]))
+    def _monomials(self, pts, table, mono, factor):
+        """Fill mono (M, m) with every monomial at an (m, n) block of points;
+        table (rows, m) and factor (M, m) are scratch."""
+        _, offsets, active, steps, gather = self._plan
         table[offsets] = 1.0
         table[offsets[active] + 1] = pts.T[active]
         for src, row, dst in steps:
             np.multiply(table[src], table[row], out=table[dst])
-        mono = table[gather[0]]
+        # mode="clip" lets take write into out directly ("raise" buffers it)
+        np.take(table, gather[0], axis=0, out=mono, mode="clip")
         for idx in gather[1:]:
-            mono *= table[idx]
-        return mono
+            np.take(table, idx, axis=0, out=factor, mode="clip")
+            mono *= factor
 
     def __call__(self, pts):
         """Evaluate at an (m, n) array of points or a single n-point."""
@@ -361,13 +362,25 @@ class MapND:
             p = p[None, :]
         if p.ndim != 2 or p.shape[1] != self.dim:
             raise ValueError(f"points must have {self.dim} coordinates")
+        m = p.shape[0]
+        if m % BLOCK == 1:
+            # a one-row matrix product takes another BLAS kernel, which
+            # rounds differently: a repeated row keeps every row's value
+            # independent of the batch it came in
+            p = np.vstack([p, p[-1:]])
         out = np.empty(p.shape)
+        # one set of buffers per call, reshaped to each block: fresh
+        # temporaries per block cost more than the arithmetic
+        heights = (self._plan[0],) + 2 * (self.exponents.shape[0],)
+        bufs = [np.empty(h * min(p.shape[0], BLOCK)) for h in heights]
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(0, p.shape[0], BLOCK):
                 blk = p[s:s + BLOCK]
-                np.matmul(self._monomials(blk).T, self.coeffs,
-                          out=out[s:s + blk.shape[0]])
-        return out[0] if single else out
+                table, mono, factor = (b[:h * len(blk)].reshape(h, len(blk))
+                                       for b, h in zip(bufs, heights))
+                self._monomials(blk, table, mono, factor)
+                np.matmul(mono.T, self.coeffs, out=out[s:s + len(blk)])
+        return out[0] if single else out[:m]
 
     @functools.cached_property
     def step(self):

@@ -24,6 +24,9 @@ from .errors import (DimensionError, DiskError, EscapeError, RefitError,
                      RangeError)
 from .series import AnalyticUnimodal
 
+_BOUND_STRIDE = 8     # every 8th ball point scores a candidate's upper bound
+_PRUNE_CHUNK = 16     # candidates per call of the full margins
+
 
 # ---------------------------------------------------------------------------
 # maps
@@ -103,18 +106,40 @@ def _halton(count, base):
 
 
 _BALL_CACHE = {}
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def _first_primes(count):
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % q for q in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _halton_bases(n):
+    """Distinct Halton bases of the n axes and of the radius.
+
+    Axis k takes the (k+2)-th prime: 3, 5, 7, ...  The radius takes the
+    next prime after the axes' up to n = 8, and 2 from n = 9 on.  (Below
+    n = 4 the sphere has its own parametrization, in bases 2 and 3.)
+    """
+    primes = _first_primes(n + 2)
+    return primes[1:n + 1], primes[n + 1] if n <= 8 else 2
 
 
 def ball_samples(n, count):
     """Deterministic low-discrepancy points of the unit n-ball.
 
     Half interior (radius u^(1/n)), half on the boundary sphere; Halton
-    sequences throughout, so identical calls give identical points.
+    sequences throughout, each coordinate and the radius with its own base,
+    so identical calls give identical points.
     """
     key = (n, count)
     if key in _BALL_CACHE:
         return _BALL_CACHE[key]
+    axis_bases, radius_base = _halton_bases(n)
     if n == 2:
         theta = 2 * np.pi * _halton(count, 2)
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -126,14 +151,14 @@ def ball_samples(n, count):
     else:
         nd = NormalDist()
         cols = []
-        for ax in range(n):
-            u = _halton(count, _PRIMES[(ax + 1) % len(_PRIMES)])
+        for base in axis_bases:
+            u = _halton(count, base)
             cols.append([nd.inv_cdf(min(max(v, 1e-12), 1 - 1e-12)) for v in u])
         dirs = np.array(cols).T
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     m = count // 2
     radii = np.ones(count)
-    radii[:m] = _halton(m, _PRIMES[(n + 1) % len(_PRIMES)]) ** (1.0 / n)
+    radii[:m] = _halton(m, radius_base) ** (1.0 / n)
     pts = dirs * radii[:, None]
     pts.setflags(write=False)
     _BALL_CACHE[key] = pts
@@ -222,10 +247,9 @@ class DiskSearch:
     tried: int
 
 
-def _batched_margins(psi, centers, linears, samples):
-    """Margins for many candidate disks at once."""
+def _batched_margins(psi, centers, linears, ball):
+    """Margins for many candidate disks at once, on the ball points (s, n)."""
     nc, n = centers.shape
-    ball = ball_samples(n, samples)
     inv = np.linalg.inv(linears)
     pts = (linears @ ball.T).transpose(0, 2, 1) + centers[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -235,6 +259,31 @@ def _batched_margins(psi, centers, linears, samples):
                     for im in (im1, im2))
     # the root commutes with min and max, so it is taken per candidate
     return np.sqrt(sq1.min(axis=1)) - 1.0, 1.0 - np.sqrt(sq2.max(axis=1))
+
+
+def _best_candidate(psi, centers, linears, ball):
+    """Index and value of the largest min(disjoint, inside) margin on the
+    ball points, the lowest index on ties: np.argmax over the full margins
+    of every candidate, without computing most of them.
+
+    Margins on every _BOUND_STRIDE-th point bound the full margins from
+    above: a min over fewer points is no smaller, a max no larger.  Full
+    margins are computed in descending order of that bound, _PRUNE_CHUNK
+    candidates at a time, until no remaining bound can beat the best value
+    or tie it at a lower index.  MapND evaluates each row independently of
+    the others, so the subset margins are exactly those of the full scan.
+    """
+    sub = np.ascontiguousarray(ball[::_BOUND_STRIDE])
+    bound = np.minimum(*_batched_margins(psi, centers, linears, sub))
+    order = np.argsort(-bound, kind="stable")
+    best = (-np.inf, -np.inf)        # (value, -index), below every candidate
+    for s in range(0, len(order), _PRUNE_CHUNK):
+        idx = order[s:s + _PRUNE_CHUNK]
+        if (bound[idx[0]], -idx[0]) < best:
+            break
+        full = np.minimum(*_batched_margins(psi, centers[idx], linears[idx], ball))
+        best = max(best, *zip(full.tolist(), (-idx).tolist()))
+    return -best[1], best[0]
 
 
 def _sq_chart_norms(im, centers, inv):
@@ -282,6 +331,7 @@ def search_renorm_disk(psi, start=None, samples=512, rounds=2, verify_samples=20
     candidate.  Returns a DiskSearch with the best verified disk.
     """
     cloud = attractor_cloud(psi, start=start)
+    ball = ball_samples(psi.dim, samples)
     best = (-np.inf, None, None)
     tried = 0
     for parity in (0, 1):
@@ -298,24 +348,23 @@ def search_renorm_disk(psi, start=None, samples=512, rounds=2, verify_samples=20
             a_grid = [np.linspace(0.6, 2.4, 6) * ws[i] for i in range(psi.dim)]
             spread_c = [g[1] - g[0] for g in c_grid]
             spread_a = [g[1] - g[0] for g in a_grid]
-            center_b, axes_b = None, None
             for rnd in range(rounds + 1):
-                centers, linears = [], []
-                for coff in itertools.product(*c_grid):
-                    c = center0 + frame.T @ np.array(coff)
-                    for ax in itertools.product(*a_grid):
-                        centers.append(c)
-                        linears.append(frame.T @ np.diag(ax))
-                centers = np.array(centers)
-                linears = np.array(linears)
-                keep = np.abs(np.linalg.det(linears)) > 1e-12
-                centers, linears = centers[keep], linears[keep]
+                # the grid in itertools.product order, center offsets outer,
+                # without the singular linear parts; frame.T * ax is
+                # frame.T @ diag(ax) but for a -0 entry, which the matrix
+                # product sums onto +0, and so does + 0.0
+                offsets = np.array([frame.T @ c for c in itertools.product(*c_grid)])
+                axes = np.array(list(itertools.product(*a_grid)))
+                shapes = frame.T * axes[:, None, :] + 0.0
+                shapes = shapes[np.abs(np.linalg.det(shapes)) > 1e-12]
+                if not len(shapes):
+                    break
+                centers = np.repeat(center0 + offsets, len(shapes), axis=0)
+                linears = np.tile(shapes, (len(offsets), 1, 1))
                 tried += len(centers)
-                dj, ins = _batched_margins(psi, centers, linears, samples)
-                combined = np.minimum(dj, ins)
-                i = int(np.argmax(combined))
-                if combined[i] > best[0]:
-                    best = (combined[i], centers[i], linears[i])
+                i, value = _best_candidate(psi, centers, linears, ball)
+                if value > best[0]:
+                    best = (value, centers[i], linears[i])
                 center_b = centers[i] - center0
                 axes_b = linears[i]
                 # shrink the grids around the round's winner
