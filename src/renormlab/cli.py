@@ -10,10 +10,12 @@ reports only ever appear with a .partial suffix.
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,141 +25,70 @@ from . import persistence as persistence_mod
 from . import renorm1d, renorm_nd, series
 from .errors import EscapeError, RenormLabError
 
-_DEFAULTS = {
-    "fixpoint": {"degree": renorm1d.DEFAULT_DEGREE, "tol": renorm1d.DEFAULT_TOL,
-                 "max_iters": 25, "out": None, "coeffs_out": None},
-    "cascade": {"family": "logistic", "nmax": 10, "b": 0.3, "out": None,
-                "csv": None},
-    "attractor": {"family": "logistic", "generations": 8, "points": 0,
-                  "t": None, "b": 0.3, "out": None, "csv": None},
-    "ndcheck": {"degree": 20, "levels": 4, "samples": 2048, "out": None},
-    "manifold": {"family": "logistic", "depth": 8, "h": 1e-3, "b": 0.3,
-                 "shifts": [-0.05, 0.05], "out": None},
-    "bifdiag": {"family": "logistic", "tmin": 2.9, "tmax": 4.0, "tn": 400,
-                "transient": 400, "keep": 80, "csv": "bifdiag.csv"},
-}
+
+class Option(NamedTuple):
+    """One option of a subcommand: the flag --name and the config-file key name."""
+    name: str
+    type: object = str          # converts one flag or config-file value
+    default: object = None
+    help: str = None
+    choices: tuple = None
+    many: bool = False          # a list: flag values, or comma-separated in a config file
+    check: tuple = None         # (ok(value, cfg), rule): ok may read the other options
+
+    @property
+    def flag(self):
+        return "--" + self.name.replace("_", "-")
+
+    def parse(self, text):
+        """A config-file value, converted and checked against the choices like the flag."""
+        if self.many:
+            return [self.type(v) for v in text.split(",")]
+        value = self.type(text)
+        if self.choices and value not in self.choices:
+            raise ValueError(f"{self.name} = {text!r} is not one of {', '.join(self.choices)}")
+        return value
+
+    def error(self, cfg):
+        """The usage error of this option's value in the merged config, or None."""
+        if self.check and not self.check[0](cfg[self.name], cfg):
+            return f"{self.flag} {self.check[1]}"
+        return None
 
 
-def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="key=value config file; flags override it")
-    common.add_argument("--no-timestamp", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="omit the timestamp field for byte-identical reruns")
-
-    p = argparse.ArgumentParser(
-        prog="renormlab",
-        description="period-doubling renormalization laboratory",
-        parents=[common])
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("fixpoint", argument_default=argparse.SUPPRESS,
-                        parents=[common],
-                        help="solve the doubling-renormalization fixed point")
-    sp.add_argument("--degree", type=int)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--max-iters", type=int, dest="max_iters")
-    sp.add_argument("--out")
-    sp.add_argument("--coeffs-out", dest="coeffs_out",
-                    help="also write the bare coefficient array (*.coeffs.json)")
-
-    sp = sub.add_parser("cascade", argument_default=argparse.SUPPRESS,
-                        parents=[common], help="doubling parameters, ratios, accumulation")
-    sp.add_argument("--family", choices=("logistic", "henon"))
-    sp.add_argument("--nmax", type=int)
-    sp.add_argument("--b", type=float, help="Henon dissipation")
-    sp.add_argument("--out")
-    sp.add_argument("--csv", help="write (N, t_N, delta_N) rows")
-
-    sp = sub.add_parser("attractor", argument_default=argparse.SUPPRESS,
-                        parents=[common], help="atom hierarchy at the accumulation parameter")
-    sp.add_argument("--family", choices=("logistic", "henon"))
-    sp.add_argument("--generations", type=int)
-    sp.add_argument("--points", type=int, help="orbit points (0 = auto)")
-    sp.add_argument("--t", type=float, help="parameter (default: computed accumulation)")
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--out")
-    sp.add_argument("--csv", help="per-atom rows (generation, index, center, diameter)")
-
-    sp = sub.add_parser("ndcheck", argument_default=argparse.SUPPRESS,
-                        parents=[common], help="renormalizability of the standard 2-D map, recursively")
-    sp.add_argument("--degree", type=int, help="series degree of the 1-D fixed point")
-    sp.add_argument("--levels", type=int, help="successive renormalizations to verify")
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("manifold", argument_default=argparse.SUPPRESS,
-                        parents=[common], help="persistence chart: b, gradient, shift law")
-    sp.add_argument("--family", choices=("logistic", "henon"))
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--shifts", type=float, nargs="+")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("bifdiag", argument_default=argparse.SUPPRESS,
-                        parents=[common], help="bifurcation-diagram (t, x) sample CSV")
-    sp.add_argument("--family", choices=("logistic", "henon"))
-    sp.add_argument("--tmin", type=float)
-    sp.add_argument("--tmax", type=float)
-    sp.add_argument("--tn", type=int)
-    sp.add_argument("--transient", type=int)
-    sp.add_argument("--keep", type=int)
-    sp.add_argument("--csv")
-    return p
-
-
-def _load_config(path):
-    cfg = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = val.strip()
-    return cfg
-
-
-def _coerce(value, like):
-    if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    if isinstance(like, list):
-        return [float(v) for v in value.split(",")]
-    return value
+class Command(NamedTuple):
+    run: object                 # cfg -> (report, CSV rows or None, CSV header)
+    help: str
+    options: list
 
 
 def _family(cfg):
     if cfg["family"] == "logistic":
         return cascade_mod.logistic_family()
-    return cascade_mod.henon_family(b=cfg.get("b", 0.3))
+    # bifdiag has no --b and takes the Henon family's own default
+    return cascade_mod.henon_family(**{"b": cfg["b"]} if "b" in cfg else {})
+
+
+def _json(obj, **kw):
+    """Strict JSON: a non-finite number, which json writes as NaN or Infinity, is null."""
+    finite = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(finite, allow_nan=False, sort_keys=True, **kw)
+
+
+def _write(path, write):
+    """Write a file through a temporary one, so it is either whole or absent."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        write(fh)
+    os.replace(tmp, path)
 
 
 def _write_report(report, out):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _json(report, indent=2) + "\n"
     if out:
-        tmp = out + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
+        _write(out, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
-
-
-def _write_csv(rows, header, path):
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    os.replace(tmp, path)
 
 
 def _cmd_fixpoint(cfg):
@@ -173,15 +104,11 @@ def _cmd_fixpoint(cfg):
     }, None, None
 
 
-def _cascade_rows(res):
-    d = res.delta_estimates
-    return [[level, repr(t), repr(d[level - 1]) if 1 <= level <= len(d) else ""]
-            for level, t in res.doubling_params]
-
-
 def _cmd_cascade(cfg):
-    fam = _family(cfg)
-    res = cascade_mod.run_cascade(fam, cfg["nmax"])
+    res = cascade_mod.run_cascade(_family(cfg), cfg["nmax"])
+    d = res.delta_estimates
+    rows = [[level, repr(t), repr(d[level - 1]) if 1 <= level <= len(d) else ""]
+            for level, t in res.doubling_params]
     report = {
         "family": cfg["family"],
         "doubling_params": [[lvl, t] for (lvl, t) in res.doubling_params],
@@ -189,7 +116,6 @@ def _cmd_cascade(cfg):
         "t_inf": res.t_inf,
         "t_inf_error": res.t_inf_error,
     }
-    rows = _cascade_rows(res) if cfg.get("csv") else None
     return report, rows, ["level", "t", "delta"]
 
 
@@ -213,26 +139,20 @@ def _cmd_attractor(cfg):
         "diameter_ratios": ratios,
         "lambda_estimate": lam_est,
     }
-    rows = None
-    if cfg.get("csv"):
-        rows = []
-        for gen in tree.generations:
-            for a in gen:
-                rows.append([a.generation, a.index]
-                            + [repr(float(c)) for c in a.center]
-                            + [repr(float(a.diameter))])
-        dim = tree.points.shape[1]
-        header = ["generation", "index"] + [f"center_{i}" for i in range(dim)] + ["diameter"]
-        return report, rows, header
-    return report, None, None
+    if not cfg["csv"]:
+        return report, None, None
+    rows = [[a.generation, a.index] + [repr(float(c)) for c in a.center]
+            + [repr(float(a.diameter))] for gen in tree.generations for a in gen]
+    dim = tree.points.shape[1]
+    return report, rows, (["generation", "index"] + [f"center_{i}" for i in range(dim)]
+                          + ["diameter"])
 
 
 def _cmd_ndcheck(cfg):
     fp = renorm1d.solve_fixed_point(degree=cfg["degree"])
-    psi = renorm_nd.standard_fct_map(2, fp.phi0)
     reference = renorm_nd.DiskND(np.zeros(2), 0.8 * np.eye(2))
     levels = []
-    cur = psi
+    cur = renorm_nd.standard_fct_map(2, fp.phi0)
     start = np.array([0.3, 0.5])
     for m in range(1, cfg["levels"] + 1):
         found = renorm_nd.search_renorm_disk(cur, start=start,
@@ -240,15 +160,11 @@ def _cmd_ndcheck(cfg):
         # diagnostic only: how far this level sits from the standard form
         dist = renorm_nd.distance_to_standard(cur, fp.phi0, reference,
                                               cfg["samples"])
+        levels.append({"level": m, "passed": found.found, "distance_to_standard": dist,
+                       "check": found.check.to_json_dict()})
         if not found.found:
-            levels.append({"level": m, "passed": False,
-                           "distance_to_standard": dist,
-                           "check": found.check.to_json_dict()})
             break
-        levels.append({"level": m, "passed": True,
-                       "distance_to_standard": dist,
-                       "check": found.check.to_json_dict(),
-                       "disk": found.disk.to_json_dict()})
+        levels[-1]["disk"] = found.disk.to_json_dict()
         cur = renorm_nd.renormalize_nd(cur, found.disk, degree=8)
         start = np.array([0.1, 0.1])
     return {"lambda": fp.lam, "levels": levels,
@@ -293,66 +209,131 @@ def _cmd_bifdiag(cfg):
             "t_range": [cfg["tmin"], cfg["tmax"]]}, rows, ["t", "x"]
 
 
+def _within(lo, hi=None):
+    """The check of a closed integer range, [lo, hi] or, without hi, [lo, inf)."""
+    if hi is None:
+        return (lambda v, _: v >= lo, f"must be >= {lo}")
+    return (lambda v, _: lo <= v <= hi, f"must be in [{lo}, {hi}]")
+
+
+_POSITIVE = (lambda v, _: v > 0, "must be > 0")
+
+# Every option of every subcommand, declared once: the subparsers, the defaults,
+# config-file parsing and the usage checks are all built from these rows.
+_DEGREE = Option("degree", int, renorm1d.DEFAULT_DEGREE, check=_within(1, series.MAX_DEGREE))
+_FAMILY = Option("family", default="logistic", choices=("logistic", "henon"))
+_B = Option("b", float, 0.3, "Henon dissipation")
+_OUT = Option("out", help="JSON report file (default: stdout)")
+
 _COMMANDS = {
-    "fixpoint": _cmd_fixpoint,
-    "cascade": _cmd_cascade,
-    "attractor": _cmd_attractor,
-    "ndcheck": _cmd_ndcheck,
-    "manifold": _cmd_manifold,
-    "bifdiag": _cmd_bifdiag,
+    "fixpoint": Command(_cmd_fixpoint, "solve the doubling-renormalization fixed point", [
+        _DEGREE,
+        Option("tol", float, renorm1d.DEFAULT_TOL, check=_POSITIVE),
+        Option("max_iters", int, 25, check=_within(1)),
+        _OUT,
+        Option("coeffs_out", help="also write the bare coefficient array (*.coeffs.json)")]),
+    "cascade": Command(_cmd_cascade, "doubling parameters, ratios, accumulation", [
+        _FAMILY,
+        Option("nmax", int, 10, check=_within(0, cascade_mod.MAX_LEVEL)),
+        _B, _OUT,
+        Option("csv", help="write (N, t_N, delta_N) rows")]),
+    "attractor": Command(_cmd_attractor, "atom hierarchy at the accumulation parameter", [
+        _FAMILY,
+        Option("generations", int, 8, check=_within(2, attractor_mod.MAX_GENERATIONS)),
+        Option("points", int, 0, "orbit points (0 = auto)",
+               check=(lambda v, cfg: v == 0 or v >= 2 ** (cfg["generations"] + 6),
+                      "must be 0 (auto) or at least 2^(generations+6)")),
+        Option("t", float, None, "parameter (default: computed accumulation)"),
+        _B, _OUT,
+        Option("csv", help="per-atom rows (generation, index, center, diameter)")]),
+    "ndcheck": Command(_cmd_ndcheck, "renormalizability of the standard 2-D map, recursively", [
+        _DEGREE._replace(default=20, help="series degree of the 1-D fixed point"),
+        Option("levels", int, 4, "successive renormalizations to verify", check=_within(1)),
+        Option("samples", int, 2048, check=_within(1000)),
+        _OUT]),
+    "manifold": Command(_cmd_manifold, "persistence chart: b, gradient, shift law", [
+        _FAMILY,
+        Option("depth", int, 8, check=_within(6, cascade_mod.MAX_LEVEL)),
+        Option("h", float, 1e-3, check=_POSITIVE),
+        _B,
+        Option("shifts", float, (-0.05, 0.05), many=True,
+               check=(lambda v, _: all(abs(t) < 0.5 for t in v), "must each lie in (-0.5, 0.5)")),
+        _OUT]),
+    "bifdiag": Command(_cmd_bifdiag, "bifurcation-diagram (t, x) sample CSV", [
+        _FAMILY,
+        Option("tmin", float, 2.9, check=(lambda v, cfg: v < cfg["tmax"], "must be < --tmax")),
+        Option("tmax", float, 4.0),
+        Option("tn", int, 400, check=_within(2)),
+        Option("transient", int, 400, check=_within(0)),
+        Option("keep", int, 80, check=_within(1)),
+        Option("csv", default="bifdiag.csv")]),
 }
 
 
-def _validate(parser, cmd, cfg):
-    degree_check = ("degree", lambda v: 1 <= v <= series.MAX_DEGREE,
-                    f"--degree must be in [1, {series.MAX_DEGREE}]")
-    checks = {
-        "fixpoint": [degree_check,
-                     ("tol", lambda v: v > 0, "--tol must be > 0"),
-                     ("max_iters", lambda v: v >= 1, "--max-iters must be >= 1")],
-        "cascade": [("nmax", lambda v: 0 <= v <= cascade_mod.MAX_LEVEL,
-                     f"--nmax must be in [0, {cascade_mod.MAX_LEVEL}]")],
-        "attractor": [("generations", lambda v: 1 <= v <= 12,
-                       "--generations must be in [1, 12]"),
-                      ("points", lambda v: v == 0 or v >= 2 ** (cfg["generations"] + 6),
-                       "--points must be 0 (auto) or at least 2^(generations+6)")],
-        "ndcheck": [("levels", lambda v: v >= 1, "--levels must be >= 1"),
-                    ("samples", lambda v: v >= 1000, "--samples must be >= 1000"),
-                    degree_check],
-        "manifold": [("depth", lambda v: 6 <= v <= cascade_mod.MAX_LEVEL,
-                      f"--depth must be in [6, {cascade_mod.MAX_LEVEL}]"),
-                     ("h", lambda v: v > 0, "--h must be > 0"),
-                     ("shifts", lambda v: all(abs(t) < 0.5 for t in v),
-                      "--shifts must each lie in (-0.5, 0.5)")],
-        "bifdiag": [("tn", lambda v: v >= 2, "--tn must be >= 2"),
-                    ("tmax", lambda v: cfg["tmin"] < v, "--tmin must be < --tmax"),
-                    ("transient", lambda v: v >= 0, "--transient must be >= 0"),
-                    ("keep", lambda v: v >= 1, "--keep must be >= 1")],
-    }
-    for key, ok, msg in checks.get(cmd, []):
-        if key in cfg and not ok(cfg[key]):
-            parser.error(msg)
+def _build_parser():
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=argparse.SUPPRESS,
+                        help="key=value config file; flags override it")
+    common.add_argument("--no-timestamp", action="store_true",
+                        default=argparse.SUPPRESS,
+                        help="omit the timestamp field for byte-identical reruns")
+
+    p = argparse.ArgumentParser(
+        prog="renormlab",
+        description="period-doubling renormalization laboratory",
+        parents=[common])
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS,
+                            parents=[common], help=cmd.help)
+        for opt in cmd.options:
+            sp.add_argument(opt.flag, dest=opt.name, type=opt.type, choices=opt.choices,
+                            nargs="+" if opt.many else None, help=opt.help)
+    return p
 
 
-def main(argv=None):
-    parser = _build_parser()
+def _load_config(path):
+    cfg = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"bad config line: {line!r}")
+            key, val = line.split("=", 1)
+            cfg[key.strip().replace("-", "_")] = val.strip()
+    return cfg
+
+
+def _settings(parser, argv):
+    """The command, its config (defaults < config file < flags) and the timestamp switch."""
     args = vars(parser.parse_args(argv))
-    cmd = args.pop("command")
+    cmd = _COMMANDS[args.pop("command")]
+    cfg = {opt.name: opt.default for opt in cmd.options}
     config_path = args.pop("config", None)
-
-    cfg = dict(_DEFAULTS[cmd])
     if config_path:
         try:
-            cfg.update((key, _coerce(val, cfg[key]))
-                       for key, val in _load_config(config_path).items() if key in cfg)
+            given = _load_config(config_path)
+            cfg.update((opt.name, opt.parse(given[opt.name]))
+                       for opt in cmd.options if opt.name in given)
         except (OSError, ValueError) as exc:
             parser.error(f"bad config file: {exc}")
     timestamp = not args.pop("no_timestamp", False)
     cfg.update(args)
-    _validate(parser, cmd, cfg)
+    return cmd, cfg, timestamp
+
+
+def main(argv=None):
+    parser = _build_parser()
+    cmd, cfg, timestamp = _settings(parser, argv)
+    for opt in cmd.options:
+        msg = opt.error(cfg)
+        if msg:
+            parser.error(msg)
 
     try:
-        report, rows, header = _COMMANDS[cmd](cfg)
+        report, rows, header = cmd.run(cfg)
     except RenormLabError as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         err.update((k, getattr(exc, k)) for k in ("residual", "step", "true_period")
@@ -368,13 +349,13 @@ def main(argv=None):
         if completed and cfg.get("out"):
             _write_report({"error": err, "completed_prefix": list(completed)},
                           cfg["out"] + ".partial")
-        sys.stdout.write(json.dumps(err, sort_keys=True) + "\n")
+        sys.stdout.write(_json(err) + "\n")
         return 1
     if timestamp:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     _write_report(report, cfg.get("out"))
     if rows is not None and cfg.get("csv"):
-        _write_csv(rows, header, cfg["csv"])
+        _write(cfg["csv"], lambda fh: csv.writer(fh).writerows(itertools.chain([header], rows)))
     return 0
 
 

@@ -51,7 +51,6 @@ class PersistenceChart:
     psi0: object
     v0: object
     depth: int
-    a_tolerance: float
     bracket0: tuple
     gap_hint: float
     start_at: object
@@ -64,7 +63,7 @@ class PersistenceChart:
                              kind=f"{self.kind}-linear")
 
 
-def build_chart(fam, depth, a_tolerance=1e-5):
+def build_chart(fam, depth):
     """Chart at the family's accumulation map, direction = d psi_t / dt.
 
     Recenters the family so parameter 0 is the accumulation; by
@@ -78,7 +77,6 @@ def build_chart(fam, depth, a_tolerance=1e-5):
         psi0=fam.map_at(t_inf),
         v0=fam.deriv_at(t_inf),
         depth=depth,
-        a_tolerance=a_tolerance,
         bracket0=centered.bracket0,
         gap_hint=fam.gap_hint,
         start_at=centered.start_at,

@@ -1,11 +1,13 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from renormlab import cascade, cli, renorm1d
+from renormlab import attractor, cascade, cli, renorm1d
 from renormlab.errors import EscapeError, NoConvergenceError, WrongPeriodError
 
 
@@ -259,7 +261,7 @@ def test_error_object_serializes_step_and_true_period(monkeypatch, capsys,
                                                       exc, field, value):
     def fail(cfg):
         raise exc
-    monkeypatch.setitem(cli._COMMANDS, "cascade", fail)
+    monkeypatch.setitem(cli._COMMANDS, "cascade", cli._COMMANDS["cascade"]._replace(run=fail))
     assert cli.main(["cascade"]) == 1
     err = json.loads(capsys.readouterr().out)
     assert err == {"error": type(exc).__name__, "message": str(exc), field: value}
@@ -272,7 +274,7 @@ def test_error_object_serializes_step_and_true_period(monkeypatch, capsys,
 def test_error_object_serializes_last(monkeypatch, capsys, last, listed):
     def fail(cfg):
         raise NoConvergenceError("stalled", last=last, residual=0.5)
-    monkeypatch.setitem(cli._COMMANDS, "cascade", fail)
+    monkeypatch.setitem(cli._COMMANDS, "cascade", cli._COMMANDS["cascade"]._replace(run=fail))
     assert cli.main(["cascade"]) == 1
     err = json.loads(capsys.readouterr().out)
     assert err == {"error": "NoConvergenceError", "message": "stalled",
@@ -282,7 +284,8 @@ def test_error_object_serializes_last(monkeypatch, capsys, last, listed):
 @pytest.mark.parametrize("cmd, text", [
     ("fixpoint", "degree = abc\n"),
     ("manifold", "shifts =\n"),
-], ids=["bad-int", "empty-list"])
+    ("cascade", "family = cubic\n"),
+], ids=["bad-int", "empty-list", "bad-choice"])
 def test_bad_config_value_is_a_usage_error(tmp_path, cmd, text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -321,3 +324,95 @@ def test_henon_deep_levels_fail_as_typed_errors():
     assert r.returncode in (0, 1) and "Traceback" not in r.stderr
     if r.returncode == 1:
         assert set(json.loads(r.stdout)) >= {"error", "message"}
+
+
+def test_config_t_gives_the_flag_report(tmp_path):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("t = 3.5699456718709\n")
+    by_config, by_flag = tmp_path / "config.json", tmp_path / "flag.json"
+    assert cli.main(["attractor", "--config", str(cfg), "--generations", "3",
+                     "--out", str(by_config), "--no-timestamp"]) == 0
+    assert cli.main(["attractor", "--t", "3.5699456718709", "--generations", "3",
+                     "--out", str(by_flag), "--no-timestamp"]) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+
+
+def test_attractor_generations_outside_two_to_max_are_usage_errors():
+    # scaling_ratios needs three diameters, so one generation could never succeed
+    msg = f"--generations must be in [2, {attractor.MAX_GENERATIONS}]"
+    for gens in (1, attractor.MAX_GENERATIONS + 1):
+        assert msg in usage_error("attractor", "--generations", str(gens)).stderr
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in a report")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reports_write_non_finite_numbers_as_null(tmp_path, monkeypatch, capsys):
+    # two doubling levels give no accumulation error estimate
+    assert cli.main(["cascade", "--nmax", "2", "--no-timestamp"]) == 0
+    assert strict_json(capsys.readouterr().out)["t_inf_error"] is None
+    # a failed ndcheck level can carry an inside margin of -inf
+    report = {"levels": [{"check": {"inside_margin": -np.inf}, "distance": np.float64(np.nan)}],
+              "all_passed": False, "pair": (np.inf, 1.5)}
+    monkeypatch.setitem(cli._COMMANDS, "ndcheck", cli._COMMANDS["ndcheck"]._replace(
+        run=lambda cfg: (report, None, None)))
+    out = tmp_path / "nd.json"
+    assert cli.main(["ndcheck", "--out", str(out), "--no-timestamp"]) == 0
+    assert strict_json(out.read_text()) == {
+        "levels": [{"check": {"inside_margin": None}, "distance": None}],
+        "all_passed": False, "pair": [None, 1.5]}
+
+
+def test_error_object_writes_non_finite_numbers_as_null(monkeypatch, capsys):
+    def fail(cfg):
+        raise NoConvergenceError("diverged", last=np.array([np.nan, 1.0]), residual=np.inf)
+    monkeypatch.setitem(cli._COMMANDS, "cascade", cli._COMMANDS["cascade"]._replace(run=fail))
+    assert cli.main(["cascade"]) == 1
+    assert strict_json(capsys.readouterr().out) == {
+        "error": "NoConvergenceError", "message": "diverged", "last": [None, 1.0],
+        "residual": None}
+
+
+# -- tests driven by the option table: a new option is covered by them --------
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_defaults_pass_their_own_checks(name):
+    options = cli._COMMANDS[name].options
+    cfg = {opt.name: opt.default for opt in options}
+    assert [opt.error(cfg) for opt in options] == [None] * len(options)
+
+
+def sample_values(opt):
+    """Text of a value other than the option's default, one item per flag value."""
+    if opt.choices:
+        return [next(c for c in opt.choices if c != opt.default)]
+    if opt.many:
+        return ["0.125", "-0.25"]
+    return [{int: "7", float: "0.375", str: "x.out"}[opt.type]]
+
+
+@pytest.mark.parametrize("name, opt", [
+    (name, opt) for name, cmd in cli._COMMANDS.items() for opt in cmd.options
+], ids=lambda v: v if isinstance(v, str) else v.name)
+def test_config_file_and_flag_give_the_same_cfg(tmp_path, name, opt):
+    values = sample_values(opt)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{opt.name} = {','.join(values)}\n")
+    parser = cli._build_parser()
+    by_flag = cli._settings(parser, [name, opt.flag, *values])
+    assert cli._settings(parser, [name, "--config", str(cfg_file)]) == by_flag
+    assert by_flag[1][opt.name] != opt.default
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("renormlab ")]
+    assert len(lines) >= 6
+    parser = cli._build_parser()
+    for line in lines:
+        cmd, cfg, _ = cli._settings(parser, shlex.split(line)[1:])
+        assert [opt.error(cfg) for opt in cmd.options] == [None] * len(cmd.options), line
