@@ -15,7 +15,7 @@ from renormlab import cascade, persistence
 logistic = cascade.logistic_family()
 chart = persistence.build_chart(logistic, depth=8)
 print(f"base: logistic family recentered at its accumulation "
-      f"(a_inf = {persistence.persistence_a(logistic, 8):.8f})")
+      f"(a_inf = {chart.t_inf:.8f})")
 
 print(f"\nb(psi0)                = {persistence.chart_b(chart, chart.psi0):+.2e}")
 for mu in (0.01, -0.02, 0.05):
@@ -26,16 +26,16 @@ grads = persistence.chart_gradient(chart, [chart.v0, 2.0 * chart.v0], h=1e-3)
 print(f"\ndb along v0            = {grads[0]:+.8f}   (the transversal -1)")
 print(f"db along 2*v0          = {grads[1]:+.8f}   (homogeneity)")
 
-dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], depth=8)
+dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], 8, chart.t_inf)
 print(f"\nshift law |a((t0)*F) - a(F) + t0|, t0 = +-0.05: max deviation {dev:.2e}")
 
 radius = persistence.chart_validity_radius(chart, h_values=(1e-3, 1e-2, 0.05, 0.1, 0.2))
 print(f"empirical chart validity radius (derivative within 5% of -1): {radius}")
 
 print("\nsame identities for the Henon family (depth 6):")
-dev_h = persistence.verify_shift_property(cascade.henon_family(), [0.02], depth=6)
-print(f"  shift-law deviation: {dev_h:.2e}")
 chart_h = persistence.build_chart(cascade.henon_family(), depth=6)
+dev_h = persistence.verify_shift_property(cascade.henon_family(), [0.02], 6, chart_h.t_inf)
+print(f"  shift-law deviation: {dev_h:.2e}")
 print(f"  b(psi0) = {persistence.chart_b(chart_h, chart_h.psi0):+.2e}")
 grad_h = persistence.chart_gradient(chart_h, [chart_h.v0], h=1e-3)[0]
 print(f"  db along v0 = {grad_h:+.6f}")

@@ -25,6 +25,7 @@ used by the persistence module.
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -288,6 +289,20 @@ def _step_factory(key, shape):
     return namespace["make"]
 
 
+_SCRATCH = threading.local()
+
+
+def _scratch(size):
+    """A float buffer of at least `size` entries for MapND.__call__'s blocks,
+    kept per thread between calls.  Its contents never outlive a call.  Fresh
+    temporaries of a few MB cost more than the arithmetic, and whether malloc
+    hands back pages already mapped for them depends on the heap's layout."""
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH.buf = np.empty(size)
+    return buf
+
+
 class MapND:
     """Polynomial map of R^n, n >= 1, stored sparse.
 
@@ -369,15 +384,15 @@ class MapND:
             # independent of the batch it came in
             p = np.vstack([p, p[-1:]])
         out = np.empty(p.shape)
-        # one set of buffers per call, reshaped to each block: fresh
-        # temporaries per block cost more than the arithmetic
         heights = (self._plan[0],) + 2 * (self.exponents.shape[0],)
-        bufs = [np.empty(h * min(p.shape[0], BLOCK)) for h in heights]
+        starts = (0, heights[0], heights[0] + heights[1])
+        scratch = _scratch(sum(heights) * min(p.shape[0], BLOCK))
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(0, p.shape[0], BLOCK):
                 blk = p[s:s + BLOCK]
-                table, mono, factor = (b[:h * len(blk)].reshape(h, len(blk))
-                                       for b, h in zip(bufs, heights))
+                k = len(blk)
+                table, mono, factor = (scratch[a * k:(a + h) * k].reshape(h, k)
+                                       for a, h in zip(starts, heights))
                 self._monomials(blk, table, mono, factor)
                 np.matmul(mono.T, self.coeffs, out=out[s:s + len(blk)])
         return out[0] if single else out[:m]
@@ -499,15 +514,19 @@ def _scan(jacs, cols):
     return prod, off
 
 
+@functools.lru_cache(maxsize=8)
+def _minor_index(n):
+    """Index arrays and signs of the n^2 cofactors of an n x n matrix:
+    a[rows, cols][j, i] is a without row i and column j."""
+    keep = np.array([[k for k in range(n) if k != i] for i in range(n)], dtype=np.intp)
+    signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+    return keep[None, :, :, None], keep[:, None, None, :], signs
+
+
 def _adjugate(a):
     """Transposed cofactor matrix: adj(A) A = det(A) I, also for singular A."""
-    n = a.shape[0]
-    adj = np.empty_like(a)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-    return adj
+    rows, cols, signs = _minor_index(a.shape[0])
+    return signs * np.linalg.det(a[rows, cols])
 
 
 def _doubling_row(mono, prefix, jacs, hess, d_jac):
@@ -745,8 +764,8 @@ def run_cascade(fam, n_max):
     if len(ts) >= 4:
         acc = accumulation_parameter(ts, delta=deltas[-1])
         t_inf, t_err = acc.value, acc.error
-    else:
-        t_inf, t_err = float(ts[-1]), float("nan")
+    else:                                   # too short to extrapolate
+        t_inf = t_err = float("nan")
     return CascadeResult(tuple(enumerate(ts)), deltas, t_inf, t_err)
 
 

@@ -9,9 +9,8 @@ reports only ever appear with a .partial suffix.
 """
 
 import argparse
-import csv
-import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -57,7 +56,7 @@ class Option(NamedTuple):
 
 
 class Command(NamedTuple):
-    run: object                 # cfg -> (report, CSV rows or None, CSV header)
+    run: object                 # cfg -> (report, CSV text chunks, header line first, or None)
     help: str
     options: list
 
@@ -75,18 +74,31 @@ def _json(obj, **kw):
     return json.dumps(finite, allow_nan=False, sort_keys=True, **kw)
 
 
-def _write(path, write):
-    """Write a file through a temporary one, so it is either whole or absent."""
+def _write(path, chunks):
+    """Write text chunks through a temporary file, so it is either whole or absent."""
     tmp = path + ".tmp"
     with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        write(fh)
+        fh.writelines(chunks)
     os.replace(tmp, path)
+
+
+def _csv_line(fields):
+    """One CSV line, byte for byte as csv.writer writes it: every field is an
+    int, a float repr or "", so none needs quoting, and no line is one empty
+    field."""
+    return ",".join(map(str, fields)) + "\r\n"
+
+
+def _csv(header, chunks):
+    """CSV text: the header line, then chunks of whole lines."""
+    yield _csv_line(header)
+    yield from chunks
 
 
 def _write_report(report, out):
     text = _json(report, indent=2) + "\n"
     if out:
-        _write(out, lambda fh: fh.write(text))
+        _write(out, [text])
     else:
         sys.stdout.write(text)
 
@@ -101,14 +113,14 @@ def _cmd_fixpoint(cfg):
         "residual": result.residual,
         "newton_iters": result.newton_iters,
         "coeffs": [float(c) for c in result.phi0.coeffs],
-    }, None, None
+    }, None
 
 
 def _cmd_cascade(cfg):
     res = cascade_mod.run_cascade(_family(cfg), cfg["nmax"])
     d = res.delta_estimates
-    rows = [[level, repr(t), repr(d[level - 1]) if 1 <= level <= len(d) else ""]
-            for level, t in res.doubling_params]
+    rows = ((level, repr(t), repr(d[level - 1]) if 1 <= level <= len(d) else "")
+            for level, t in res.doubling_params)
     report = {
         "family": cfg["family"],
         "doubling_params": [[lvl, t] for (lvl, t) in res.doubling_params],
@@ -116,7 +128,7 @@ def _cmd_cascade(cfg):
         "t_inf": res.t_inf,
         "t_inf_error": res.t_inf_error,
     }
-    return report, rows, ["level", "t", "delta"]
+    return report, _csv(("level", "t", "delta"), map(_csv_line, rows))
 
 
 def _cmd_attractor(cfg):
@@ -140,12 +152,12 @@ def _cmd_attractor(cfg):
         "lambda_estimate": lam_est,
     }
     if not cfg["csv"]:
-        return report, None, None
-    rows = [[a.generation, a.index] + [repr(float(c)) for c in a.center]
-            + [repr(float(a.diameter))] for gen in tree.generations for a in gen]
+        return report, None
+    rows = ((a.generation, a.index, *map(repr, a.center.tolist()), repr(float(a.diameter)))
+            for gen in tree.generations for a in gen)
     dim = tree.points.shape[1]
-    return report, rows, (["generation", "index"] + [f"center_{i}" for i in range(dim)]
-                          + ["diameter"])
+    return report, _csv(("generation", "index", *(f"center_{i}" for i in range(dim)),
+                         "diameter"), map(_csv_line, rows))
 
 
 def _cmd_ndcheck(cfg):
@@ -168,7 +180,7 @@ def _cmd_ndcheck(cfg):
         cur = renorm_nd.renormalize_nd(cur, found.disk, degree=8)
         start = np.array([0.1, 0.1])
     return {"lambda": fp.lam, "levels": levels,
-            "all_passed": all(lv["passed"] for lv in levels)}, None, None
+            "all_passed": all(lv["passed"] for lv in levels)}, None
 
 
 def _cmd_manifold(cfg):
@@ -178,14 +190,14 @@ def _cmd_manifold(cfg):
     grads = persistence_mod.chart_gradient(
         chart, [chart.v0, 2.0 * chart.v0], h=cfg["h"])
     shift_dev = persistence_mod.verify_shift_property(fam, cfg["shifts"],
-                                                      cfg["depth"])
+                                                      cfg["depth"], chart.t_inf)
     return {
         "family": cfg["family"],
         "depth": cfg["depth"],
         "b_value": b0,
         "gradient": [["v0", grads[0]], ["2*v0", grads[1]]],
         "shift_check": shift_dev,
-    }, None, None
+    }, None
 
 
 def _cmd_bifdiag(cfg):
@@ -200,13 +212,12 @@ def _cmd_bifdiag(cfg):
                                  cfg["transient"] + cfg["keep"], keep=cfg["keep"])[1]
     except EscapeError:                     # every orbit escaped
         kept = np.full((cfg["keep"], ts.size, fam.dim), np.nan)
-    rows = []
-    for t, col in zip(ts, kept[:, :, 0].T):
-        if not np.isnan(col[-1]):           # the orbit never escaped
-            label = repr(float(t))
-            rows.extend([label, repr(v)] for v in col.tolist())
-    return {"rows": len(rows), "families": cfg["family"],
-            "t_range": [cfg["tmin"], cfg["tmax"]]}, rows, ["t", "x"]
+    cols = [(repr(t) + ",", col) for t, col in zip(ts.tolist(), kept[:, :, 0].T.tolist())
+            if not math.isnan(col[-1])]     # the orbit never escaped
+    # one chunk per column: the lines "t,x" of all its kept points
+    chunks = (p + ("\r\n" + p).join(map(repr, col)) + "\r\n" for p, col in cols)
+    return {"rows": len(cols) * cfg["keep"], "family": cfg["family"],
+            "t_range": [cfg["tmin"], cfg["tmax"]]}, _csv(("t", "x"), chunks)
 
 
 def _within(lo, hi=None):
@@ -333,7 +344,7 @@ def main(argv=None):
             parser.error(msg)
 
     try:
-        report, rows, header = cmd.run(cfg)
+        report, csv = cmd.run(cfg)
     except RenormLabError as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         err.update((k, getattr(exc, k)) for k in ("residual", "step", "true_period")
@@ -354,8 +365,8 @@ def main(argv=None):
     if timestamp:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     _write_report(report, cfg.get("out"))
-    if rows is not None and cfg.get("csv"):
-        _write(cfg["csv"], lambda fh: csv.writer(fh).writerows(itertools.chain([header], rows)))
+    if csv is not None and cfg.get("csv"):
+        _write(cfg["csv"], csv)
     return 0
 
 

@@ -29,13 +29,13 @@ def persistence_a(fam, depth):
     return run_cascade(fam, depth).t_inf
 
 
-def verify_shift_property(fam, t0_list, depth):
-    """max over t0 of |a((t0)*family) - (a(family) - t0)|."""
-    base = persistence_a(fam, depth)
+def verify_shift_property(fam, t0_list, depth, a):
+    """max over t0 of |a((t0)*family) - (a(family) - t0)|, given a = a(family)
+    at this depth (a chart's t_inf)."""
     worst = 0.0
     for t0 in t0_list:
         shifted = persistence_a(shift_family(fam, t0), depth)
-        worst = max(worst, abs(shifted - (base - t0)))
+        worst = max(worst, abs(shifted - (a - t0)))
     return worst
 
 
@@ -44,6 +44,7 @@ class PersistenceChart:
     """Chart data for b around a base map psi0 with transversal v0.
 
     depth is the doubling depth standing in for "infinitely renormalizable";
+    t_inf is a(family) at that depth, the parameter of psi0;
     bracket0/gap_hint/start_at configure the cascades of the linear
     families {chi + t v0}, inherited from the generating family recentered
     at its accumulation.
@@ -51,6 +52,7 @@ class PersistenceChart:
     psi0: object
     v0: object
     depth: int
+    t_inf: float
     bracket0: tuple
     gap_hint: float
     start_at: object
@@ -77,6 +79,7 @@ def build_chart(fam, depth):
         psi0=fam.map_at(t_inf),
         v0=fam.deriv_at(t_inf),
         depth=depth,
+        t_inf=t_inf,
         bracket0=centered.bracket0,
         gap_hint=fam.gap_hint,
         start_at=centered.start_at,

@@ -253,10 +253,14 @@ def _batched_margins(psi, centers, linears, ball):
     inv = np.linalg.inv(linears)
     pts = (linears @ ball.T).transpose(0, 2, 1) + centers[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
+        # each array is dropped once used: in the bound pass they set the
+        # peak memory of a disk search
         im1 = psi(pts.reshape(-1, n))
+        del pts
+        sq1 = _sq_chart_norms(im1.reshape(nc, -1, n), centers, inv)
         im2 = psi(im1)
-        sq1, sq2 = (_sq_chart_norms(im.reshape(nc, -1, n), centers, inv)
-                    for im in (im1, im2))
+        del im1
+        sq2 = _sq_chart_norms(im2.reshape(nc, -1, n), centers, inv)
     # the root commutes with min and max, so it is taken per candidate
     return np.sqrt(sq1.min(axis=1)) - 1.0, 1.0 - np.sqrt(sq2.max(axis=1))
 

@@ -115,7 +115,8 @@ def test_criterion_5_persistence_identities():
     logistic = cascade.logistic_family()
     chart = persistence.build_chart(logistic, depth=8)
     b0 = persistence.chart_b(chart, chart.psi0)
-    shift_dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], 8)
+    shift_dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], 8,
+                                                 chart.t_inf)
     grad = persistence.chart_gradient(chart, [chart.v0], h=1e-3)[0]
     elapsed = time.perf_counter() - t0
     ok = (abs(b0) <= 1e-5 and shift_dev < 1e-5

@@ -239,6 +239,33 @@ def test_chain_matches_sequential_product(p):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def cofactor_loop(a):
+    """adj(A) one minor at a time: the cofactor definition."""
+    n = a.shape[0]
+    adj = np.empty_like(a)
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
+            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
+    return adj
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adjugate_matches_cofactor_loop_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    mats = list(rng.normal(size=(50, n, n)))
+    singular = rng.normal(size=(n, n))
+    singular[-1] = 2.0 * singular[0]            # rank n - 1 when n >= 2
+    mats += [singular, np.zeros((n, n)), np.eye(n), -np.eye(n)]
+    for a in mats:
+        ref = cofactor_loop(a)
+        got = cascade._adjugate(a)
+        assert got.shape == ref.shape
+        # equal bit patterns: signed zeros count
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert np.allclose(got @ a, np.linalg.det(a) * np.eye(n), atol=1e-12)
+
+
 def test_henon_jac_stack_matches_single_points():
     h = cascade.henon_family(0.25).map_at(1.3)
     pts = cascade.orbit(h, (0.1, 0.1), 40, keep=41)[1]

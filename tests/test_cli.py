@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import shlex
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renormlab import attractor, cascade, cli, renorm1d
+from renormlab import attractor, cascade, cli, persistence, renorm1d
 from renormlab.errors import EscapeError, NoConvergenceError, WrongPeriodError
 
 
@@ -358,7 +360,7 @@ def test_reports_write_non_finite_numbers_as_null(tmp_path, monkeypatch, capsys)
     report = {"levels": [{"check": {"inside_margin": -np.inf}, "distance": np.float64(np.nan)}],
               "all_passed": False, "pair": (np.inf, 1.5)}
     monkeypatch.setitem(cli._COMMANDS, "ndcheck", cli._COMMANDS["ndcheck"]._replace(
-        run=lambda cfg: (report, None, None)))
+        run=lambda cfg: (report, None)))
     out = tmp_path / "nd.json"
     assert cli.main(["ndcheck", "--out", str(out), "--no-timestamp"]) == 0
     assert strict_json(out.read_text()) == {
@@ -416,3 +418,96 @@ def test_readme_command_lines_parse():
     for line in lines:
         cmd, cfg, _ = cli._settings(parser, shlex.split(line)[1:])
         assert [opt.error(cfg) for opt in cmd.options] == [None] * len(cmd.options), line
+
+
+# -- CSV bytes against csv.writer, and the reports' keys -----------------------
+
+def csv_writer_bytes(rows):
+    """The reference: csv.writer over the rows, as the CSVs were first written."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
+def record(monkeypatch, module, name):
+    """Replace module.name by a wrapper that keeps the results it returns."""
+    results, fn = [], getattr(module, name)
+
+    def wrapper(*args, **kw):
+        results.append(fn(*args, **kw))
+        return results[-1]
+    monkeypatch.setattr(module, name, wrapper)
+    return results
+
+
+@pytest.mark.parametrize("family, nmax", [("logistic", 5), ("henon", 4)])
+def test_cascade_csv_bytes_match_csv_writer(tmp_path, monkeypatch, family, nmax):
+    runs = record(monkeypatch, cascade, "run_cascade")
+    path = tmp_path / "c.csv"
+    assert cli.main(["cascade", "--family", family, "--nmax", str(nmax), "--csv", str(path),
+                     "--out", str(tmp_path / "c.json"), "--no-timestamp"]) == 0
+    (res,) = runs
+    d = res.delta_estimates
+    rows = [["level", "t", "delta"]] + [
+        [level, repr(t), repr(d[level - 1]) if 1 <= level <= len(d) else ""]
+        for level, t in res.doubling_params]
+    assert path.read_bytes() == csv_writer_bytes(rows)
+
+
+@pytest.mark.parametrize("family, gens", [("logistic", 3), ("henon", 2)])
+def test_attractor_csv_bytes_match_csv_writer(tmp_path, monkeypatch, family, gens):
+    trees = record(monkeypatch, attractor, "build_atoms")
+    path = tmp_path / "a.csv"
+    assert cli.main(["attractor", "--family", family, "--generations", str(gens),
+                     "--csv", str(path), "--out", str(tmp_path / "a.json"),
+                     "--no-timestamp"]) == 0
+    (tree,) = trees
+    dim = tree.points.shape[1]
+    rows = [["generation", "index"] + [f"center_{i}" for i in range(dim)] + ["diameter"]]
+    rows += [[a.generation, a.index] + [repr(float(c)) for c in a.center]
+             + [repr(float(a.diameter))] for gen in tree.generations for a in gen]
+    assert path.read_bytes() == csv_writer_bytes(rows)
+
+
+@pytest.mark.parametrize("family, tmin, tmax, tn, transient, keep, n_rows", [
+    ("logistic", 3.9, 4.3, 41, 400, 5, 11 * 5),     # the columns past a = 4 escape
+    ("logistic", 4.5, 5.0, 6, 400, 80, 0),          # every column escapes
+    ("logistic", 1e-05, 0.5, 3, 5, 3, 3 * 3),       # exponent-form t and x
+    ("henon", 0.3, 1.4, 9, 50, 4, 9 * 4),
+], ids=["some-escape", "all-escape", "exponent-form", "henon"])
+def test_bifdiag_csv_bytes_match_csv_writer(tmp_path, monkeypatch, capsys, family, tmin,
+                                            tmax, tn, transient, keep, n_rows):
+    orbits = record(monkeypatch, cascade, "orbit")
+    path = tmp_path / "b.csv"
+    assert cli.main(["bifdiag", "--family", family, "--tmin", repr(tmin), "--tmax",
+                     repr(tmax), "--tn", str(tn), "--transient", str(transient),
+                     "--keep", str(keep), "--csv", str(path), "--no-timestamp"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["family"] == family and "families" not in report
+    # the orbit raised when every parameter escaped, so nothing was recorded
+    rows = [["t", "x"]]
+    for t, col in zip(np.linspace(tmin, tmax, tn), orbits[0][1][:, :, 0].T if orbits else []):
+        if not np.isnan(col[-1]):
+            rows.extend([repr(float(t)), repr(v)] for v in col.tolist())
+    data = path.read_bytes()
+    assert data == csv_writer_bytes(rows)
+    assert report["rows"] == len(rows) - 1 == n_rows
+    if tmin == 1e-05:
+        assert data.startswith(b"t,x\r\n1e-05,2.49") and b"e-31\r\n" in data
+
+
+def test_manifold_runs_each_cascade_once(tmp_path, monkeypatch):
+    # build_chart, b(psi0), two probes of two cascades each and two shifts:
+    # a(family) is computed once and shared by the chart and the shift check
+    calls = record(monkeypatch, persistence, "run_cascade")
+    assert cli.main(["manifold", "--depth", "6", "--out", str(tmp_path / "m.json"),
+                     "--no-timestamp"]) == 0
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2])
+def test_cascade_too_short_to_extrapolate_has_no_t_inf(capsys, nmax):
+    assert cli.main(["cascade", "--nmax", str(nmax), "--no-timestamp"]) == 0
+    report = strict_json(capsys.readouterr().out)
+    assert len(report["doubling_params"]) == nmax + 1
+    assert report["t_inf"] is None and report["t_inf_error"] is None

@@ -52,12 +52,14 @@ def test_shift_is_reparametrization(logistic):
 
 
 def test_shift_property_logistic(logistic):
-    dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], 8)
+    dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], 8,
+                                           persistence.persistence_a(logistic, 8))
     assert dev < 1e-5
 
 
 def test_shift_property_henon(henon):
-    dev = persistence.verify_shift_property(henon, [0.02], 6)
+    dev = persistence.verify_shift_property(henon, [0.02], 6,
+                                           persistence.persistence_a(henon, 6))
     assert dev < 1e-4
 
 

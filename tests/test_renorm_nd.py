@@ -1,3 +1,5 @@
+import sys
+import threading
 import time
 
 import numpy as np
@@ -398,6 +400,35 @@ def test_mapnd_rows_do_not_depend_on_the_batch(std_map, refit8, which):
                  np.sort(rng.choice(len(pts), cascade.BLOCK + 100, replace=False))):
         assert np.array_equal(psi(pts[rows]), whole[rows])
     assert np.array_equal(psi(pts[cascade.BLOCK:]), whole[cascade.BLOCK:])
+
+
+def test_mapnd_calls_share_no_scratch_between_threads(std_map, refit8):
+    # calls keep their block buffers between them, one set per thread: maps
+    # of different sizes, called in turn from several threads at once, give
+    # the rows of a fresh single-threaded call
+    pts = random_ball_points(cascade.BLOCK + 37, seed=7)
+    want = {id(psi): psi(pts) for psi in (std_map, refit8)}
+    mismatches = []
+
+    def work(order):
+        for _ in range(20):
+            for psi in order:
+                if not np.array_equal(psi(pts), want[id(psi)]):
+                    mismatches.append(psi.family)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        orders = [(std_map, refit8), (refit8, std_map)]
+        threads = [threading.Thread(target=work, args=(orders[k % 2],)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
 
 
 def test_refit_step_matches_call_rows(refit8):
