@@ -17,10 +17,11 @@ for level N+1 is seeded from the last gap, and the accumulation parameter
 is produced by Aitken extrapolation of the t_N sequence.
 
 Every map is a MapND, a polynomial of R^n for any n >= 1, the interval
-(n = 1) included.  Builtin families: the logistic interval family
-a*x*(1-x) and the dissipative Henon family (x, y) -> (1 - a x^2 + y, b x);
-plus families linear in a fixed direction, psi_t = base + t*direction,
-used by the persistence module.
+(n = 1) included.  Every family is affine in its parameter, psi_t = base +
+t*slope, two coefficient matrices on one exponent table: the logistic
+interval family a*x*(1-x), the dissipative Henon family (x, y) -> (1 - a x^2
++ y, b x), and the family through any map base along a direction, used by
+the persistence module.
 """
 
 import functools
@@ -41,80 +42,73 @@ ESCAPE_CHECK = 256      # images stepped between two escape checks
 LYAPUNOV_CHUNK = 64     # Jacobians multiplied between two renormalizations
 MAX_LEVEL = 16          # deepest cascade level offered by the CLI: period 2^16
 MAX_NEWTON = 12         # Newton iterations before an orbit solve gives up
+MAX_SETTLE = 6000       # plain-iteration steps before a stable orbit is polished
 
 
 @dataclass(frozen=True)
 class OneParamFamily:
-    """C^1 assignment t -> psi_t with an evaluable parameter derivative.
+    """The family psi_t = base + t * slope of polynomial maps of R^n.
 
-    map_at(t) returns the map at parameter t and deriv_at(t) its derivative
-    in t, both MapNDs of dimension `dim`; start_at(t) returns a point, a
-    float when dim is 1.  bracket0 must
-    bracket the first doubling (the period-1 orbit's multiplier crossing
-    -1), with a sink at its lower end, and gap_hint estimates the first
-    inter-doubling gap, which seeds level 1.
+    base and slope are coefficient matrices on one exponent table (M, n), as
+    in MapND: map_at(t) is the MapND at parameter t and `direction` its
+    derivative in t, the same for every t.  start_at(t) returns a point, a
+    float when dim is 1.  bracket0 must bracket the first doubling (the
+    period-1 orbit's multiplier crossing -1), with a sink at its lower end,
+    and gap_hint estimates the first inter-doubling gap, which seeds level 1.
     """
-    kind: str
-    dim: int
-    map_at: Callable
-    deriv_at: Callable
+    exponents: np.ndarray
+    base: np.ndarray
+    slope: np.ndarray
     param_range: tuple
     bracket0: tuple
     gap_hint: float
     start_at: Callable
 
+    @property
+    def dim(self):
+        return self.exponents.shape[1]
 
-_LOGISTIC_EXPS = np.array([[1], [2]])                  # a x - a x^2
-_HENON_EXPS = np.array([[0, 0], [2, 0], [0, 1], [1, 0]])  # 1 - a x^2 + y, b x
+    def map_at(self, t):
+        return MapND(self.exponents, self.base + t * self.slope)
+
+    @property
+    def direction(self):
+        return MapND(self.exponents, self.slope)
 
 
 def logistic_family(window=(2.5, 4.0)):
+    """a x - a x^2."""
     return OneParamFamily(
-        kind="logistic", dim=1,
-        map_at=lambda a: MapND(_LOGISTIC_EXPS, [[a], [-a]]),
-        deriv_at=lambda a: MapND(_LOGISTIC_EXPS, [[1.0], [-1.0]]),
-        param_range=tuple(window),
-        bracket0=(2.8, 3.2),
-        gap_hint=0.45,
-        start_at=lambda a: 0.5,
-    )
+        exponents=np.array([[1], [2]]), base=np.zeros((2, 1)), slope=np.array([[1.0], [-1.0]]),
+        param_range=tuple(window), bracket0=(2.8, 3.2), gap_hint=0.45, start_at=lambda a: 0.5)
 
 
 def henon_family(b=0.3, window=(0.1, 1.4)):
-    """The Henon family in a; its first two doublings are known in closed
+    """(1 - a x^2 + y, b x).  Its first two doublings are known in closed
     form: the fixed point flips at a0 = 3(1-b)^2/4 and the 2-cycle (trace
     of M = -1 - b^2) at a1 = (1-b)^2 + (1+b)^2/4."""
     def start(a):
         disc = (1.0 - b) ** 2 + 4.0 * a
+        if disc < 0:            # no real fixed point to start from: nan escapes at once
+            return (math.nan, math.nan)
         x = (-(1.0 - b) + math.sqrt(disc)) / (2.0 * a) if a != 0 else 0.0
         return (x + 1e-3, b * x)
 
     a0 = 0.75 * (1.0 - b) ** 2
     a1 = (1.0 - b) ** 2 + 0.25 * (1.0 + b) ** 2
     return OneParamFamily(
-        kind="henon", dim=2,
-        map_at=lambda a: MapND(_HENON_EXPS, [[1.0, 0.0], [-a, 0.0], [1.0, 0.0], [0.0, b]]),
-        deriv_at=lambda a: MapND([[2, 0]], [[-1.0, 0.0]]),
+        exponents=np.array([[0, 0], [2, 0], [0, 1], [1, 0]]),
+        base=np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, b]]),
+        slope=np.array([[0.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
         param_range=tuple(window),
         # the fixed point exists for a > -(1-b)^2/4 and is a sink below a0
-        bracket0=(a0 / 3.0, a0 + 0.5 * (a1 - a0)),
-        gap_hint=a1 - a0,
-        start_at=start,
-    )
+        bracket0=(a0 / 3.0, a0 + 0.5 * (a1 - a0)), gap_hint=a1 - a0, start_at=start)
 
 
-def linear_family(base, direction, bracket0, gap_hint, start_at,
-                  window=(-1.0, 1.0), dim=1, kind="linear"):
+def linear_family(base, direction, bracket0, gap_hint, start_at, window=(-1.0, 1.0)):
     """psi_t = base + t*direction, for MapNDs base and direction."""
-    return OneParamFamily(
-        kind=kind, dim=dim,
-        map_at=lambda t: base + t * direction,
-        deriv_at=lambda t: direction,
-        param_range=tuple(window),
-        bracket0=tuple(bracket0),
-        gap_hint=gap_hint,
-        start_at=start_at,
-    )
+    return OneParamFamily(*_one_table(base, direction), tuple(window), tuple(bracket0),
+                          gap_hint, start_at)
 
 
 def shift_family(fam, t0):
@@ -130,8 +124,7 @@ def recenter(fam, t0):
     b0, b1 = fam.bracket0
     return replace(
         fam,
-        map_at=lambda t: fam.map_at(t + t0),
-        deriv_at=lambda t: fam.deriv_at(t + t0),
+        base=fam.base + t0 * fam.slope,
         param_range=(lo - t0, hi - t0),
         bracket0=(b0 - t0, b1 - t0),
         start_at=lambda t: fam.start_at(t + t0),
@@ -417,17 +410,25 @@ class MapND:
     def __add__(self, other):
         if not isinstance(other, MapND) or other.dim != self.dim:
             return NotImplemented
-        exps, inverse = np.unique(np.vstack([self.exponents, other.exponents]),
-                                  axis=0, return_inverse=True)
-        coeffs = np.zeros(exps.shape)
-        np.add.at(coeffs, inverse.reshape(-1),
-                  np.vstack([self.coeffs, other.coeffs]))
-        return MapND(exps, coeffs, family=self.family)
+        exps, a, b = _one_table(self, other)
+        return MapND(exps, a + b, family=self.family)
 
     def __mul__(self, s):
         return MapND(self.exponents, self.coeffs * float(s), family=self.family)
 
     __rmul__ = __mul__
+
+
+def _one_table(a, b):
+    """The sorted union of two maps' exponent tables, and each map's
+    coefficients on it."""
+    exps, inverse = np.unique(np.vstack([a.exponents, b.exponents]), axis=0,
+                              return_inverse=True)
+    rows = inverse.reshape(-1)
+    ca, cb = np.zeros(exps.shape), np.zeros(exps.shape)
+    np.add.at(ca, rows[:len(a.exponents)], a.coeffs)
+    np.add.at(cb, rows[len(a.exponents):], b.coeffs)
+    return exps, ca, cb
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +562,7 @@ def _newton(fam, pts, t, doubling):
     th, tl, dt = float(t), 0.0, 0.0
     prev = res = math.inf
     eye = np.eye(n)
+    slope_jet = _jet(fam.direction.terms, 1) if doubling else None
     for _ in range(MAX_NEWTON):
         last = th if doubling else (xh[0, 0] if n == 1 else xh[0].copy())
         with np.errstate(all="ignore"):
@@ -570,7 +572,7 @@ def _newton(fam, pts, t, doubling):
                  + (lo[:, :, 0] - np.roll(xl, -1, axis=0)))
             jacs, cols = hi[:, :, 1:n + 1], r[:, :, None]
             if doubling:
-                d = _dd_poly(_jet(fam.deriv_at(th).terms, 1), xh, xl)[0].reshape(p, n, -1)
+                d = _dd_poly(slope_jet, xh, xl)[0].reshape(p, n, -1)
                 r += tl * d[:, :, 0]
                 jacs = jacs + tl * d[:, :, 1:]
                 cols = np.stack([d[:, :, 0], r], axis=-1)
@@ -647,10 +649,10 @@ def orbit_multiplier(fam, t, orbit):
     return list(eigs[np.argsort(-np.abs(eigs))])
 
 
-def _orbit_by_iteration(fam, t, period, n_settle=6000):
+def _orbit_by_iteration(fam, t, period):
     """Stable orbit at parameter t found by plain iteration (64 periods, at
-    most n_settle steps), then polished."""
-    x = orbit(fam.map_at(t), fam.start_at(t), min(n_settle, 64 * period))[0]
+    most MAX_SETTLE steps), then polished."""
+    x = orbit(fam.map_at(t), fam.start_at(t), min(MAX_SETTLE, 64 * period))[0]
     return periodic_orbit(fam, t, period, np.asarray(x))
 
 

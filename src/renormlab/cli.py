@@ -203,9 +203,9 @@ def _cmd_manifold(cfg):
 def _cmd_bifdiag(cfg):
     fam = _family(cfg)
     ts = np.linspace(cfg["tmin"], cfg["tmax"], cfg["tn"])
-    # both families are linear in t, so all parameters step as one block of
-    # rows, psi_0(x) + t * d(psi_t)/dt(x); an escaped row reads nan
-    base, slope = fam.map_at(0.0), fam.deriv_at(0.0)
+    # all parameters step as one block of rows, base(x) + t * slope(x); an
+    # escaped row reads nan
+    base, slope = cascade_mod.MapND(fam.exponents, fam.base), fam.direction
     starts = np.array([np.reshape(fam.start_at(t), fam.dim) for t in ts])
     try:
         kept = cascade_mod.orbit(lambda x: base(x) + ts[:, None] * slope(x), starts,

@@ -2,10 +2,11 @@
 
 "Exhibits the attractor" is replaced by its finite, checkable surrogate:
 the family reaches its depth-N doubling accumulation at some parameter.
-The function a(family) returns that parameter; b(chi) = a of the linear
-family through chi in a fixed transversal direction v0.  b vanishes
-exactly on the local codimension-one manifold surrogate, b(psi0) = 0 at
-the base point, the shift law a(shifted by t0) = a - t0 holds to solver
+The function a(family) returns that parameter.  Every family is psi0 + t v0
+around its accumulation map psi0, and b(chi) = a of the family chi + t v0
+through chi along that same transversal direction v0.  b vanishes exactly
+on the local codimension-one manifold surrogate, b(psi0) = 0 at the base
+point, the shift law a(shifted by t0) = a - t0 holds to solver
 precision, and the directional derivative of b along v0 is -1.
 
 b is computed through cascades, not through renormalization distance to
@@ -15,9 +16,7 @@ from the standard map (Henon included).
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cascade import linear_family, recenter, run_cascade, shift_family
+from .cascade import OneParamFamily, linear_family, recenter, run_cascade, shift_family
 from .errors import InsufficientDataError, RenormLabError
 
 
@@ -43,26 +42,28 @@ def verify_shift_property(fam, t0_list, depth, a):
 class PersistenceChart:
     """Chart data for b around a base map psi0 with transversal v0.
 
-    depth is the doubling depth standing in for "infinitely renormalizable";
-    t_inf is a(family) at that depth, the parameter of psi0;
-    bracket0/gap_hint/start_at configure the cascades of the linear
-    families {chi + t v0}, inherited from the generating family recentered
-    at its accumulation.
+    family is the generating family recentered at its accumulation, so
+    psi0 is its map at parameter 0 and v0 its direction; its bracket0,
+    gap_hint and start_at configure the cascades of the linear families
+    {chi + t v0}.  depth is the doubling depth standing in for "infinitely
+    renormalizable"; t_inf is a(family) at that depth in the generating
+    family's own parameter.
     """
-    psi0: object
-    v0: object
+    family: OneParamFamily
     depth: int
     t_inf: float
-    bracket0: tuple
-    gap_hint: float
-    start_at: object
-    dim: int = 1
-    kind: str = "chart"
+
+    @property
+    def psi0(self):
+        return self.family.map_at(0.0)
+
+    @property
+    def v0(self):
+        return self.family.direction
 
     def family_through(self, chi):
-        return linear_family(chi, self.v0, self.bracket0, self.gap_hint,
-                             self.start_at, dim=self.dim,
-                             kind=f"{self.kind}-linear")
+        fam = self.family
+        return linear_family(chi, self.v0, fam.bracket0, fam.gap_hint, fam.start_at)
 
 
 def build_chart(fam, depth):
@@ -74,18 +75,7 @@ def build_chart(fam, depth):
     if depth < 6:
         raise InsufficientDataError("chart depth must be >= 6")
     t_inf = persistence_a(fam, depth)
-    centered = recenter(fam, t_inf)
-    return PersistenceChart(
-        psi0=fam.map_at(t_inf),
-        v0=fam.deriv_at(t_inf),
-        depth=depth,
-        t_inf=t_inf,
-        bracket0=centered.bracket0,
-        gap_hint=fam.gap_hint,
-        start_at=centered.start_at,
-        dim=fam.dim,
-        kind=f"chart({fam.kind})",
-    )
+    return PersistenceChart(recenter(fam, t_inf), depth, t_inf)
 
 
 def chart_b(chart, chi):

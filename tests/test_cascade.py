@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from decimal import Decimal, getcontext
@@ -15,6 +16,14 @@ SQRT6 = math.sqrt(6.0)
 # accumulation parameter
 DELTA = 4.669201609102990
 R_INF = 3.569945671870945
+# ROADMAP item 1's 3-D map, far from the standard one:
+# (x, y, z) -> (1 - a x^2 + y + 0.2 z, 0.3 x, 0.3 z + 0.4 x^2)
+FOLD3D = cascade.OneParamFamily(
+    exponents=np.array([[0, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+    base=np.array([[1.0, 0, 0], [0, 0, 0.4], [1.0, 0, 0], [0.2, 0, 0.3], [0, 0.3, 0]]),
+    slope=np.array([[0.0, 0, 0], [-1.0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    param_range=(-1.0, 1.0), bracket0=(0.05, 0.6), gap_hint=0.5,
+    start_at=lambda a: (0.1, 0.03, 0.01))
 
 
 @pytest.fixture(scope="module")
@@ -294,19 +303,21 @@ def test_orbit_solve_that_cannot_converge_stops_at_the_cap():
 
 
 def test_doubling_solve_without_solution_stops_at_the_cap():
-    # psi_t(x) = (t^2 - 0.99) x: the fixed point 0 has multiplier t^2 - 0.99,
-    # which never reaches -1, so Newton on t^2 + 0.01 = 0 wanders
+    # psi_t(x, y) = ((t - 1) x - 0.1 y, 0.1 x + (t - 1) y): at the fixed point
+    # 0, det(M + I) = t^2 + 0.01 never vanishes, so Newton on it wanders
     calls = []
 
-    def map_at(t):
-        calls.append(t)
-        return cascade.MapND([[1]], [[t * t - 0.99]])
+    class Counted(cascade.OneParamFamily):
+        def map_at(self, t):
+            calls.append(t)
+            return super().map_at(t)
 
-    fam = cascade.OneParamFamily(
-        kind="no-doubling", dim=1, map_at=map_at,
-        deriv_at=lambda t: cascade.MapND([[1]], [[2.0 * t]]),
+    fam = Counted(
+        exponents=np.array([[1, 0], [0, 1]]),
+        base=np.array([[-1.0, 0.1], [-0.1, -1.0]]),
+        slope=np.eye(2),
         param_range=(-2.0, 2.0), bracket0=(0.5, 1.0), gap_hint=0.1,
-        start_at=lambda t: 0.0)
+        start_at=lambda t: (0.0, 0.0))
     with pytest.raises(NoConvergenceError, match=f"after {cascade.MAX_NEWTON} iterations") as err:
         cascade.find_doubling_bifurcation(fam, 0, fam.bracket0)
     assert cascade.MAX_NEWTON <= 12
@@ -383,21 +394,56 @@ def test_family_derivative_consistency(logistic, henon):
     for fam, x in ((logistic, [0.37]), (henon, (0.3, 0.1))):
         t = 0.9
         fd = np.subtract(fam.map_at(t + h)(x), fam.map_at(t - h)(x)) / (2 * h)
-        dv = fam.deriv_at(t)(x)
+        dv = fam.direction(x)
         assert np.allclose(fd, dv, atol=1e-9)
 
 
 @pytest.mark.parametrize("family, ts", [
     (cascade.logistic_family(), (2.9, 3.57, 4.0)),
     (cascade.henon_family(), (0.3, 1.06, 1.4)),
-], ids=["logistic", "henon"])
+    (FOLD3D, (0.2, 0.92, 1.0)),
+], ids=["logistic", "henon", "fold3d"])
 def test_builtin_families_are_linear_in_t(family, ts):
     # bifdiag steps every parameter at once as psi_0 + t * d(psi_t)/dt
     pts = np.random.default_rng(5).uniform(-1.5, 1.5, (100, family.dim))
-    base, slope = family.map_at(0.0)(pts), family.deriv_at(0.0)(pts)
+    base, slope = family.map_at(0.0)(pts), family.direction(pts)
     for t in ts:
         assert np.allclose(family.map_at(t)(pts), base + t * slope, rtol=0, atol=1e-14)
-        assert np.array_equal(family.deriv_at(t)(pts), slope)
+        assert np.array_equal(family.direction(pts), slope)
+
+
+def _same_map(a, b):
+    """Equal exponent tables and bit-identical coefficients."""
+    return (np.array_equal(a.exponents, b.exponents)
+            and a.coeffs.tobytes() == b.coeffs.tobytes())
+
+
+def test_linear_family_map_is_base_plus_t_direction_bit_for_bit(henon):
+    # the tables differ: the direction adds the monomial x y to the first output
+    psi0 = henon.map_at(1.06)
+    w = cascade.MapND([[1, 1], [2, 0]], [[1.0, 0.0], [0.25, -0.5]])
+    base = psi0 + 1e-3 * w
+    fam = cascade.linear_family(base, w, henon.bracket0, henon.gap_hint, henon.start_at)
+    for t in (-0.7, -1e-3, 0.0, 0.123456789, 0.9):
+        assert _same_map(fam.map_at(t), base + t * w)
+    assert _same_map(fam.direction, w + 0.0 * base)
+
+
+@pytest.mark.parametrize("family, t0, ts", [
+    (cascade.logistic_family(), 3.5699456718709, (-0.6, -0.1, 0.0, 0.0137, 0.4)),
+    (cascade.henon_family(), 1.0580491, (-0.9, -0.05, 0.0, 0.01, 0.3)),
+], ids=["logistic", "henon"])
+def test_recentered_map_is_the_map_at_the_shifted_parameter(family, t0, ts):
+    centered = cascade.recenter(family, t0)
+    for t in ts:
+        assert _same_map(centered.map_at(t), family.map_at(t + t0))
+    assert _same_map(centered.direction, family.direction)
+
+
+def test_3d_family_cascade_accumulates_with_feigenbaum_delta():
+    res = cascade.run_cascade(FOLD3D, 9)
+    assert abs(res.delta_estimates[-1] - DELTA) < 1e-4
+    assert abs(res.t_inf - 0.924214) < 1e-6
 
 
 # --- doubling detection ----------------------------------------------------
@@ -518,10 +564,8 @@ def test_cascade_time_budgets(logistic, henon):
 
 def test_cascade_error_carries_prefix(logistic):
     # no doubling exists in the window a in [1, 2]
-    squeezed = cascade.OneParamFamily(
-        kind="logistic-low", dim=1,
-        map_at=logistic.map_at, deriv_at=logistic.deriv_at,
-        param_range=(1.0, 2.0), bracket0=(1.2, 1.8), gap_hint=0.2,
+    squeezed = dataclasses.replace(
+        logistic, param_range=(1.0, 2.0), bracket0=(1.2, 1.8), gap_hint=0.2,
         start_at=lambda t: 0.5)
     with pytest.raises(BracketError) as err:
         cascade.run_cascade(squeezed, 3)

@@ -169,6 +169,22 @@ def test_bifdiag_every_orbit_escaping_exits_zero(tmp_path, capsys):
     assert csv_path.read_text().strip() == "t,x"
 
 
+def test_bifdiag_henon_drops_parameters_without_a_fixed_point(tmp_path, capsys):
+    # below a = -(1 - b)^2 / 4 no real fixed point gives the orbit a start
+    csv_path = tmp_path / "bif.csv"
+    assert cli.main(["bifdiag", "--family", "henon", "--tmin", "-1", "--tmax", "1",
+                     "--tn", "21", "--csv", str(csv_path), "--no-timestamp"]) == 0
+    lines = csv_path.read_text().strip().splitlines()[1:]
+    assert json.loads(capsys.readouterr().out)["rows"] == len(lines) > 0
+    assert min(float(line.split(",")[0]) for line in lines) > -0.7 ** 2 / 4
+
+
+def test_attractor_henon_without_a_fixed_point_is_an_escape_error(capsys):
+    assert cli.main(["attractor", "--family", "henon", "--t", "-0.5",
+                     "--no-timestamp"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "EscapeError"
+
+
 def usage_error(*args):
     r = run_cli(*args)
     assert r.returncode == 2

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,10 +26,8 @@ def test_a_shift_law_single(logistic):
 
 
 def test_a_without_doublings_raises(logistic):
-    low = cascade.OneParamFamily(
-        kind="logistic-low", dim=1,
-        map_at=logistic.map_at, deriv_at=logistic.deriv_at,
-        param_range=(1.0, 2.0), bracket0=(1.2, 1.8), gap_hint=0.2,
+    low = dataclasses.replace(
+        logistic, param_range=(1.0, 2.0), bracket0=(1.2, 1.8), gap_hint=0.2,
         start_at=lambda t: 0.5)
     with pytest.raises(BracketError):
         persistence.persistence_a(low, 6)
@@ -77,11 +76,21 @@ def test_manifold_chart_b_function(chart):
     # b(chi) is a of the linear family {chi + t v0} in the chart's own
     # cascade configuration
     chi = chart.psi0 + 0.01 * chart.v0
-    fam = cascade.linear_family(chi, chart.v0, chart.bracket0, chart.gap_hint,
-                                chart.start_at)
+    fam = cascade.linear_family(chi, chart.v0, chart.family.bracket0,
+                                chart.family.gap_hint, chart.family.start_at)
     val = persistence.chart_b(chart, chi)
     assert val == persistence.persistence_a(fam, chart.depth)
     assert val == pytest.approx(-0.01, abs=1e-5)
+
+
+def test_chart_cascade_makes_no_map_sums(chart, monkeypatch):
+    # the family through chi merges its tables once, when it is built
+    chi = chart.psi0 + 0.01 * chart.v0
+    sums = []
+    add = cascade.MapND.__add__
+    monkeypatch.setattr(cascade.MapND, "__add__", lambda a, b: sums.append(1) or add(a, b))
+    assert persistence.chart_b(chart, chi) == pytest.approx(-0.01, abs=1e-5)
+    assert sums == []
 
 
 def test_gradient_along_v0_is_minus_one(chart):

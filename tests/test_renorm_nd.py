@@ -338,7 +338,7 @@ def test_cascade_on_mapnd_family_matches_henon(henon, henon_cascade7):
     fam = cascade.linear_family(
         henon_mapnd(0.0), renorm_nd.MapND([[2, 0]], [[-1.0, 0.0]]),
         bracket0=henon.bracket0, gap_hint=henon.gap_hint,
-        start_at=henon.start_at, window=henon.param_range, dim=2)
+        start_at=henon.start_at, window=henon.param_range)
     res = cascade.run_cascade(fam, 4)
     assert np.allclose(res.params, henon_cascade7.params[:5], rtol=0, atol=1e-12)
 
