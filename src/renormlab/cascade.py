@@ -14,7 +14,10 @@ parameter is the same solve with t held fixed and no doubling row.
 
 Successive doubling parameters shrink geometrically, so the starting point
 for level N+1 is seeded from the last gap, and the accumulation parameter
-is produced by Aitken extrapolation of the t_N sequence.
+is produced by Aitken extrapolation of the t_N sequence.  The same bordered
+system, linearized at its solution, gives t_N's derivative along any
+direction w of maps (the family psi_t + e*w), and the extrapolation
+carries those derivatives in forward mode.
 
 Every map is a MapND, a polynomial of R^n for any n >= 1, the interval
 (n = 1) included.  Every family is affine in its parameter, psi_t = base +
@@ -25,6 +28,7 @@ the persistence module.
 """
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -231,6 +235,12 @@ def _dd_poly(terms, xh, xl):
             th, tl = _two_prod(mono[0][:, None], c)
             sh, sl = _dd_add(sh, sl, th, tl + mono[1][:, None] * c)
     return sh, sl
+
+
+def _poly(terms, x):
+    """The polynomial at every row of x (p, n) in binary64: (p, n_out)."""
+    exps, coeffs = terms
+    return np.prod(x[:, None, :] ** exps, axis=2) @ coeffs
 
 
 def _jacobian(m, pts):
@@ -481,7 +491,8 @@ def orbit(m, x, steps, keep=0):
     while done < steps:
         with np.errstate(over="ignore", invalid="ignore"):
             block = [x := advance(x) for _ in range(min(ESCAPE_CHECK, steps - done))]
-        imgs = np.reshape(np.asarray(block, dtype=float), (len(block), n))
+        coords = block if n == 1 else itertools.chain.from_iterable(block)
+        imgs = np.fromiter(coords, float, len(block) * n).reshape(len(block), n)
         ok = (np.abs(imgs) <= ESCAPE_LIMIT).all(axis=1)      # also catches nan
         if not ok.all():
             step = done + int(np.flatnonzero(~ok)[0]) + 1
@@ -530,18 +541,19 @@ def _adjugate(a):
     return signs * np.linalg.det(a[rows, cols])
 
 
-def _doubling_row(mono, prefix, jacs, hess, d_jac):
-    """Value, orbit gradient (p, n) and parameter derivative of the doubling
-    row det(M + I), from the prefix products P_k = J_(k-1)...J_0, the suffix
-    products S_k = J_(p-1)...J_(k+1) and adj(M + I): by Jacobi's formula its
-    derivative along any J_k is tr(P_k adj(M + I) S_k dJ_k).  hess holds
-    dJ_k/dx_j and d_jac dJ_k/dt, at every orbit point."""
+def _doubling_row(mono, prefix, jacs, hess, d_jacs):
+    """Value, orbit gradient (p, n) and derivatives along parameters of the
+    doubling row det(M + I), from the prefix products P_k = J_(k-1)...J_0,
+    the suffix products S_k = J_(p-1)...J_(k+1) and adj(M + I): by Jacobi's
+    formula its derivative along any J_k is tr(P_k adj(M + I) S_k dJ_k).
+    hess holds dJ_k/dx_j at every orbit point, and each entry of d_jacs
+    the dJ_k of one parameter."""
     eye = np.eye(mono.shape[0])
     rev = np.swapaxes(jacs[:0:-1], 1, 2)            # J_(p-1)^T, ..., J_1^T
     suffix = np.swapaxes(_scan(rev, rev[:, :, :0])[0][::-1], 1, 2)
     weight = prefix @ _adjugate(mono + eye) @ np.concatenate([suffix, eye[None]])
     return (np.linalg.det(mono + eye), np.einsum("kba,kabj->kj", weight, hess),
-            np.einsum("kba,kab->", weight, d_jac))
+            [np.einsum("kba,kab->", weight, d_jac) for d_jac in d_jacs])
 
 
 def _newton(fam, pts, t, doubling):
@@ -583,9 +595,9 @@ def _newton(fam, pts, t, doubling):
             rhs = off[-1, :, -1]
             res = float(np.max(np.abs(r)))
             if doubling:
-                g, grad, g_t = _doubling_row(prod[-1], prefix, jacs,
-                                             hi[:, :, n + 1:].reshape(p, n, n, n),
-                                             d[:, :, 1:])
+                g, grad, (g_t,) = _doubling_row(prod[-1], prefix, jacs,
+                                                hi[:, :, n + 1:].reshape(p, n, n, n),
+                                                [d[:, :, 1:]])
                 res = max(res, abs(g))
                 border = np.vstack([border, np.append(
                     np.einsum("kj,kjl->l", grad, prefix),
@@ -619,6 +631,34 @@ def _newton(fam, pts, t, doubling):
         prev = size
     raise NoConvergenceError(f"no orbit convergence after {MAX_NEWTON} iterations",
                              last=last, residual=res)
+
+
+def _tangents(fam, pts, t, directions):
+    """dt/de at a doubling solution (pts, t) of psi_t, for the family
+    psi_t + e*w of each w in directions: by the implicit function theorem,
+    the bordered system's own linearization solved against dG/de, whose
+    orbit part is w along the orbit and whose doubling row is
+    tr(P_k adj(M + I) S_k Dw_k).  One scan and one (n+1) x (n+1) solve with
+    a right-hand side per direction."""
+    p, n = pts.shape
+    eye = np.eye(n)
+
+    def jet(m, order):                  # (p, n, blocks): f, then its partials
+        return _poly(_jet(m.terms, order), pts).reshape(p, n, -1)
+
+    f = jet(fam.map_at(t), 2)
+    ws = [jet(w, 1) for w in (fam.direction, *directions)]
+    jacs = f[:, :, 1:n + 1]
+    prod, off = _scan(jacs, np.stack([w[:, :, 0] for w in ws], axis=-1))
+    prefix = np.concatenate([eye[None], prod[:-1]])
+    offset = np.concatenate([np.zeros((1,) + off.shape[1:]), off[:-1]])
+    _, grad, rows = _doubling_row(prod[-1], prefix, jacs, f[:, :, n + 1:].reshape(p, n, n, n),
+                                  [w[:, :, 1:] for w in ws])
+    # column 0 is psi_t's own dt, the others are the right-hand sides
+    lin = np.einsum("kj,kjc->c", grad, offset) + rows
+    border = np.block([[eye - prod[-1], -off[-1, :, :1]],
+                       [np.einsum("kj,kjl->l", grad, prefix)[None], lin[:1, None]]])
+    return np.linalg.solve(border, np.vstack([off[-1, :, 1:], -lin[None, 1:]]))[n]
 
 
 def periodic_orbit(fam, t, period, guess):
@@ -656,13 +696,14 @@ def _orbit_by_iteration(fam, t, period):
     return periodic_orbit(fam, t, period, np.asarray(x))
 
 
-def find_doubling_bifurcation(fam, level, bracket, orbit_lo=None):
+def find_doubling_bifurcation(fam, level, bracket, orbit_lo=None, directions=()):
     """Parameter where the period-2^level orbit's multiplier crosses -1.
 
     One Newton solve of the doubling system, started from the orbit at the
     bracket's lower end, where it is a sink (`orbit_lo`, or found there by
     iteration).  Returns a DoubleDouble; a solution outside the bracket
-    raises BracketError.
+    raises BracketError.  Given directions, MapNDs w, returns it with the
+    array of its derivatives d/de along them, for the families psi_t + e*w.
     """
     period = 2 ** level
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
@@ -670,11 +711,13 @@ def find_doubling_bifurcation(fam, level, bracket, orbit_lo=None):
         raise BracketError(f"empty bracket ({t_lo}, {t_hi})")
     if orbit_lo is None:
         orbit_lo = _orbit_by_iteration(fam, t_lo, period)
-    _, th, tl = _newton(fam, orbit_lo, t_lo, doubling=True)
+    pts, th, tl = _newton(fam, orbit_lo, t_lo, doubling=True)
     if not t_lo < th < t_hi:
         raise BracketError(
             f"the period-{period} orbit doubles at t={th:.9g}, outside the "
             f"bracket ({t_lo:.6g}, {t_hi:.6g})")
+    if directions:
+        return DoubleDouble(th, tl), _tangents(fam, pts, th, directions)
     return DoubleDouble(th, tl)
 
 
@@ -684,6 +727,7 @@ class CascadeResult:
     delta_estimates: tuple        # gap ratios, one per interior level
     t_inf: float
     t_inf_error: float
+    t_inf_tangents: tuple = ()    # d t_inf / de along each direction asked for
 
     @property
     def params(self):
@@ -694,58 +738,73 @@ class CascadeResult:
 class AccumulationEstimate:
     value: float
     error: float
+    tangents: tuple = ()          # d value / de, given the terms' d/de
 
 
-def accumulation_parameter(sequence, delta=None):
+def accumulation_parameter(sequence, delta=None, tangents=None):
     """Iterated Aitken extrapolation of the doubling-parameter sequence.
 
     Exact for geometric sequences.  Works on offsets from the last term, so
     DoubleDouble terms keep their low parts.  The attached error estimate
-    is the geometric-tail bound |t_inf - t_last| / (delta - 1).
+    is the geometric-tail bound |t_inf - t_last| / (delta - 1).  Given the
+    terms' derivatives along some directions, tangents (len, K), the value's
+    are carried through the same recurrence in forward mode.
     """
     seq = sequence.params if isinstance(sequence, CascadeResult) else list(sequence)
     if len(seq) < 4:
         raise InsufficientDataError(
             f"need at least 4 doubling parameters, got {len(seq)}")
     ref = seq[-1]
-    cur = [_diff(v, ref) for v in seq]
+    cur = np.array([_diff(v, ref) for v in seq])
+    tan = np.zeros((len(seq), 0)) if tangents is None else np.array(tangents, dtype=float)
+    dcur = tan - tan[-1]
     gaps = np.diff(cur)
     scale = max(abs(float(ref)), 1.0)
     while len(cur) >= 3:
-        nxt = []
-        for i in range(len(cur) - 2):
-            d1 = cur[i + 1] - cur[i]
-            d2 = cur[i + 2] - cur[i + 1]
-            den = d2 - d1
-            if abs(den) < 1e-15 * scale:
-                nxt = []
-                break
-            nxt.append(cur[i + 2] - d2 * d2 / den)
-        if not nxt:
+        d = np.diff(cur)
+        den = np.diff(d)
+        if np.any(np.abs(den) < 1e-15 * scale):
             break
-        cur = nxt
-    offset = cur[-1]
+        dd = np.diff(dcur, axis=0)
+        dden = np.diff(dd, axis=0)
+        # x2 - d2^2/den, and its derivative x2' - d2 (2 d2' den - d2 den') / den^2
+        d2 = d[1:, None]
+        dcur = dcur[2:] - d2 * (2.0 * dd[1:] * den[:, None] - d2 * dden) / (den * den)[:, None]
+        cur = cur[2:] - d[1:] * d[1:] / den
+    offset = float(cur[-1])
     if delta is None:
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = abs(gaps[-2] / gaps[-1]) if abs(gaps[-1]) > 0 else 4.0
     delta = max(float(delta), 1.0 + 1e-9)
     err = abs(offset) * (1.0 / delta) / (1.0 - 1.0 / delta)
     return AccumulationEstimate(float(ref) + (getattr(ref, "lo", 0.0) + offset),
-                                float(err))
+                                float(err), tuple((tan[-1] + dcur[-1]).tolist()))
 
 
-def run_cascade(fam, n_max):
+def run_cascade(fam, n_max, directions=()):
     """Doubling parameters t_0 .. t_n_max, gap ratios, and the accumulation.
 
     Level N+1 starts just past t_N, at 0.08 of the last gap, where the
     period-2^(N+1) orbit is a sink; its solution must lie within half the
     last gap, which holds once gaps shrink faster than 2.  Gaps, ratios and
-    the extrapolation use the parameters' low parts.  On failure the
-    exception carries the completed prefix in `.completed`.
+    the extrapolation use the parameters' low parts.  Given directions,
+    MapNDs w, t_inf_tangents holds the exact derivative of t_inf for the
+    families psi_t + e*w at e = 0: every t_N's tangent, extrapolated
+    through the same recurrence.  On failure the exception carries the
+    completed prefix in `.completed`.
     """
-    ts = []
+    directions = tuple(directions)
+    ts, tangents = [], []
+
+    def solve(level, bracket, orbit_lo=None):
+        found = find_doubling_bifurcation(fam, level, bracket, orbit_lo, directions=directions)
+        if directions:
+            found, tangent = found
+            tangents.append(tangent)
+        ts.append(found)
+
     try:
-        ts.append(find_doubling_bifurcation(fam, 0, fam.bracket0))
+        solve(0, fam.bracket0)
         for level in range(1, n_max + 1):
             if len(ts) >= 2:
                 gap = _diff(ts[-1], ts[-2])
@@ -755,20 +814,19 @@ def run_cascade(fam, n_max):
                 # provisional: gap_hint estimates the first gap itself
                 lo = ts[-1] + 0.15 * fam.gap_hint
                 hi = min(ts[-1] + 1.4 * fam.gap_hint, fam.param_range[1])
-            orbit_lo = _orbit_by_iteration(fam, lo, 2 ** level)
-            ts.append(find_doubling_bifurcation(fam, level, (lo, hi),
-                                                orbit_lo=orbit_lo))
+            solve(level, (lo, hi), _orbit_by_iteration(fam, lo, 2 ** level))
     except RenormLabError as exc:
         exc.completed = tuple(enumerate(ts))
         raise
     gaps = [_diff(b, a) for a, b in zip(ts, ts[1:])]
     deltas = tuple(gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1))
     if len(ts) >= 4:
-        acc = accumulation_parameter(ts, delta=deltas[-1])
-        t_inf, t_err = acc.value, acc.error
+        acc = accumulation_parameter(ts, delta=deltas[-1], tangents=tangents or None)
+        t_inf, t_err, t_inf_tangents = acc.value, acc.error, acc.tangents
     else:                                   # too short to extrapolate
         t_inf = t_err = float("nan")
-    return CascadeResult(tuple(enumerate(ts)), deltas, t_inf, t_err)
+        t_inf_tangents = (float("nan"),) * len(directions)
+    return CascadeResult(tuple(enumerate(ts)), deltas, t_inf, t_err, t_inf_tangents)
 
 
 def lyapunov_exponent(fam, t, n_transient=1000, n_iter=20000, x0=None):
@@ -793,7 +851,8 @@ def lyapunov_exponent(fam, t, n_transient=1000, n_iter=20000, x0=None):
     # the derivative is taken at the n_iter points before each step; the
     # step after the last one is kept only for its escape check
     pts = orbit(m, x0, n_transient + n_iter, keep=n_iter + 1)[1][:-1]
-    jacs = m.jac(pts)
+    # binary64: the exponent needs the derivatives to rounding, not their low parts
+    jacs = _poly(_jet(m.terms, 1), pts).reshape(n_iter, fam.dim, -1)[:, :, 1:]
     scale = np.frexp(np.max(np.abs(jacs), axis=(1, 2)))[1]
     total = math.log(2.0) * float(np.sum(scale))
     eye = np.eye(fam.dim)

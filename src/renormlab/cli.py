@@ -186,9 +186,7 @@ def _cmd_ndcheck(cfg):
 def _cmd_manifold(cfg):
     fam = _family(cfg)
     chart = persistence_mod.build_chart(fam, cfg["depth"])
-    b0 = persistence_mod.chart_b(chart, chart.psi0)
-    grads = persistence_mod.chart_gradient(
-        chart, [chart.v0, 2.0 * chart.v0], h=cfg["h"])
+    b0, grads = persistence_mod.chart_gradient(chart, [chart.v0, 2.0 * chart.v0])
     shift_dev = persistence_mod.verify_shift_property(fam, cfg["shifts"],
                                                       cfg["depth"], chart.t_inf)
     return {
@@ -265,7 +263,6 @@ _COMMANDS = {
     "manifold": Command(_cmd_manifold, "persistence chart: b, gradient, shift law", [
         _FAMILY,
         Option("depth", int, 8, check=_within(6, cascade_mod.MAX_LEVEL)),
-        Option("h", float, 1e-3, check=_POSITIVE),
         _B,
         Option("shifts", float, (-0.05, 0.05), many=True,
                check=(lambda v, _: all(abs(t) < 0.5 for t in v), "must each lie in (-0.5, 0.5)")),

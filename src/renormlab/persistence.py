@@ -9,6 +9,12 @@ on the local codimension-one manifold surrogate, b(psi0) = 0 at the base
 point, the shift law a(shifted by t0) = a - t0 holds to solver
 precision, and the directional derivative of b along v0 is -1.
 
+The gradient of b is the exact derivative of the depth-N b, not a
+difference quotient: every t_N's derivative along a direction w comes from
+the linearization of the Newton system that defines t_N, and is carried
+through the same extrapolation that gives a.  One cascade gives b and its
+derivatives along any number of directions.
+
 b is computed through cascades, not through renormalization distance to
 the 1-D fixed point, so the same chart machinery works for families far
 from the standard map (Henon included).
@@ -83,23 +89,23 @@ def chart_b(chart, chi):
     return persistence_a(chart.family_through(chi), chart.depth)
 
 
-def chart_gradient(chart, probe_dirs, h=1e-3):
-    """Central-difference directional derivatives of b at the base map.
+def chart_gradient(chart, probe_dirs):
+    """b at the base map and its directional derivatives along the probe
+    directions, from one cascade.
 
-    Along v0 the value is -1 (the transversal normalization); a zero probe
-    gives exactly 0.  Returns one derivative per probe direction.
+    Each derivative is the exact derivative of the depth-N b, from the
+    tangents of the doubling solutions (see run_cascade), with no step size.
+    Along v0 it is -1 (the transversal normalization) and along a zero
+    probe exactly 0.  Returns (b, one derivative per probe direction).
     """
-    out = []
-    for w in probe_dirs:
-        plus = chart_b(chart, chart.psi0 + h * w)
-        minus = chart_b(chart, chart.psi0 + (-h) * w)
-        out.append((plus - minus) / (2 * h))
-    return out
+    res = run_cascade(chart.family_through(chart.psi0), chart.depth, directions=probe_dirs)
+    return res.t_inf, list(res.t_inf_tangents)
 
 
 def chart_validity_radius(chart, h_values=(1e-3, 1e-2, 0.05, 0.1, 0.2),
                           tol=0.05):
-    """Largest probe size at which db/dv0 stays within tol of -1.
+    """Largest probe size h at which the difference quotient of b along v0,
+    over [-h, h], stays within tol of -1.
 
     The chart is only locally valid; this reports the empirically usable
     radius instead of deriving one.
@@ -107,10 +113,11 @@ def chart_validity_radius(chart, h_values=(1e-3, 1e-2, 0.05, 0.1, 0.2),
     largest = 0.0
     for h in sorted(h_values):
         try:
-            grad = chart_gradient(chart, [chart.v0], h=h)[0]
+            plus = chart_b(chart, chart.psi0 + h * chart.v0)
+            minus = chart_b(chart, chart.psi0 + (-h) * chart.v0)
         except RenormLabError:
             break
-        if abs(grad + 1.0) > tol:
+        if abs((plus - minus) / (2 * h) + 1.0) > tol:
             break
         largest = h
     return largest

@@ -25,6 +25,18 @@ def henon():
 
 
 @pytest.fixture(scope="session")
+def fold3d():
+    """A 3-D family far from the standard map:
+    (x, y, z) -> (1 - a x^2 + y + 0.2 z, 0.3 x, 0.3 z + 0.4 x^2)."""
+    return cascade.OneParamFamily(
+        exponents=np.array([[0, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+        base=np.array([[1.0, 0, 0], [0, 0, 0.4], [1.0, 0, 0], [0.2, 0, 0.3], [0, 0.3, 0]]),
+        slope=np.array([[0.0, 0, 0], [-1.0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]),
+        param_range=(-1.0, 1.0), bracket0=(0.05, 0.6), gap_hint=0.5,
+        start_at=lambda a: (0.1, 0.03, 0.01))
+
+
+@pytest.fixture(scope="session")
 def logistic_cascade10(logistic):
     return cascade.run_cascade(logistic, 10)
 

@@ -110,17 +110,16 @@ def test_criterion_4_attractor_geometry():
 
 def test_criterion_5_persistence_identities():
     """b(psi0) = 0 +- 1e-5; shift law to 1e-5 for t0 = +-0.05; directional
-    derivative along v0 = -1 +- 5%; < 2 min."""
+    derivative along v0 = -1 +- 1e-12; < 2 min."""
     t0 = time.perf_counter()
     logistic = cascade.logistic_family()
     chart = persistence.build_chart(logistic, depth=8)
-    b0 = persistence.chart_b(chart, chart.psi0)
+    b0, (grad,) = persistence.chart_gradient(chart, [chart.v0])
     shift_dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], 8,
                                                  chart.t_inf)
-    grad = persistence.chart_gradient(chart, [chart.v0], h=1e-3)[0]
     elapsed = time.perf_counter() - t0
     ok = (abs(b0) <= 1e-5 and shift_dev < 1e-5
-          and abs(grad + 1.0) <= 0.05 and elapsed < 120)
+          and abs(grad + 1.0) <= 1e-12 and elapsed < 120)
     report(5, ok, f"b(psi0)={b0:.2e} shift_dev={shift_dev:.2e} "
                   f"db/dv0={grad:.6f} time={elapsed:.1f}s")
 

@@ -16,14 +16,6 @@ SQRT6 = math.sqrt(6.0)
 # accumulation parameter
 DELTA = 4.669201609102990
 R_INF = 3.569945671870945
-# ROADMAP item 1's 3-D map, far from the standard one:
-# (x, y, z) -> (1 - a x^2 + y + 0.2 z, 0.3 x, 0.3 z + 0.4 x^2)
-FOLD3D = cascade.OneParamFamily(
-    exponents=np.array([[0, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]]),
-    base=np.array([[1.0, 0, 0], [0, 0, 0.4], [1.0, 0, 0], [0.2, 0, 0.3], [0, 0.3, 0]]),
-    slope=np.array([[0.0, 0, 0], [-1.0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]),
-    param_range=(-1.0, 1.0), bracket0=(0.05, 0.6), gap_hint=0.5,
-    start_at=lambda a: (0.1, 0.03, 0.01))
 
 
 @pytest.fixture(scope="module")
@@ -398,13 +390,14 @@ def test_family_derivative_consistency(logistic, henon):
         assert np.allclose(fd, dv, atol=1e-9)
 
 
-@pytest.mark.parametrize("family, ts", [
-    (cascade.logistic_family(), (2.9, 3.57, 4.0)),
-    (cascade.henon_family(), (0.3, 1.06, 1.4)),
-    (FOLD3D, (0.2, 0.92, 1.0)),
+@pytest.mark.parametrize("name, ts", [
+    ("logistic", (2.9, 3.57, 4.0)),
+    ("henon", (0.3, 1.06, 1.4)),
+    ("fold3d", (0.2, 0.92, 1.0)),
 ], ids=["logistic", "henon", "fold3d"])
-def test_builtin_families_are_linear_in_t(family, ts):
+def test_builtin_families_are_linear_in_t(request, name, ts):
     # bifdiag steps every parameter at once as psi_0 + t * d(psi_t)/dt
+    family = request.getfixturevalue(name)
     pts = np.random.default_rng(5).uniform(-1.5, 1.5, (100, family.dim))
     base, slope = family.map_at(0.0)(pts), family.direction(pts)
     for t in ts:
@@ -440,8 +433,8 @@ def test_recentered_map_is_the_map_at_the_shifted_parameter(family, t0, ts):
     assert _same_map(centered.direction, family.direction)
 
 
-def test_3d_family_cascade_accumulates_with_feigenbaum_delta():
-    res = cascade.run_cascade(FOLD3D, 9)
+def test_3d_family_cascade_accumulates_with_feigenbaum_delta(fold3d):
+    res = cascade.run_cascade(fold3d, 9)
     assert abs(res.delta_estimates[-1] - DELTA) < 1e-4
     assert abs(res.t_inf - 0.924214) < 1e-6
 
@@ -562,6 +555,21 @@ def test_cascade_time_budgets(logistic, henon):
     assert best_time(lambda: cascade.run_cascade(henon, 9)) < 0.40
 
 
+@pytest.mark.parametrize("name, depth", [("logistic", 10), ("henon", 7), ("fold3d", 8)])
+def test_tangents_leave_the_cascade_bit_identical(request, name, depth):
+    fam = request.getfixturevalue(name)
+    w = cascade.MapND(np.eye(fam.dim, dtype=int)[:1] * 3, np.eye(fam.dim)[:1])   # x^3 e_x
+    plain = cascade.run_cascade(fam, depth)
+    res = cascade.run_cascade(fam, depth, directions=[fam.direction, w])
+    assert [(t.hex(), t.lo.hex()) for t in res.params] == \
+        [(t.hex(), t.lo.hex()) for t in plain.params]
+    assert res.delta_estimates == plain.delta_estimates
+    assert (res.t_inf, res.t_inf_error) == (plain.t_inf, plain.t_inf_error)
+    assert plain.t_inf_tangents == () and len(res.t_inf_tangents) == 2
+    # moving along the family's own direction moves every t_N back by as much
+    assert res.t_inf_tangents[0] == pytest.approx(-1.0, abs=1e-12)
+
+
 def test_cascade_error_carries_prefix(logistic):
     # no doubling exists in the window a in [1, 2]
     squeezed = dataclasses.replace(
@@ -587,6 +595,19 @@ def test_aitken_exact_on_geometric():
     seq = [1.0 - 4.0 ** (-n) for n in range(6)]
     acc = cascade.accumulation_parameter(seq)
     assert acc.value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_aitken_tangent_is_exact_on_geometric():
+    # t_k = L - c q^k extrapolates to L whatever c and q, so the tangent of
+    # t_inf is dL/de alone, for every direction of (dL, dc, dq)
+    big_l, c, q = 3.5, 0.8, 1 / 4.669
+    grads = np.array([[1.0, 0.0, 0.0], [0.7, 0.3, 0.05], [0.0, -2.0, 0.1]]).T
+    k = np.arange(8.0)[:, None]
+    seq = (big_l - c * q ** k)[:, 0]
+    tangents = grads[0] - grads[1] * q ** k - c * k * q ** (k - 1) * grads[2]
+    acc = cascade.accumulation_parameter(seq, tangents=tangents)
+    assert acc.value == cascade.accumulation_parameter(seq).value
+    assert np.allclose(acc.tangents, grads[0], rtol=0, atol=1e-12)
 
 
 def test_aitken_insufficient_data():
@@ -622,6 +643,20 @@ def qr_lyapunov(fam, t, n_transient=1000, n_iter=8000):
 @pytest.mark.parametrize("a", [1.06, 1.1, 1.2, 1.3])
 def test_henon_lyapunov_matches_per_step_qr(henon, a):
     assert abs(cascade.lyapunov_exponent(henon, a, n_iter=8000) - qr_lyapunov(henon, a)) <= 1e-12
+
+
+def test_lyapunov_binary64_jacobians_match_double_double(logistic, monkeypatch):
+    # criterion 7's sink and chaos parameters, against the same exponent
+    # from double-double Jacobians
+    res = cascade.run_cascade(logistic, 6)
+    ts = res.params
+    params = ([0.5 * (a + b) for a, b in zip(ts[:5], ts[1:6])]
+              + list(np.linspace(res.t_inf + 0.3 / 50, res.t_inf + 0.3, 50)))
+    fast = [cascade.lyapunov_exponent(logistic, t, n_iter=8000) for t in params]
+    monkeypatch.setattr(cascade, "_poly",
+                        lambda terms, x: cascade._dd_poly(terms, x, np.zeros_like(x))[0])
+    exact = [cascade.lyapunov_exponent(logistic, t, n_iter=8000) for t in params]
+    assert np.max(np.abs(np.subtract(fast, exact))) <= 1e-12
 
 
 def test_lyapunov_rejects_negative_transient(logistic):

@@ -94,18 +94,44 @@ def test_chart_cascade_makes_no_map_sums(chart, monkeypatch):
 
 
 def test_gradient_along_v0_is_minus_one(chart):
-    grad = persistence.chart_gradient(chart, [chart.v0], h=1e-3)
-    assert grad[0] == pytest.approx(-1.0, rel=0.05)
+    b, grad = persistence.chart_gradient(chart, [chart.v0])
+    assert grad[0] == pytest.approx(-1.0, abs=1e-12)
+    assert b == persistence.chart_b(chart, chart.psi0)
 
 
 def test_gradient_zero_direction(chart):
-    grad = persistence.chart_gradient(chart, [0.0 * chart.v0], h=1e-3)
+    grad = persistence.chart_gradient(chart, [0.0 * chart.v0])[1]
     assert grad[0] == 0.0
 
 
 def test_gradient_homogeneity(chart):
-    grad = persistence.chart_gradient(chart, [2.0 * chart.v0], h=1e-3)
-    assert grad[0] == pytest.approx(-2.0, rel=0.05)
+    grad = persistence.chart_gradient(chart, [2.0 * chart.v0])[1]
+    assert grad[0] == pytest.approx(-2.0, abs=1e-12)
+
+
+def monomial(exponent, dim):
+    """The direction x^exponent e_x."""
+    return cascade.MapND([exponent], [[1.0] + [0.0] * (dim - 1)])
+
+
+@pytest.mark.parametrize("name, depth, exponents", [
+    ("logistic", 8, [(3,)]),                    # x^3 e_x
+    ("henon", 6, [(3, 0)]),                     # x^3 e_x
+    ("fold3d", 8, [(0, 0, 1), (1, 1, 0)]),      # z e_x and xy e_x
+])
+def test_gradient_matches_richardson_central_differences(request, name, depth, exponents):
+    fam = request.getfixturevalue(name)
+    chart = persistence.build_chart(fam, depth)
+    dirs = [monomial(e, fam.dim) for e in exponents]
+    grads = persistence.chart_gradient(chart, dirs)[1]
+
+    def central(w, h):
+        return (persistence.chart_b(chart, chart.psi0 + h * w)
+                - persistence.chart_b(chart, chart.psi0 + (-h) * w)) / (2 * h)
+
+    for w, grad in zip(dirs, grads):
+        richardson = (4 * central(w, 5e-4) - central(w, 1e-3)) / 3
+        assert abs(grad - richardson) < 1e-5
 
 
 def test_membership_consistency(chart):
@@ -129,7 +155,7 @@ def test_gradient_transverse_free_direction(chart):
     # quadratic x^2 direction reparametrizes the logistic family nonlinearly,
     # so probe with the family's own direction minus itself
     w = chart.v0 + (-1.0) * chart.v0
-    grad = persistence.chart_gradient(chart, [w], h=1e-3)
+    grad = persistence.chart_gradient(chart, [w])[1]
     assert grad[0] == 0.0
 
 
@@ -141,13 +167,13 @@ def test_chart_validity_radius(chart):
 def test_chart_works_in_2d(henon):
     chart2 = persistence.build_chart(henon, depth=6)
     assert abs(persistence.chart_b(chart2, chart2.psi0)) < 1e-4
-    grad = persistence.chart_gradient(chart2, [chart2.v0], h=1e-3)[0]
-    assert grad == pytest.approx(-1.0, rel=0.05)
+    grad = persistence.chart_gradient(chart2, [chart2.v0])[1][0]
+    assert grad == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_validity_radius_lets_bugs_propagate(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug")
-    monkeypatch.setattr(persistence, "chart_gradient", broken)
-    with pytest.raises(TypeError):
-        persistence.chart_validity_radius(SimpleNamespace(v0=None))
+    monkeypatch.setattr(persistence, "chart_b", broken)
+    with pytest.raises(TypeError, match="bug"):
+        persistence.chart_validity_radius(SimpleNamespace(psi0=0.0, v0=1.0))
