@@ -14,9 +14,9 @@ parameter is the same solve with t held fixed and no doubling row.
 
 Successive doubling parameters shrink geometrically, so the starting point
 for level N+1 is seeded from the last gap, and the accumulation parameter
-is produced by Aitken extrapolation of the t_N sequence.  The same bordered
-system, linearized at its solution, gives t_N's derivative along any
-direction w of maps (the family psi_t + e*w), and the extrapolation
+is produced by Aitken extrapolation of the t_N sequence.  t_N's derivative
+along a direction w of maps (the family psi_t + e*w) is one more
+right-hand side of the converged Newton system, and the extrapolation
 carries those derivatives in forward mode.
 
 Every map is a MapND, a polynomial of R^n for any n >= 1, the interval
@@ -243,16 +243,6 @@ def _poly(terms, x):
     return np.prod(x[:, None, :] ** exps, axis=2) @ coeffs
 
 
-def _jacobian(m, pts):
-    """Derivative of a map at one point (n,) -> (n, n), or at each row of a
-    stack (k, n) -> (k, n, n); column j holds the partials along axis j."""
-    x = np.asarray(pts, dtype=float)
-    n = x.shape[-1]
-    flat = x.reshape(-1, n)
-    hi = _dd_poly(_jet(m.terms, 1), flat, np.zeros_like(flat))[0]
-    return hi.reshape(x.shape[:-1] + (n, n + 1))[..., 1:]
-
-
 @functools.lru_cache(maxsize=64)
 def _step_factory(key, shape):
     """make(coeffs) -> step for one exponent table: step evaluates the map at
@@ -413,9 +403,11 @@ class MapND:
         return self.exponents, self.coeffs
 
     def jac(self, pts):
-        """Derivative at one point (n,) -> (n, n), or at each row of a stack
-        (m, n) -> (m, n, n); column j holds the partials along axis j."""
-        return _jacobian(self, pts)
+        """Binary64 derivative at one point (n,) -> (n, n), or at each row of
+        a stack (m, n) -> (m, n, n); column j holds the partials along axis j."""
+        x = np.asarray(pts, dtype=float)
+        jet = _poly(_jet(self.terms, 1), x.reshape(-1, self.dim))
+        return jet.reshape(x.shape + (-1,))[..., 1:]
 
     def __add__(self, other):
         if not isinstance(other, MapND) or other.dim != self.dim:
@@ -556,62 +548,83 @@ def _doubling_row(mono, prefix, jacs, hess, d_jacs):
             [np.einsum("kba,kab->", weight, d_jac) for d_jac in d_jacs])
 
 
-def _newton(fam, pts, t, doubling):
-    """Multiple-shooting Newton solve of the cyclic orbit equations
-    x_(i+1) = psi_t(x_i), i mod p, in all p points of `pts` (p, n), with t
-    held fixed or, when `doubling`, free and the row det(M + I) = 0 added.
+def _bordered(fam, slopes, xh, xl, th, tl):
+    """The Newton system of the cyclic orbit equations x_(i+1) = psi_t(x_i),
+    i mod p, at the orbit xh + xl (p, n) and t = th + tl, solved: an affine
+    scan z_(i+1) = J_i z_i + b_i dt + r_i along the orbit, a column per
+    right-hand side, closed by an (n+1) x (n+1) bordered solve.
 
-    Residuals and Jacobians are double-double, rounded to binary64; t's low
-    part enters as t_lo * d(psi_t)/dt.  Each step scans z_(i+1) = J_i z_i +
-    b_i dt + r_i along the orbit and closes it with an (n+1) x (n+1)
-    bordered solve.  Returns the orbit's high parts (p, n) and t as hi, lo;
-    raises NoConvergenceError after MAX_NEWTON iterations, on escape or on a
+    slopes are maps that move t.  None holds t fixed; the first, psi_t's own
+    direction, frees t (tl enters as tl times it) and adds the doubling row
+    det(M + I) = 0.  Each further w adds a right-hand side, the system's
+    derivative along psi_t + e*w: w(x_i) in the orbit equations and
+    tr(P_k adj(M + I) S_k Dw_k) in the doubling row.  The last is the
+    residual, double-double like the Jacobians, rounded to binary64.
+    Returns the largest residual, the Newton step's orbit part (p, n) and
+    every right-hand side's dt (none when t is fixed); a singular system
+    raises NoConvergenceError without `last`.
+    """
+    p, n = xh.shape
+    eye = np.eye(n)
+    free = len(slopes[:1])              # 1 when t is an unknown
+    jet = _jet(fam.map_at(th).terms, 1 + free)
+    hi, lo = (v.reshape(p, n, -1) for v in _dd_poly(jet, xh, xl))
+    ds = [_dd_poly(_jet(w.terms, 1), xh, xl)[0].reshape(p, n, -1) for w in slopes]
+    r = (hi[:, :, 0] - np.roll(xh, -1, axis=0)) + (lo[:, :, 0] - np.roll(xl, -1, axis=0))
+    jacs = hi[:, :, 1:n + 1]
+    if free:
+        r += tl * ds[0][:, :, 0]
+        jacs = jacs + tl * ds[0][:, :, 1:]
+    prod, off = _scan(jacs, np.stack([d[:, :, 0] for d in ds] + [r], axis=-1))
+    prefix = np.concatenate([eye[None], prod[:-1]])
+    offset = np.concatenate([np.zeros((1,) + off.shape[1:]), off[:-1]])
+    border = np.hstack([eye - prod[-1], -off[-1, :, :free]])
+    rhs = off[-1, :, free:]
+    res = float(np.max(np.abs(r)))
+    if free:
+        g, grad, rows = _doubling_row(prod[-1], prefix, jacs, hi[:, :, n + 1:].reshape(p, n, n, n),
+                                      [d[:, :, 1:] for d in ds])
+        res = max(res, abs(g))
+        # the doubling row's entry in each column; the residual's is g itself
+        lin = np.array([np.einsum("kj,kj->", grad, offset[:, :, c]) + row
+                        for c, row in enumerate(rows + [g])])
+        border = np.vstack([border, np.append(np.einsum("kj,kjl->l", grad, prefix), lin[0])])
+        rhs = np.vstack([rhs, -lin[1:]])
+    try:
+        sol = np.linalg.solve(border, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"singular orbit system: {exc}", residual=res) from exc
+    dx = prefix @ sol[:n, -1] + offset[:, :, -1]
+    if free:
+        dx += offset[:, :, 0] * sol[n, -1]
+    return res, dx, sol[n:].ravel()
+
+
+def _newton(fam, pts, t, doubling, directions=()):
+    """Multiple-shooting Newton solve of _bordered's system in all p points
+    of `pts` (p, n), with t held fixed or, when `doubling`, free.
+
+    Returns the orbit's high parts (p, n), t as hi, lo, and, by the implicit
+    function theorem, dt/de for the family psi_t + e*w of each w in
+    `directions`: more right-hand sides of the system at the solution.
+    Raises NoConvergenceError after MAX_NEWTON iterations, on escape or on a
     singular step, and WrongPeriodError if the orbit closes up early.
     """
     xh = np.array(pts, dtype=float).reshape(len(pts), -1)
     p, n = xh.shape
     xl = np.zeros_like(xh)
-    th, tl, dt = float(t), 0.0, 0.0
+    th, tl = float(t), 0.0
     prev = res = math.inf
-    eye = np.eye(n)
-    slope_jet = _jet(fam.direction.terms, 1) if doubling else None
+    slopes = [fam.direction] if doubling else []
     for _ in range(MAX_NEWTON):
         last = th if doubling else (xh[0, 0] if n == 1 else xh[0].copy())
         with np.errstate(all="ignore"):
-            jet = _jet(fam.map_at(th).terms, 1 + doubling)
-            hi, lo = (v.reshape(p, n, -1) for v in _dd_poly(jet, xh, xl))
-            r = ((hi[:, :, 0] - np.roll(xh, -1, axis=0))
-                 + (lo[:, :, 0] - np.roll(xl, -1, axis=0)))
-            jacs, cols = hi[:, :, 1:n + 1], r[:, :, None]
-            if doubling:
-                d = _dd_poly(slope_jet, xh, xl)[0].reshape(p, n, -1)
-                r += tl * d[:, :, 0]
-                jacs = jacs + tl * d[:, :, 1:]
-                cols = np.stack([d[:, :, 0], r], axis=-1)
-            prod, off = _scan(jacs, cols)
-            prefix = np.concatenate([eye[None], prod[:-1]])
-            offset = np.concatenate([np.zeros((1,) + off.shape[1:]), off[:-1]])
-            border = np.hstack([eye - prod[-1], -off[-1, :, :-1]])
-            rhs = off[-1, :, -1]
-            res = float(np.max(np.abs(r)))
-            if doubling:
-                g, grad, (g_t,) = _doubling_row(prod[-1], prefix, jacs,
-                                                hi[:, :, n + 1:].reshape(p, n, n, n),
-                                                [d[:, :, 1:]])
-                res = max(res, abs(g))
-                border = np.vstack([border, np.append(
-                    np.einsum("kj,kjl->l", grad, prefix),
-                    np.einsum("kj,kj->", grad, offset[:, :, 0]) + g_t)])
-                rhs = np.append(rhs, -g - np.einsum("kj,kj->", grad, offset[:, :, 1]))
             try:
-                sol = np.linalg.solve(border, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergenceError(f"singular orbit system: {exc}",
-                                         last=last, residual=res) from exc
-            dx = prefix @ sol[:n] + offset[:, :, -1]
-            if doubling:
-                dt = sol[n]
-                dx += offset[:, :, 0] * dt
+                res, dx, dts = _bordered(fam, slopes, xh, xl, th, tl)
+            except NoConvergenceError as exc:
+                exc.last = last
+                raise
+            dt = dts[-1] if doubling else 0.0
             xh, xl = _dd_add(xh, xl, dx, 0.0)
             th, tl = _dd_add(th, tl, dt, 0.0)
         if not (np.all(np.abs(xh) <= ESCAPE_LIMIT) and abs(th) <= ESCAPE_LIMIT):
@@ -627,38 +640,12 @@ def _newton(fam, pts, t, doubling):
                 i = int(close[0]) + 1
                 raise WrongPeriodError(f"orbit closes after {i} steps, not {p}",
                                        true_period=i)
-            return xh, th, tl
+            if directions:
+                dts = _bordered(fam, slopes + list(directions), xh, xl, th, tl)[2]
+            return xh, th, tl, dts[:-1]         # every dt but the Newton step's
         prev = size
     raise NoConvergenceError(f"no orbit convergence after {MAX_NEWTON} iterations",
                              last=last, residual=res)
-
-
-def _tangents(fam, pts, t, directions):
-    """dt/de at a doubling solution (pts, t) of psi_t, for the family
-    psi_t + e*w of each w in directions: by the implicit function theorem,
-    the bordered system's own linearization solved against dG/de, whose
-    orbit part is w along the orbit and whose doubling row is
-    tr(P_k adj(M + I) S_k Dw_k).  One scan and one (n+1) x (n+1) solve with
-    a right-hand side per direction."""
-    p, n = pts.shape
-    eye = np.eye(n)
-
-    def jet(m, order):                  # (p, n, blocks): f, then its partials
-        return _poly(_jet(m.terms, order), pts).reshape(p, n, -1)
-
-    f = jet(fam.map_at(t), 2)
-    ws = [jet(w, 1) for w in (fam.direction, *directions)]
-    jacs = f[:, :, 1:n + 1]
-    prod, off = _scan(jacs, np.stack([w[:, :, 0] for w in ws], axis=-1))
-    prefix = np.concatenate([eye[None], prod[:-1]])
-    offset = np.concatenate([np.zeros((1,) + off.shape[1:]), off[:-1]])
-    _, grad, rows = _doubling_row(prod[-1], prefix, jacs, f[:, :, n + 1:].reshape(p, n, n, n),
-                                  [w[:, :, 1:] for w in ws])
-    # column 0 is psi_t's own dt, the others are the right-hand sides
-    lin = np.einsum("kj,kjc->c", grad, offset) + rows
-    border = np.block([[eye - prod[-1], -off[-1, :, :1]],
-                       [np.einsum("kj,kjl->l", grad, prefix)[None], lin[:1, None]]])
-    return np.linalg.solve(border, np.vstack([off[-1, :, 1:], -lin[None, 1:]]))[n]
 
 
 def periodic_orbit(fam, t, period, guess):
@@ -684,7 +671,7 @@ def periodic_orbit(fam, t, period, guess):
 def orbit_multiplier(fam, t, orbit):
     """Eigenvalues of the derivative of the return map along the orbit,
     largest modulus first."""
-    jacs = _jacobian(fam.map_at(t), np.reshape(orbit, (len(orbit), fam.dim)))
+    jacs = fam.map_at(t).jac(np.reshape(orbit, (len(orbit), fam.dim)))
     eigs = np.linalg.eigvals(_chain(jacs))
     return list(eigs[np.argsort(-np.abs(eigs))])
 
@@ -696,28 +683,27 @@ def _orbit_by_iteration(fam, t, period):
     return periodic_orbit(fam, t, period, np.asarray(x))
 
 
-def find_doubling_bifurcation(fam, level, bracket, orbit_lo=None, directions=()):
+def find_doubling_bifurcation(fam, level, bracket, directions=()):
     """Parameter where the period-2^level orbit's multiplier crosses -1.
 
     One Newton solve of the doubling system, started from the orbit at the
-    bracket's lower end, where it is a sink (`orbit_lo`, or found there by
-    iteration).  Returns a DoubleDouble; a solution outside the bracket
-    raises BracketError.  Given directions, MapNDs w, returns it with the
-    array of its derivatives d/de along them, for the families psi_t + e*w.
+    bracket's lower end, where it is a sink, found there by iteration.
+    Returns a DoubleDouble; a solution outside the bracket raises
+    BracketError.  Given directions, MapNDs w, returns it with the array of
+    its derivatives d/de along them, for the families psi_t + e*w.
     """
     period = 2 ** level
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not t_lo < t_hi:
         raise BracketError(f"empty bracket ({t_lo}, {t_hi})")
-    if orbit_lo is None:
-        orbit_lo = _orbit_by_iteration(fam, t_lo, period)
-    pts, th, tl = _newton(fam, orbit_lo, t_lo, doubling=True)
+    _, th, tl, tangents = _newton(fam, _orbit_by_iteration(fam, t_lo, period), t_lo,
+                                  doubling=True, directions=directions)
     if not t_lo < th < t_hi:
         raise BracketError(
             f"the period-{period} orbit doubles at t={th:.9g}, outside the "
             f"bracket ({t_lo:.6g}, {t_hi:.6g})")
     if directions:
-        return DoubleDouble(th, tl), _tangents(fam, pts, th, directions)
+        return DoubleDouble(th, tl), tangents
     return DoubleDouble(th, tl)
 
 
@@ -796,8 +782,8 @@ def run_cascade(fam, n_max, directions=()):
     directions = tuple(directions)
     ts, tangents = [], []
 
-    def solve(level, bracket, orbit_lo=None):
-        found = find_doubling_bifurcation(fam, level, bracket, orbit_lo, directions=directions)
+    def solve(level, bracket):
+        found = find_doubling_bifurcation(fam, level, bracket, directions=directions)
         if directions:
             found, tangent = found
             tangents.append(tangent)
@@ -814,7 +800,7 @@ def run_cascade(fam, n_max, directions=()):
                 # provisional: gap_hint estimates the first gap itself
                 lo = ts[-1] + 0.15 * fam.gap_hint
                 hi = min(ts[-1] + 1.4 * fam.gap_hint, fam.param_range[1])
-            solve(level, (lo, hi), _orbit_by_iteration(fam, lo, 2 ** level))
+            solve(level, (lo, hi))
     except RenormLabError as exc:
         exc.completed = tuple(enumerate(ts))
         raise
@@ -851,8 +837,7 @@ def lyapunov_exponent(fam, t, n_transient=1000, n_iter=20000, x0=None):
     # the derivative is taken at the n_iter points before each step; the
     # step after the last one is kept only for its escape check
     pts = orbit(m, x0, n_transient + n_iter, keep=n_iter + 1)[1][:-1]
-    # binary64: the exponent needs the derivatives to rounding, not their low parts
-    jacs = _poly(_jet(m.terms, 1), pts).reshape(n_iter, fam.dim, -1)[:, :, 1:]
+    jacs = m.jac(pts)
     scale = np.frexp(np.max(np.abs(jacs), axis=(1, 2)))[1]
     total = math.log(2.0) * float(np.sum(scale))
     eye = np.eye(fam.dim)

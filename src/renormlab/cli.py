@@ -218,6 +218,13 @@ def _cmd_bifdiag(cfg):
             "t_range": [cfg["tmin"], cfg["tmax"]]}, _csv(("t", "x"), chunks)
 
 
+def finite(text):
+    """The type of every float option: nan and inf are usage errors."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _within(lo, hi=None):
     """The check of a closed integer range, [lo, hi] or, without hi, [lo, inf)."""
     if hi is None:
@@ -231,13 +238,13 @@ _POSITIVE = (lambda v, _: v > 0, "must be > 0")
 # config-file parsing and the usage checks are all built from these rows.
 _DEGREE = Option("degree", int, renorm1d.DEFAULT_DEGREE, check=_within(1, series.MAX_DEGREE))
 _FAMILY = Option("family", default="logistic", choices=("logistic", "henon"))
-_B = Option("b", float, 0.3, "Henon dissipation")
+_B = Option("b", finite, 0.3, "Henon dissipation")
 _OUT = Option("out", help="JSON report file (default: stdout)")
 
 _COMMANDS = {
     "fixpoint": Command(_cmd_fixpoint, "solve the doubling-renormalization fixed point", [
         _DEGREE,
-        Option("tol", float, renorm1d.DEFAULT_TOL, check=_POSITIVE),
+        Option("tol", finite, renorm1d.DEFAULT_TOL, check=_POSITIVE),
         Option("max_iters", int, 25, check=_within(1)),
         _OUT,
         Option("coeffs_out", help="also write the bare coefficient array (*.coeffs.json)")]),
@@ -252,7 +259,7 @@ _COMMANDS = {
         Option("points", int, 0, "orbit points (0 = auto)",
                check=(lambda v, cfg: v == 0 or v >= 2 ** (cfg["generations"] + 6),
                       "must be 0 (auto) or at least 2^(generations+6)")),
-        Option("t", float, None, "parameter (default: computed accumulation)"),
+        Option("t", finite, None, "parameter (default: computed accumulation)"),
         _B, _OUT,
         Option("csv", help="per-atom rows (generation, index, center, diameter)")]),
     "ndcheck": Command(_cmd_ndcheck, "renormalizability of the standard 2-D map, recursively", [
@@ -264,13 +271,13 @@ _COMMANDS = {
         _FAMILY,
         Option("depth", int, 8, check=_within(6, cascade_mod.MAX_LEVEL)),
         _B,
-        Option("shifts", float, (-0.05, 0.05), many=True,
+        Option("shifts", finite, (-0.05, 0.05), many=True,
                check=(lambda v, _: all(abs(t) < 0.5 for t in v), "must each lie in (-0.5, 0.5)")),
         _OUT]),
     "bifdiag": Command(_cmd_bifdiag, "bifurcation-diagram (t, x) sample CSV", [
         _FAMILY,
-        Option("tmin", float, 2.9, check=(lambda v, cfg: v < cfg["tmax"], "must be < --tmax")),
-        Option("tmax", float, 4.0),
+        Option("tmin", finite, 2.9, check=(lambda v, cfg: v < cfg["tmax"], "must be < --tmax")),
+        Option("tmax", finite, 4.0),
         Option("tn", int, 400, check=_within(2)),
         Option("transient", int, 400, check=_within(0)),
         Option("keep", int, 80, check=_within(1)),

@@ -25,6 +25,7 @@ from .errors import (DimensionError, DiskError, EscapeError, RefitError,
 from .series import AnalyticUnimodal
 
 _BOUND_STRIDE = 8     # every 8th ball point scores a candidate's upper bound
+_BOUND_CHUNK = 1024   # candidates per call of the bound margins; a 2-D round is one call
 _PRUNE_CHUNK = 16     # candidates per call of the full margins
 
 
@@ -270,15 +271,17 @@ def _best_candidate(psi, centers, linears, ball):
     ball points, the lowest index on ties: np.argmax over the full margins
     of every candidate, without computing most of them.
 
-    Margins on every _BOUND_STRIDE-th point bound the full margins from
-    above: a min over fewer points is no smaller, a max no larger.  Full
-    margins are computed in descending order of that bound, _PRUNE_CHUNK
-    candidates at a time, until no remaining bound can beat the best value
-    or tie it at a lower index.  MapND evaluates each row independently of
-    the others, so the subset margins are exactly those of the full scan.
+    Margins on every _BOUND_STRIDE-th point, _BOUND_CHUNK candidates at a
+    time, bound the full margins from above: a min over fewer points is no
+    smaller, a max no larger.  Full margins follow in descending order of
+    that bound, _PRUNE_CHUNK candidates at a time, until no remaining bound
+    can beat the best value or tie it at a lower index.  MapND evaluates
+    each row independently of the others, so chunks change no margin.
     """
     sub = np.ascontiguousarray(ball[::_BOUND_STRIDE])
-    bound = np.minimum(*_batched_margins(psi, centers, linears, sub))
+    bound = np.concatenate([np.minimum(*_batched_margins(
+        psi, centers[s:s + _BOUND_CHUNK], linears[s:s + _BOUND_CHUNK], sub))
+        for s in range(0, len(centers), _BOUND_CHUNK)])
     order = np.argsort(-bound, kind="stable")
     best = (-np.inf, -np.inf)        # (value, -index), below every candidate
     for s in range(0, len(order), _PRUNE_CHUNK):

@@ -659,6 +659,25 @@ def test_lyapunov_binary64_jacobians_match_double_double(logistic, monkeypatch):
     assert np.max(np.abs(np.subtract(fast, exact))) <= 1e-12
 
 
+@pytest.mark.parametrize("name, depth", [("logistic", 8), ("henon", 6)])
+def test_orbit_multiplier_binary64_jacobians_match_double_double(request, monkeypatch, name,
+                                                                 depth):
+    # the period-2^N orbit, N = 0..depth, midway between t_(N-1) and t_N,
+    # where it is a sink; t_(-1) is the first bracket's lower end
+    fam = request.getfixturevalue(name)
+    ts = [fam.bracket0[0]] + cascade.run_cascade(fam, depth).params
+    cases = [(0.5 * (a + b), 2 ** n) for n, (a, b) in enumerate(zip(ts, ts[1:]))]
+    orbits = [(t, cascade._orbit_by_iteration(fam, t, p)) for t, p in cases]
+    fast = [cascade.orbit_multiplier(fam, t, orb) for t, orb in orbits]
+    monkeypatch.setattr(cascade, "_poly",
+                        lambda terms, x: cascade._dd_poly(terms, x, np.zeros_like(x))[0])
+    for (t, orb), mults in zip(orbits, fast):
+        exact = np.array(cascade.orbit_multiplier(fam, t, orb))
+        # relative to the largest modulus: eigvals resolves a Henon orbit's
+        # contracting multiplier, b^p / the other, only to that scale
+        assert np.max(np.abs(np.subtract(mults, exact))) <= 1e-12 * np.max(np.abs(exact))
+
+
 def test_lyapunov_rejects_negative_transient(logistic):
     with pytest.raises(ValueError, match="n_transient must be >= 0"):
         cascade.lyapunov_exponent(logistic, 3.2, n_transient=-5, n_iter=100)

@@ -205,6 +205,18 @@ def test_bifdiag_empty_range_exits_2():
     usage_error("bifdiag", "--tmin", "4", "--tmax", "2.9")
 
 
+@pytest.mark.parametrize("args", [
+    ("bifdiag", "--tmin", "0", "--tmax", "inf"),
+    ("cascade", "--family", "henon", "--b", "nan"),
+    ("fixpoint", "--tol", "inf"),
+    ("attractor", "--t=-inf"),
+    ("manifold", "--shifts", "0.05", "nan"),
+], ids=["tmax-inf", "b-nan", "tol-inf", "t-minus-inf", "shifts-nan"])
+def test_non_finite_float_flags_are_usage_errors(args):
+    r = usage_error(*args)
+    assert "invalid finite value" in r.stderr
+
+
 def test_bifdiag_negative_keep_exits_2():
     usage_error("bifdiag", "--keep", "-3")
 
@@ -303,7 +315,8 @@ def test_error_object_serializes_last(monkeypatch, capsys, last, listed):
     ("fixpoint", "degree = abc\n"),
     ("manifold", "shifts =\n"),
     ("cascade", "family = cubic\n"),
-], ids=["bad-int", "empty-list", "bad-choice"])
+    ("bifdiag", "tmin = 0\ntmax = inf\n"),
+], ids=["bad-int", "empty-list", "bad-choice", "non-finite"])
 def test_bad_config_value_is_a_usage_error(tmp_path, cmd, text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -409,7 +422,7 @@ def sample_values(opt):
         return [next(c for c in opt.choices if c != opt.default)]
     if opt.many:
         return ["0.125", "-0.25"]
-    return [{int: "7", float: "0.375", str: "x.out"}[opt.type]]
+    return [{int: "7", cli.finite: "0.375", str: "x.out"}[opt.type]]
 
 
 @pytest.mark.parametrize("name, opt", [

@@ -246,6 +246,28 @@ def test_pruned_selection_equals_exhaustive_scan(search_rounds, level, rnd, chun
     assert (i, value) == exhaustive_best(*args)
 
 
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("rnd", [0, 11])
+def test_chunked_bound_pass_selects_as_one_call(search_rounds, level, rnd, monkeypatch):
+    # a 2-D round is one bound call at the real chunk size; in chunks of 100
+    # it must select the same candidate, and no margins call may take more
+    args = search_rounds[level][rnd]
+    assert len(args[1]) <= renorm_nd._BOUND_CHUNK
+    unchunked = renorm_nd._best_candidate(*args)
+    sizes, margins = [], renorm_nd._batched_margins
+
+    def counted(psi, centers, linears, ball):
+        sizes.append(len(centers))
+        return margins(psi, centers, linears, ball)
+
+    monkeypatch.setattr(renorm_nd, "_BOUND_CHUNK", 100)
+    monkeypatch.setattr(renorm_nd, "_batched_margins", counted)
+    assert renorm_nd._best_candidate(*args) == unchunked
+    bound_calls = [min(100, len(args[1]) - s) for s in range(0, len(args[1]), 100)]
+    assert len(bound_calls) > 1 and sizes[:len(bound_calls)] == bound_calls
+    assert max(sizes) <= 100
+
+
 def test_pruned_selection_takes_the_lowest_index_on_exact_ties(search_rounds):
     psi, centers, linears, ball = search_rounds[1][0]
     # every candidate twice, first in reverse order: each copy ties with one

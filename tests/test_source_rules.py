@@ -1,11 +1,14 @@
 """Source rules for the package, checked on its syntax trees.
 
 No handler may catch every exception (a bug would turn into a plausible
-result), and numpy is the only import outside the standard library.
+result), numpy is the only import outside the standard library, and every
+private module-level function is referenced somewhere outside its own
+definition (a leftover helper is dead code).
 """
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,28 @@ def violations(tree):
                 yield node.lineno, f"from {node.module} import"
 
 
+def names(node):
+    """Every name the code under node refers to or imports."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def unreferenced(tree, trees):
+    """The private module-level functions of tree that no module of trees
+    refers to outside the function's own definition."""
+    used = Counter(name for t in trees for name in names(t))
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.startswith("__")
+                and used[node.name] == Counter(names(node))[node.name]):
+            yield node.lineno, f"{node.name} is never referenced"
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_source_follows_the_rules(path):
     found = [f"{path.name}:{line}: {what}"
@@ -49,6 +74,27 @@ def test_source_follows_the_rules(path):
 ])
 def test_rules_catch_each_violation(source, expected):
     assert [what for _, what in violations(ast.parse(source))] == [expected]
+
+
+def test_every_private_function_is_referenced():
+    paths = sorted(SRC.glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    found = [f"{path.name}:{line}: {what}"
+             for path, tree in zip(paths, trees) for line, what in unreferenced(tree, trees)]
+    assert not found, found
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def _helper():\n    pass\n", ["_helper is never referenced"]),
+    ("def _down(n):\n    return _down(n - 1) if n else 0\n", ["_down is never referenced"]),
+    ("def _helper():\n    pass\n\nVALUE = _helper()\n", []),
+    ("def _helper():\n    pass\n\nTABLE = {'f': _helper}\n", []),
+    ("def __getattr__(name):\n    raise AttributeError(name)\n", []),
+    ("class Shape:\n    def _area(self):\n        pass\n", []),
+], ids=["unused", "only-recursive", "called", "stored", "dunder", "method"])
+def test_rule_catches_an_unreferenced_private_function(source, expected):
+    tree = ast.parse(source)
+    assert [what for _, what in unreferenced(tree, [tree])] == expected
 
 
 def test_rules_allow_stdlib_numpy_and_relative_imports():
