@@ -12,9 +12,12 @@ and t kept as hi + lo pairs), so the gaps between doubling parameters keep
 their digits far below the ulp of t.  A periodic orbit at a fixed
 parameter is the same solve with t held fixed and no doubling row.
 
-Successive doubling parameters shrink geometrically, so the starting point
-for level N+1 is seeded from the last gap, and the accumulation parameter
-is produced by Aitken extrapolation of the t_N sequence.  t_N's derivative
+Level N+1 starts by branch switching at level N's flip (Kuznetsov, ch.
+10): level N's orbit, traversed twice, moved along its flip eigenvector by
+the square root of the predicted gap, so no orbit is settled by iteration
+past level 1.  Successive doubling parameters shrink geometrically, so the
+gap is predicted from the last one, and the accumulation parameter is
+produced by Aitken extrapolation of the t_N sequence.  t_N's derivative
 along a direction w of maps (the family psi_t + e*w) is one more
 right-hand side of the converged Newton system, and the extrapolation
 carries those derivatives in forward mode.
@@ -635,11 +638,13 @@ def _newton(fam, pts, t, doubling, directions=()):
         # parts, and leaves an error far below binary64's resolution
         scale = max(1.0, abs(th), float(np.max(np.abs(xh))))
         if size <= 2.0 ** -56 * scale or (size <= 1e-10 and size >= 0.5 * prev):
-            close = np.flatnonzero(np.max(np.abs(xh[1:] - xh[0]), axis=1) < DISTINCT_TOL)
-            if close.size:
-                i = int(close[0]) + 1
-                raise WrongPeriodError(f"orbit closes after {i} steps, not {p}",
-                                       true_period=i)
+            # the true period is the least divisor q of p that shifts the
+            # whole orbit onto itself; one pair of close points is no proof
+            small = [d for d in range(1, math.isqrt(p) + 1) if p % d == 0]
+            for q in sorted(set(small + [p // d for d in small]))[:-1]:
+                if np.max(np.abs(xh - np.roll(xh, -q, axis=0))) < DISTINCT_TOL:
+                    raise WrongPeriodError(f"orbit closes after {q} steps, not {p}",
+                                           true_period=q)
             if directions:
                 dts = _bordered(fam, slopes + list(directions), xh, xl, th, tl)[2]
             return xh, th, tl, dts[:-1]         # every dt but the Newton step's
@@ -668,12 +673,36 @@ def periodic_orbit(fam, t, period, guess):
     return pts[:, 0].tolist() if fam.dim == 1 else list(pts)
 
 
+def _mantissa_product(values):
+    """The product of a 1-D array as (mantissa, binary exponent): pairwise,
+    in ceil(log2 p) rounds, renormalized by frexp after each, so that no
+    partial product leaves the range of binary64."""
+    mant, exp = np.frexp(values)
+    total = int(exp.sum())
+    while len(mant) > 1:
+        mant, exp = np.frexp(np.append(mant, np.ones(len(mant) % 2)).reshape(-1, 2).prod(axis=1))
+        total += int(exp.sum())
+    return float(mant[0]), total
+
+
 def orbit_multiplier(fam, t, orbit):
-    """Eigenvalues of the derivative of the return map along the orbit,
-    largest modulus first."""
+    """Eigenvalues of the derivative M of the return map along the orbit,
+    largest modulus first.
+
+    eigvals resolves M's eigenvalues only to the scale of M's entries, so
+    the least-modulus one is det(M) over the product of the others, det(M)
+    the product of the Jacobians' determinants, carried as mantissa and
+    binary exponent.
+    """
     jacs = fam.map_at(t).jac(np.reshape(orbit, (len(orbit), fam.dim)))
     eigs = np.linalg.eigvals(_chain(jacs))
-    return list(eigs[np.argsort(-np.abs(eigs))])
+    eigs = eigs[np.argsort(-np.abs(eigs))]
+    rest = np.prod(eigs[:-1])
+    if rest != 0:
+        mant, exp = _mantissa_product(np.linalg.det(jacs))
+        # two powers of two: 2^exp alone may leave binary64's range
+        eigs[-1] = mant / rest * np.ldexp(1.0, exp // 2) * np.ldexp(1.0, exp - exp // 2)
+    return list(eigs)
 
 
 def _orbit_by_iteration(fam, t, period):
@@ -683,7 +712,23 @@ def _orbit_by_iteration(fam, t, period):
     return periodic_orbit(fam, t, period, np.asarray(x))
 
 
-def find_doubling_bifurcation(fam, level, bracket, directions=()):
+def _flip_direction(fam, t, pts):
+    """A doubling orbit (p, n) at its t_N, rolled so that point 0 has the
+    smallest Jacobian norm, nearest the fold, and its flip direction w at
+    unit RMS: w_0 spans the kernel of M + I, and w_(i+1) = J_i w_i, so
+    w_(i+p) = -w_i.  Point 0's phase sets the conditioning of the next
+    level's bordered solve."""
+    jacs = fam.map_at(t).jac(pts)
+    first = int(np.argmin(np.linalg.norm(jacs, axis=(1, 2))))
+    pts, jacs = np.roll(pts, -first, axis=0), np.roll(jacs, -first, axis=0)
+    prefix = _scan(jacs, jacs[..., :0])[0]
+    adj = _adjugate(prefix[-1] + np.eye(fam.dim))
+    v = adj[:, np.argmax(np.linalg.norm(adj, axis=0))]
+    w = np.vstack([v, prefix[:-1] @ v])
+    return pts, w / np.sqrt(np.mean(w * w))
+
+
+def find_doubling_bifurcation(fam, level, bracket, directions=(), seed=None):
     """Parameter where the period-2^level orbit's multiplier crosses -1.
 
     One Newton solve of the doubling system, started from the orbit at the
@@ -691,17 +736,23 @@ def find_doubling_bifurcation(fam, level, bracket, directions=()):
     Returns a DoubleDouble; a solution outside the bracket raises
     BracketError.  Given directions, MapNDs w, returns it with the array of
     its derivatives d/de along them, for the families psi_t + e*w.
+
+    A seed (points (2^level, n), t) starts the solve there instead; then
+    the result is the triple (t_N, derivatives, the converged orbit's
+    points), the derivatives empty without directions.
     """
     period = 2 ** level
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not t_lo < t_hi:
         raise BracketError(f"empty bracket ({t_lo}, {t_hi})")
-    _, th, tl, tangents = _newton(fam, _orbit_by_iteration(fam, t_lo, period), t_lo,
-                                  doubling=True, directions=directions)
+    pts, t = (_orbit_by_iteration(fam, t_lo, period), t_lo) if seed is None else seed
+    xh, th, tl, tangents = _newton(fam, pts, t, doubling=True, directions=directions)
     if not t_lo < th < t_hi:
         raise BracketError(
             f"the period-{period} orbit doubles at t={th:.9g}, outside the "
             f"bracket ({t_lo:.6g}, {t_hi:.6g})")
+    if seed is not None:
+        return DoubleDouble(th, tl), tangents, xh
     if directions:
         return DoubleDouble(th, tl), tangents
     return DoubleDouble(th, tl)
@@ -770,37 +821,53 @@ def accumulation_parameter(sequence, delta=None, tangents=None):
 def run_cascade(fam, n_max, directions=()):
     """Doubling parameters t_0 .. t_n_max, gap ratios, and the accumulation.
 
-    Level N+1 starts just past t_N, at 0.08 of the last gap, where the
-    period-2^(N+1) orbit is a sink; its solution must lie within half the
-    last gap, which holds once gaps shrink faster than 2.  Gaps, ratios and
-    the extrapolation use the parameters' low parts.  Given directions,
-    MapNDs w, t_inf_tangents holds the exact derivative of t_inf for the
-    families psi_t + e*w at e = 0: every t_N's tangent, extrapolated
-    through the same recurrence.  On failure the exception carries the
-    completed prefix in `.completed`.
+    Level N+1 is bracketed just past t_N, between 0.08 and 0.5 of the last
+    gap, which holds it once gaps shrink faster than 2.  Levels 0 and 1
+    start from the sink that iteration finds at the bracket's lower end.
+    Every later level starts by branch switching at the flip of the one
+    before: level N's orbit x, doubled, moved along its doubled flip
+    direction (w, -w) by k sqrt(dt), at t_N + dt.  dt is the last gap over
+    the last gap ratio (4.67 before one exists).  k is 2/3 of level N's own
+    amplitude, |<(w, -w), y - (x, x)>| / |(w, -w)|^2 / sqrt(t_N - t_(N-1))
+    for its orbit y against level N-1's x and w: that amplitude shrinks by
+    about 2/3 per level.  Gaps, ratios and the extrapolation use the
+    parameters' low parts.  Given directions, MapNDs w, t_inf_tangents
+    holds the exact derivative of t_inf for the families psi_t + e*w at
+    e = 0: every t_N's tangent, extrapolated through the same recurrence.
+    On failure the exception carries the completed prefix in `.completed`.
     """
     directions = tuple(directions)
     ts, tangents = [], []
-
-    def solve(level, bracket):
-        found = find_doubling_bifurcation(fam, level, bracket, directions=directions)
-        if directions:
-            found, tangent = found
-            tangents.append(tangent)
-        ts.append(found)
-
     try:
-        solve(0, fam.bracket0)
-        for level in range(1, n_max + 1):
-            if len(ts) >= 2:
-                gap = _diff(ts[-1], ts[-2])
-                lo = ts[-1] + 0.08 * gap
-                hi = ts[-1] + 0.5 * gap
-            else:
+        for level in range(n_max + 1):
+            if level == 0:
+                lo, hi = fam.bracket0
+            elif level == 1:
                 # provisional: gap_hint estimates the first gap itself
                 lo = ts[-1] + 0.15 * fam.gap_hint
                 hi = min(ts[-1] + 1.4 * fam.gap_hint, fam.param_range[1])
-            solve(level, (lo, hi))
+            else:
+                gap = _diff(ts[-1], ts[-2])
+                lo, hi = ts[-1] + 0.08 * gap, ts[-1] + 0.5 * gap
+            if level < 2:
+                seed = (_orbit_by_iteration(fam, lo, 2 ** level), lo)
+            else:
+                dt = gap / (_diff(ts[-2], ts[-3]) / gap if level > 2 else 4.67)
+                x, w = flip
+                seed = (np.vstack([x, x]) + (2.0 / 3.0) * k * math.sqrt(dt) * np.vstack([w, -w]),
+                        float(ts[-1]) + dt)
+            t, tangent, pts = find_doubling_bifurcation(fam, level, (lo, hi), directions,
+                                                        seed=seed)
+            ts.append(t)
+            if directions:
+                tangents.append(tangent)
+            if level < n_max:
+                if level:
+                    # <(w, -w), y - (x, x)> = <w, y_front - y_back>: x cancels
+                    w = flip[1]
+                    k = (abs(np.sum(w * (pts[:len(w)] - pts[len(w):]))) / (2.0 * w.size)
+                         / math.sqrt(_diff(ts[-1], ts[-2])))
+                flip = _flip_direction(fam, t, pts)
     except RenormLabError as exc:
         exc.completed = tuple(enumerate(ts))
         raise

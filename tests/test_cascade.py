@@ -549,9 +549,9 @@ def best_time(fn, runs=3):
 
 
 def test_cascade_time_budgets(logistic, henon):
-    # a fifth of the bisecting solver's 12.2 s for logistic level 15, and
-    # its 0.40 s for Henon level 9
-    assert best_time(lambda: cascade.run_cascade(logistic, 15), runs=1) < 12.2 / 5
+    # logistic level 15 took 12.2 s with the bisecting solver and 0.75 s
+    # with a settle orbit at every level; Henon level 9 took 0.40 s bisecting
+    assert best_time(lambda: cascade.run_cascade(logistic, 15), runs=1) < 1.2
     assert best_time(lambda: cascade.run_cascade(henon, 9)) < 0.40
 
 
@@ -568,6 +568,71 @@ def test_tangents_leave_the_cascade_bit_identical(request, name, depth):
     assert plain.t_inf_tangents == () and len(res.t_inf_tangents) == 2
     # moving along the family's own direction moves every t_N back by as much
     assert res.t_inf_tangents[0] == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["logistic", "henon"])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 6])
+def test_only_levels_0_and_1_settle_by_iteration(request, monkeypatch, name, n_max):
+    # every later level starts from the last orbit, doubled along its flip
+    calls = []
+    settle = cascade._orbit_by_iteration
+
+    def counted(fam, t, period):
+        calls.append(period)
+        return settle(fam, t, period)
+    monkeypatch.setattr(cascade, "_orbit_by_iteration", counted)
+    cascade.run_cascade(request.getfixturevalue(name), n_max)
+    assert calls == [1, 2][:n_max + 1]
+
+
+def count_newton_steps(monkeypatch, fam, n_max):
+    """Newton iterations of a cascade: one bordered solve each."""
+    calls = []
+    bordered = cascade._bordered
+
+    def counted(*args):
+        calls.append(1)
+        return bordered(*args)
+    monkeypatch.setattr(cascade, "_bordered", counted)
+    cascade.run_cascade(fam, n_max)
+    return len(calls)
+
+
+def test_branch_switching_saves_newton_steps(logistic, henon, monkeypatch):
+    # with a settle orbit and a fixed-t polish at every level these were
+    # 120 and 92
+    assert count_newton_steps(monkeypatch, logistic, 13) <= 80
+    assert count_newton_steps(monkeypatch, henon, 9) <= 72
+
+
+# the high parts of logistic t_0 .. t_16 when every level started from a
+# settle orbit polished at fixed t
+LOGISTIC_T_HEX = (
+    "0x1.8000000000000p+1", "0x1.b988e1409212fp+1", "0x1.c5a4c0be2c14fp+1",
+    "0x1.c83e7f4ec0987p+1", "0x1.c8cd1bd11dc86p+1", "0x1.c8eba79873882p+1",
+    "0x1.c8f23260a7137p+1", "0x1.c8f39910e5a4dp+1", "0x1.c8f3e5e2da669p+1",
+    "0x1.c8f3f656b30d7p+1", "0x1.c8f3f9dcbf79ep+1", "0x1.c8f3fa9df06aap+1",
+    "0x1.c8f3fac750942p+1", "0x1.c8f3fad02d187p+1", "0x1.c8f3fad212f13p+1",
+    "0x1.c8f3fad27afeep+1", "0x1.c8f3fad29147ep+1")
+
+
+def test_logistic_doubling_parameters_keep_their_high_parts(logistic_cascade16):
+    for t, ref in zip(logistic_cascade16.params, LOGISTIC_T_HEX, strict=True):
+        ref = float.fromhex(ref)
+        assert abs(float(t) - ref) <= 2 * math.ulp(ref), (t.hex(), ref.hex())
+
+
+def test_period_check_does_not_depend_on_point_0(logistic, logistic_cascade16):
+    # the period-2^14 sink has a pair of points 1.3e-11 apart, the critical
+    # value's lineage: rolled to start there, it is still a genuine orbit
+    ts = logistic_cascade16.params
+    t, period = 0.5 * (ts[13] + ts[14]), 2 ** 14
+    pts = np.array(cascade._orbit_by_iteration(logistic, t, period))
+    order = np.argsort(pts)
+    first = int(np.argmin(np.diff(pts[order])))
+    rolled = np.roll(pts, -int(order[first]))
+    assert abs(rolled[0] - pts[order[first + 1]]) < cascade.DISTINCT_TOL
+    assert len(cascade.periodic_orbit(logistic, t, period, rolled)) == period
 
 
 def test_cascade_error_carries_prefix(logistic):
@@ -676,6 +741,17 @@ def test_orbit_multiplier_binary64_jacobians_match_double_double(request, monkey
         # relative to the largest modulus: eigvals resolves a Henon orbit's
         # contracting multiplier, b^p / the other, only to that scale
         assert np.max(np.abs(np.subtract(mults, exact))) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("level", [4, 5, 6])
+def test_henon_contracting_multiplier_is_resolved(henon, henon_cascade7, level):
+    # det M = (-b)^p, so the contracting multiplier is (-b)^p / mu_1, far
+    # below the scale of M's entries from period 32 on
+    ts = henon_cascade7.params
+    t, period = 0.5 * (ts[level - 1] + ts[level]), 2 ** level
+    mu1, mu2 = cascade.orbit_multiplier(henon, t, cascade._orbit_by_iteration(henon, t, period))
+    assert isinstance(mu2, float)
+    assert mu2 == pytest.approx((-0.3) ** period / mu1, rel=1e-12, abs=0)
 
 
 def test_lyapunov_rejects_negative_transient(logistic):

@@ -346,10 +346,22 @@ def test_henon_first_doublings_follow_b(tmp_path, b):
     assert abs(t1 - ((1 - b) ** 2 + 0.25 * (1 + b) ** 2)) < 1e-12
 
 
+@pytest.mark.parametrize("b, delta9", [(0.6, 4.66912), (0.9, 4.66729)])
+def test_henon_large_b_cascades_reach_level_9(tmp_path, b, delta9):
+    # a settle orbit from the fixed point, a saddle by then, escaped at
+    # levels 3 and 2; branch switching never leaves the last orbit
+    out = tmp_path / "h.json"
+    r = run_cli("cascade", "--family", "henon", "--b", repr(b), "--nmax", "9",
+                "--out", str(out), "--no-timestamp")
+    assert r.returncode == 0, r.stdout + r.stderr
+    report = json.loads(out.read_text())
+    assert [lvl for lvl, _ in report["doubling_params"]] == list(range(10))
+    assert abs(report["delta_estimates"][-1] - delta9) < 1e-5
+
+
 def test_henon_deep_levels_fail_as_typed_errors():
-    # at b = 0.9 the settle orbit, started next to the unstable fixed point,
-    # can escape; whatever level the cascade reaches, a failure is a JSON
-    # error object, never a traceback
+    # whatever level the cascade reaches, a failure is a JSON error object,
+    # never a traceback
     r = run_cli("cascade", "--family", "henon", "--b", "0.9", "--nmax", "4",
                 "--no-timestamp")
     assert r.returncode in (0, 1) and "Traceback" not in r.stderr
