@@ -24,9 +24,9 @@ from .errors import (DimensionError, DiskError, EscapeError, RefitError,
                      RangeError)
 from .series import AnalyticUnimodal
 
-_BOUND_STRIDE = 8     # every 8th ball point scores a candidate's upper bound
-_BOUND_CHUNK = 1024   # candidates per call of the bound margins; a 2-D round is one call
-_PRUNE_CHUNK = 16     # candidates per call of the full margins
+_FIRST_STRIDE = 32    # every candidate is first scored on every 32nd ball point
+_BOUND_CHUNK = 1024   # candidates per call of that first stage; a 2-D round is one call
+_PRUNE_CHUNK = 64     # candidates per call of each later stage
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +246,7 @@ class DiskSearch:
     disk: DiskND | None
     check: RenormCheck
     tried: int
+    scored: int     # candidate x ball-point evaluations of the margins
 
 
 def _batched_margins(psi, centers, linears, ball):
@@ -266,30 +267,48 @@ def _batched_margins(psi, centers, linears, ball):
     return np.sqrt(sq1.min(axis=1)) - 1.0, 1.0 - np.sqrt(sq2.max(axis=1))
 
 
-def _best_candidate(psi, centers, linears, ball):
+def _best_candidate(psi, centers, linears, ball, tally=None):
     """Index and value of the largest min(disjoint, inside) margin on the
     ball points, the lowest index on ties: np.argmax over the full margins
     of every candidate, without computing most of them.
 
-    Margins on every _BOUND_STRIDE-th point, _BOUND_CHUNK candidates at a
-    time, bound the full margins from above: a min over fewer points is no
-    smaller, a max no larger.  Full margins follow in descending order of
-    that bound, _PRUNE_CHUNK candidates at a time, until no remaining bound
-    can beat the best value or tie it at a lower index.  MapND evaluates
-    each row independently of the others, so chunks change no margin.
+    The ball points are scored in nested stages: every _FIRST_STRIDE-th
+    point, then the points halfway between, and so on down to every point.
+    The min of a candidate's stage values bounds its full value from above
+    and, once every stage is scored, is that value to the bit: the root and
+    the subtraction in the margins are monotone, so they commute with min
+    and max.  Every candidate takes the first stage, _BOUND_CHUNK at a time;
+    then, in descending order of that bound and _PRUNE_CHUNK at a time, one
+    takes the next stage only while it can beat the best full value or tie
+    it at a lower index.  MapND evaluates each row independently of the
+    others, so chunks and stages change no margin.  Each margins call
+    appends its candidate x ball-point count to tally.
     """
-    sub = np.ascontiguousarray(ball[::_BOUND_STRIDE])
-    bound = np.concatenate([np.minimum(*_batched_margins(
-        psi, centers[s:s + _BOUND_CHUNK], linears[s:s + _BOUND_CHUNK], sub))
-        for s in range(0, len(centers), _BOUND_CHUNK)])
-    order = np.argsort(-bound, kind="stable")
+    stride, stages = _FIRST_STRIDE, [np.ascontiguousarray(ball[::_FIRST_STRIDE])]
+    while stride > 1:
+        stages.append(np.ascontiguousarray(ball[stride // 2::stride]))
+        stride //= 2
+
+    def score(idx, pts):
+        c, l = centers[idx], linears[idx]
+        if tally is not None:
+            tally.append(len(c) * len(pts))
+        return np.minimum(*_batched_margins(psi, c, l, pts))
+
+    value = np.concatenate([score(slice(s, s + _BOUND_CHUNK), stages[0])
+                            for s in range(0, len(centers), _BOUND_CHUNK)])
+    order = np.argsort(-value, kind="stable")
     best = (-np.inf, -np.inf)        # (value, -index), below every candidate
     for s in range(0, len(order), _PRUNE_CHUNK):
         idx = order[s:s + _PRUNE_CHUNK]
-        if (bound[idx[0]], -idx[0]) < best:
+        if (value[idx[0]], -idx[0]) < best:
             break
-        full = np.minimum(*_batched_margins(psi, centers[idx], linears[idx], ball))
-        best = max(best, *zip(full.tolist(), (-idx).tolist()))
+        for pts in stages[1:]:
+            idx = idx[(value[idx] > best[0]) | ((value[idx] == best[0]) & (-idx > best[1]))]
+            if not len(idx):
+                break
+            value[idx] = np.minimum(value[idx], score(idx, pts))
+        best = max([best, *zip(value[idx].tolist(), (-idx).tolist())])
     return -best[1], best[0]
 
 
@@ -335,12 +354,16 @@ def search_renorm_disk(psi, start=None, samples=512, rounds=2, verify_samples=20
     Samples the attractor, splits it into the two first-generation parity
     clusters, and scans ellipse parameters (two frames: coordinate-aligned
     and cluster-PCA) around each cluster, refining the grid around the best
-    candidate.  Returns a DiskSearch with the best verified disk.
+    candidate.  _best_candidate's staged scan picks each round's best; the
+    best of all rounds (the first, if every margin is -inf) is verified on
+    verify_samples points and returned as a DiskSearch, whose `scored`
+    counts candidate x ball-point evaluations.  RangeError if no round had
+    a candidate.
     """
     cloud = attractor_cloud(psi, start=start)
     ball = ball_samples(psi.dim, samples)
     best = (-np.inf, None, None)
-    tried = 0
+    tried, scored = 0, []
     for parity in (0, 1):
         sub = cloud[parity::2]
         center0 = sub.mean(axis=0)
@@ -369,8 +392,8 @@ def search_renorm_disk(psi, start=None, samples=512, rounds=2, verify_samples=20
                 centers = np.repeat(center0 + offsets, len(shapes), axis=0)
                 linears = np.tile(shapes, (len(offsets), 1, 1))
                 tried += len(centers)
-                i, value = _best_candidate(psi, centers, linears, ball)
-                if value > best[0]:
+                i, value = _best_candidate(psi, centers, linears, ball, scored)
+                if value > best[0] or best[1] is None:
                     best = (value, centers[i], linears[i])
                 center_b = centers[i] - center0
                 axes_b = linears[i]
@@ -386,4 +409,4 @@ def search_renorm_disk(psi, start=None, samples=512, rounds=2, verify_samples=20
         raise RangeError("disk search found no candidates")
     disk = DiskND(best[1], best[2])
     check = check_renormalizable(psi, disk, verify_samples)
-    return DiskSearch(check.passed, disk if check.passed else None, check, tried)
+    return DiskSearch(check.passed, disk if check.passed else None, check, tried, sum(scored))

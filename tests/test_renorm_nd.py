@@ -211,20 +211,41 @@ def test_search_renorm_disk_all_singular_rounds_raise_range_error():
             renorm_nd.MapND(np.eye(4, dtype=int), 0.5 * np.eye(4)), samples=64)
 
 
+def test_search_renorm_disk_with_every_margin_minus_inf_reports_not_found():
+    # psi^2 overflows on every candidate disk around the fixed point 0, so
+    # every round's best value is -inf; the first round's winner is verified
+    psi = renorm_nd.MapND([[1, 0], [0, 1], [2, 0], [0, 2]],
+                          [[0.5, 0.0], [0.0, 0.5], [1e300, 0.0], [0.0, 1e300]])
+    found = renorm_nd.search_renorm_disk(psi, start=np.zeros(2), samples=64, rounds=0,
+                                         verify_samples=1024)
+    assert not found.found and found.disk is None
+    assert found.check.inside_margin == -np.inf
+    assert found.tried == 4 * 900          # 2 parities x 2 frames, 5^2 * 6^2 each
+
+
 @pytest.fixture(scope="module")
-def search_rounds(std_map, refit8):
-    """The scored rounds (psi, centers, linears, ball) of ndcheck's first two
-    disk searches: the standard map and its degree-8 renormalization."""
-    rounds = {1: [], 2: []}
+def ndcheck_searches(std_map, refit8):
+    """ndcheck's first two disk searches, of the standard map and of its
+    degree-8 renormalization: level -> (DiskSearch, its scored rounds)."""
+    out = {}
     pick = renorm_nd._best_candidate
     with pytest.MonkeyPatch.context() as mp:
         for level, psi, start in ((1, std_map, [0.3, 0.5]), (2, refit8, [0.1, 0.1])):
-            def record(*args, level=level):
-                rounds[level].append(args)
+            rounds = []
+
+            def record(*args, rounds=rounds):
+                rounds.append(args[:4])      # without the search's tally
                 return pick(*args)
             mp.setattr(renorm_nd, "_best_candidate", record)
-            renorm_nd.search_renorm_disk(psi, start=np.array(start))
-    return rounds
+            out[level] = renorm_nd.search_renorm_disk(psi, start=np.array(start)), rounds
+    return out
+
+
+@pytest.fixture(scope="module")
+def search_rounds(ndcheck_searches):
+    """The scored rounds (psi, centers, linears, ball) of ndcheck's first two
+    disk searches: the standard map and its degree-8 renormalization."""
+    return {level: rounds for level, (_, rounds) in ndcheck_searches.items()}
 
 
 def exhaustive_best(psi, centers, linears, ball):
@@ -249,23 +270,70 @@ def test_pruned_selection_equals_exhaustive_scan(search_rounds, level, rnd, chun
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("rnd", [0, 11])
 def test_chunked_bound_pass_selects_as_one_call(search_rounds, level, rnd, monkeypatch):
-    # a 2-D round is one bound call at the real chunk size; in chunks of 100
-    # it must select the same candidate, and no margins call may take more
+    # a 2-D round's first stage is one call at the real chunk size; in
+    # chunks of 100 it must select the same candidate, and every later
+    # stage's call takes at most _PRUNE_CHUNK candidates
     args = search_rounds[level][rnd]
     assert len(args[1]) <= renorm_nd._BOUND_CHUNK
     unchunked = renorm_nd._best_candidate(*args)
     sizes, margins = [], renorm_nd._batched_margins
 
     def counted(psi, centers, linears, ball):
-        sizes.append(len(centers))
+        sizes.append((len(centers), len(ball)))
         return margins(psi, centers, linears, ball)
 
     monkeypatch.setattr(renorm_nd, "_BOUND_CHUNK", 100)
     monkeypatch.setattr(renorm_nd, "_batched_margins", counted)
     assert renorm_nd._best_candidate(*args) == unchunked
-    bound_calls = [min(100, len(args[1]) - s) for s in range(0, len(args[1]), 100)]
+    first = len(args[3]) // renorm_nd._FIRST_STRIDE
+    bound_calls = [(min(100, len(args[1]) - s), first) for s in range(0, len(args[1]), 100)]
     assert len(bound_calls) > 1 and sizes[:len(bound_calls)] == bound_calls
-    assert max(sizes) <= 100
+    assert max(c for c, _ in sizes[len(bound_calls):]) <= renorm_nd._PRUNE_CHUNK
+
+
+@pytest.fixture(scope="module")
+def exhaustive_picks(search_rounds):
+    """exhaustive_best of a scored round (level, rnd), each scanned once."""
+    picks = {}
+
+    def pick(level, rnd):
+        if (level, rnd) not in picks:
+            picks[level, rnd] = exhaustive_best(*search_rounds[level][rnd])
+        return picks[level, rnd]
+    return pick
+
+
+@pytest.mark.parametrize("chunk", [1, 64])
+@pytest.mark.parametrize("stride", [1, 2, 32, 512])
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("rnd", [0, 7, 9, 11])
+def test_staged_selection_equals_exhaustive_scan(search_rounds, exhaustive_picks, level, rnd,
+                                                 stride, chunk, monkeypatch):
+    # stride 1 scores every point in one stage, stride 512 starts from one
+    # point of the 512; the pick and its value must match to the bit
+    monkeypatch.setattr(renorm_nd, "_FIRST_STRIDE", stride)
+    monkeypatch.setattr(renorm_nd, "_PRUNE_CHUNK", chunk)
+    args = search_rounds[level][rnd]
+    assert len(args[3]) == 512
+    i, value = renorm_nd._best_candidate(*args)
+    expected = exhaustive_picks(level, rnd)
+    assert (i, value) == expected
+    assert np.float64(value).tobytes() == np.float64(expected[1]).tobytes()
+
+
+# candidate x ball-point evaluations of ndcheck's level-1 and level-2 disk
+# searches with a bound pass on every 8th point and full 512-point margins
+TWO_PASS_SCORED = {1: 1_680_896, 2: 1_508_864}
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_staged_search_scores_fewer_points_than_two_passes(ndcheck_searches, level):
+    found, rounds = ndcheck_searches[level]
+    assert found.found
+    tried = sum(len(c) for _, c, _, _ in rounds)
+    assert found.tried == tried
+    # every candidate takes the first stage, and none more than every point
+    assert tried * 512 // renorm_nd._FIRST_STRIDE <= found.scored < TWO_PASS_SCORED[level]
 
 
 def test_pruned_selection_takes_the_lowest_index_on_exact_ties(search_rounds):

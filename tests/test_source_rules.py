@@ -2,8 +2,8 @@
 
 No handler may catch every exception (a bug would turn into a plausible
 result), numpy is the only import outside the standard library, and every
-private module-level function is referenced somewhere outside its own
-definition (a leftover helper is dead code).
+private module-level function or constant is referenced somewhere outside
+its own definition (a leftover helper or setting is dead code).
 """
 
 import ast
@@ -46,15 +46,30 @@ def names(node):
             yield n.name
 
 
+def defined(node):
+    """The names a module-level statement defines: a function's own, or
+    those an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
 def unreferenced(tree, trees):
-    """The private module-level functions of tree that no module of trees
-    refers to outside the function's own definition."""
+    """The private module-level functions and constants of tree that no
+    module of trees refers to outside their own definition."""
     used = Counter(name for t in trees for name in names(t))
     for node in tree.body:
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name.startswith("_") and not node.name.startswith("__")
-                and used[node.name] == Counter(names(node))[node.name]):
-            yield node.lineno, f"{node.name} is never referenced"
+        for name in defined(node):
+            if (name.startswith("_") and not name.startswith("__")
+                    and used[name] == Counter(names(node))[name]):
+                yield node.lineno, f"{name} is never referenced"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -93,6 +108,19 @@ def test_every_private_function_is_referenced():
     ("class Shape:\n    def _area(self):\n        pass\n", []),
 ], ids=["unused", "only-recursive", "called", "stored", "dunder", "method"])
 def test_rule_catches_an_unreferenced_private_function(source, expected):
+    tree = ast.parse(source)
+    assert [what for _, what in unreferenced(tree, [tree])] == expected
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("_STRIDE = 8\n", ["_STRIDE is never referenced"]),
+    ("_STRIDE: int = 8\n", ["_STRIDE is never referenced"]),
+    ("_LOW, _HIGH = 1, 2\nVALUE = _LOW\n", ["_HIGH is never referenced"]),
+    ("_STRIDE = 8\n\ndef head(seq):\n    return seq[::_STRIDE]\n", []),
+    ("_CACHE = {}\n_CACHE['key'] = 1\n", []),
+    ("__all__ = []\nLIMIT = 8\n", []),
+], ids=["unused", "annotated", "one-of-a-tuple", "read", "stored-into", "dunder-public"])
+def test_rule_catches_an_unreferenced_private_constant(source, expected):
     tree = ast.parse(source)
     assert [what for _, what in unreferenced(tree, [tree])] == expected
 
