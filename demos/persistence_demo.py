@@ -30,7 +30,7 @@ print(f"\ndb along v0            = {grads[0]:+.15f}   (the transversal -1)")
 print(f"db along 2*v0          = {grads[1]:+.15f}   (homogeneity)")
 print(f"db along x^3           = {grads[2]:+.15f}   (a transversal direction)")
 
-dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], 8, chart.t_inf)
+dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], chart.cascade)
 print(f"\nshift law |a((t0)*F) - a(F) + t0|, t0 = +-0.05: max deviation {dev:.2e}")
 
 radius = persistence.chart_validity_radius(chart, h_values=(1e-3, 1e-2, 0.05, 0.1, 0.2))
@@ -38,7 +38,7 @@ print(f"empirical chart validity radius (difference quotient within 5% of -1): {
 
 print("\nsame identities for the Henon family (depth 6):")
 chart_h = persistence.build_chart(cascade.henon_family(), depth=6)
-dev_h = persistence.verify_shift_property(cascade.henon_family(), [0.02], 6, chart_h.t_inf)
+dev_h = persistence.verify_shift_property(cascade.henon_family(), [0.02], chart_h.cascade)
 print(f"  shift-law deviation: {dev_h:.2e}")
 b_h, (grad_h,) = persistence.chart_gradient(chart_h, [chart_h.v0])
 print(f"  b(psi0) = {b_h:+.2e}")

@@ -34,7 +34,7 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -468,7 +468,9 @@ def orbit(m, x, steps, keep=0):
         with np.errstate(over="ignore", invalid="ignore"):
             for done in range(1, steps + 1):
                 x = m(x)
-                gone = ~(np.abs(x) <= ESCAPE_LIMIT).all(axis=1)     # also catches nan
+                # also catches nan; reducing along a contiguous row is much
+                # cheaper than along the short coordinate axis
+                gone = ~np.ascontiguousarray((np.abs(x) <= ESCAPE_LIMIT).T).all(axis=0)
                 if gone.all():
                     raise EscapeError(f"every orbit escaped by step {done}", step=done)
                 x[gone] = np.nan
@@ -765,6 +767,8 @@ class CascadeResult:
     t_inf: float
     t_inf_error: float
     t_inf_tangents: tuple = ()    # d t_inf / de along each direction asked for
+    # level N's converged orbit (2^N, n); arrays, so left out of ==
+    orbits: tuple = field(default=(), compare=False)
 
     @property
     def params(self):
@@ -818,7 +822,7 @@ def accumulation_parameter(sequence, delta=None, tangents=None):
                                 float(err), tuple((tan[-1] + dcur[-1]).tolist()))
 
 
-def run_cascade(fam, n_max, directions=()):
+def run_cascade(fam, n_max, directions=(), seeds=None):
     """Doubling parameters t_0 .. t_n_max, gap ratios, and the accumulation.
 
     Level N+1 is bracketed just past t_N, between 0.08 and 0.5 of the last
@@ -830,14 +834,20 @@ def run_cascade(fam, n_max, directions=()):
     the last gap ratio (4.67 before one exists).  k is 2/3 of level N's own
     amplitude, |<(w, -w), y - (x, x)>| / |(w, -w)|^2 / sqrt(t_N - t_(N-1))
     for its orbit y against level N-1's x and w: that amplitude shrinks by
-    about 2/3 per level.  Gaps, ratios and the extrapolation use the
-    parameters' low parts.  Given directions, MapNDs w, t_inf_tangents
-    holds the exact derivative of t_inf for the families psi_t + e*w at
-    e = 0: every t_N's tangent, extrapolated through the same recurrence.
-    On failure the exception carries the completed prefix in `.completed`.
+    about 2/3 per level.  seeds, one (points (2^N, n), t) per level, replace
+    those starts, as when another cascade has converged nearby orbits; the
+    same Newton solve, bracket and checks still decide every level.  Gaps,
+    ratios and the extrapolation use the parameters' low parts.  Given
+    directions, MapNDs w, t_inf_tangents holds the exact derivative of
+    t_inf for the families psi_t + e*w at e = 0: every t_N's tangent,
+    extrapolated through the same recurrence.  On failure the exception
+    carries the completed prefix in `.completed`.
     """
     directions = tuple(directions)
-    ts, tangents = [], []
+    if seeds is not None and [np.shape(x) for x, _ in seeds] != [
+            (2 ** level, fam.dim) for level in range(n_max + 1)]:
+        raise ValueError(f"seeds must be one (points (2^N, {fam.dim}), t) per level 0..{n_max}")
+    ts, tangents, orbits = [], [], []
     try:
         for level in range(n_max + 1):
             if level == 0:
@@ -849,7 +859,9 @@ def run_cascade(fam, n_max, directions=()):
             else:
                 gap = _diff(ts[-1], ts[-2])
                 lo, hi = ts[-1] + 0.08 * gap, ts[-1] + 0.5 * gap
-            if level < 2:
+            if seeds is not None:
+                seed = seeds[level]
+            elif level < 2:
                 seed = (_orbit_by_iteration(fam, lo, 2 ** level), lo)
             else:
                 dt = gap / (_diff(ts[-2], ts[-3]) / gap if level > 2 else 4.67)
@@ -859,9 +871,10 @@ def run_cascade(fam, n_max, directions=()):
             t, tangent, pts = find_doubling_bifurcation(fam, level, (lo, hi), directions,
                                                         seed=seed)
             ts.append(t)
+            orbits.append(pts)
             if directions:
                 tangents.append(tangent)
-            if level < n_max:
+            if level < n_max and seeds is None:
                 if level:
                     # <(w, -w), y - (x, x)> = <w, y_front - y_back>: x cancels
                     w = flip[1]
@@ -879,7 +892,8 @@ def run_cascade(fam, n_max, directions=()):
     else:                                   # too short to extrapolate
         t_inf = t_err = float("nan")
         t_inf_tangents = (float("nan"),) * len(directions)
-    return CascadeResult(tuple(enumerate(ts)), deltas, t_inf, t_err, t_inf_tangents)
+    return CascadeResult(tuple(enumerate(ts)), deltas, t_inf, t_err, t_inf_tangents,
+                         tuple(orbits))
 
 
 def lyapunov_exponent(fam, t, n_transient=1000, n_iter=20000, x0=None):

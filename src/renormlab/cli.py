@@ -187,8 +187,7 @@ def _cmd_manifold(cfg):
     fam = _family(cfg)
     chart = persistence_mod.build_chart(fam, cfg["depth"])
     b0, grads = persistence_mod.chart_gradient(chart, [chart.v0, 2.0 * chart.v0])
-    shift_dev = persistence_mod.verify_shift_property(fam, cfg["shifts"],
-                                                      cfg["depth"], chart.t_inf)
+    shift_dev = persistence_mod.verify_shift_property(fam, cfg["shifts"], chart.cascade)
     return {
         "family": cfg["family"],
         "depth": cfg["depth"],
@@ -210,11 +209,26 @@ def _cmd_bifdiag(cfg):
                                  cfg["transient"] + cfg["keep"], keep=cfg["keep"])[1]
     except EscapeError:                     # every orbit escaped
         kept = np.full((cfg["keep"], ts.size, fam.dim), np.nan)
-    cols = [(repr(t) + ",", col) for t, col in zip(ts.tolist(), kept[:, :, 0].T.tolist())
-            if not math.isnan(col[-1])]     # the orbit never escaped
-    # one chunk per column: the lines "t,x" of all its kept points
-    chunks = (p + ("\r\n" + p).join(map(repr, col)) + "\r\n" for p, col in cols)
-    return {"rows": len(cols) * cfg["keep"], "family": cfg["family"],
+    x, keep = kept[:, :, 0], cfg["keep"]
+    # each column's least exact cycle s <= keep/2, x[s:] == x[:-s] bit for bit
+    # (repr tells -0.0 from 0.0, == does not), 0 for none
+    bits, period = kept.view(np.int64)[:, :, 0], np.zeros(ts.size, dtype=int)
+    for s in range(keep // 2, 0, -1):
+        period[(bits[s:] == bits[:-s]).all(axis=0)] = s
+
+    def chunk(p, col, s):
+        """The lines "t,x" of a column's kept points: those of its first s
+        values, keep // s times over, then the first keep % s of them."""
+        reps = list(map(repr, col[:s].tolist()))
+
+        def lines(n):
+            return p + ("\r\n" + p).join(reps[:n]) + "\r\n" if n else ""
+        return lines(s) * (keep // s) + lines(keep % s)
+
+    alive = np.flatnonzero(~np.isnan(x[-1]))      # the orbits that never escaped
+    chunks = (chunk(repr(t) + ",", x[:, j], int(period[j]) or keep)
+              for j, t in zip(alive.tolist(), ts[alive].tolist()))
+    return {"rows": alive.size * keep, "family": cfg["family"],
             "t_range": [cfg["tmin"], cfg["tmax"]]}, _csv(("t", "x"), chunks)
 
 

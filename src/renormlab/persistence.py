@@ -22,7 +22,8 @@ from the standard map (Henon included).
 
 from dataclasses import dataclass
 
-from .cascade import OneParamFamily, linear_family, recenter, run_cascade, shift_family
+from .cascade import (CascadeResult, OneParamFamily, _diff, linear_family, recenter,
+                      run_cascade, shift_family)
 from .errors import InsufficientDataError, RenormLabError
 
 
@@ -34,13 +35,20 @@ def persistence_a(fam, depth):
     return run_cascade(fam, depth).t_inf
 
 
-def verify_shift_property(fam, t0_list, depth, a):
-    """max over t0 of |a((t0)*family) - (a(family) - t0)|, given a = a(family)
-    at this depth (a chart's t_inf)."""
+def verify_shift_property(fam, t0_list, base):
+    """max over t0 of |a((t0)*family) - (a(family) - t0)|, given base, the
+    family's own cascade (a chart's), whose depth and t_inf = a(family) it
+    uses.  A shift only relabels t, so each shifted cascade starts every
+    level from base's converged orbit at t_N - t0; its own Newton solves
+    still decide each t_N."""
+    depth = len(base.doubling_params) - 1
+    if depth < 4:
+        raise InsufficientDataError("depth must be >= 4 for the extrapolation")
     worst = 0.0
     for t0 in t0_list:
-        shifted = persistence_a(shift_family(fam, t0), depth)
-        worst = max(worst, abs(shifted - (a - t0)))
+        seeds = [(x, _diff(t, t0)) for x, t in zip(base.orbits, base.params)]
+        shifted = run_cascade(shift_family(fam, t0), depth, seeds=seeds).t_inf
+        worst = max(worst, abs(shifted - (base.t_inf - t0)))
     return worst
 
 
@@ -51,13 +59,20 @@ class PersistenceChart:
     family is the generating family recentered at its accumulation, so
     psi0 is its map at parameter 0 and v0 its direction; its bracket0,
     gap_hint and start_at configure the cascades of the linear families
-    {chi + t v0}.  depth is the doubling depth standing in for "infinitely
-    renormalizable"; t_inf is a(family) at that depth in the generating
-    family's own parameter.
+    {chi + t v0}.  cascade is the generating family's own cascade, in its
+    own parameter: its depth stands in for "infinitely renormalizable", and
+    its t_inf is a(family) at that depth.
     """
     family: OneParamFamily
-    depth: int
-    t_inf: float
+    cascade: CascadeResult
+
+    @property
+    def depth(self):
+        return len(self.cascade.doubling_params) - 1
+
+    @property
+    def t_inf(self):
+        return self.cascade.t_inf
 
     @property
     def psi0(self):
@@ -80,8 +95,8 @@ def build_chart(fam, depth):
     """
     if depth < 6:
         raise InsufficientDataError("chart depth must be >= 6")
-    t_inf = persistence_a(fam, depth)
-    return PersistenceChart(recenter(fam, t_inf), depth, t_inf)
+    res = run_cascade(fam, depth)
+    return PersistenceChart(recenter(fam, res.t_inf), res)
 
 
 def chart_b(chart, chi):

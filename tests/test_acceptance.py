@@ -115,8 +115,7 @@ def test_criterion_5_persistence_identities():
     logistic = cascade.logistic_family()
     chart = persistence.build_chart(logistic, depth=8)
     b0, (grad,) = persistence.chart_gradient(chart, [chart.v0])
-    shift_dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], 8,
-                                                 chart.t_inf)
+    shift_dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], chart.cascade)
     elapsed = time.perf_counter() - t0
     ok = (abs(b0) <= 1e-5 and shift_dev < 1e-5
           and abs(grad + 1.0) <= 1e-12 and elapsed < 120)

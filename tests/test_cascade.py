@@ -585,24 +585,67 @@ def test_only_levels_0_and_1_settle_by_iteration(request, monkeypatch, name, n_m
     assert calls == [1, 2][:n_max + 1]
 
 
-def count_newton_steps(monkeypatch, fam, n_max):
-    """Newton iterations of a cascade: one bordered solve each."""
+def count_newton_steps(monkeypatch, fam, n_max, **kw):
+    """Newton iterations of a cascade, one bordered solve each: the period
+    of each solve."""
     calls = []
     bordered = cascade._bordered
 
     def counted(*args):
-        calls.append(1)
+        calls.append(len(args[2]))
         return bordered(*args)
     monkeypatch.setattr(cascade, "_bordered", counted)
-    cascade.run_cascade(fam, n_max)
-    return len(calls)
+    cascade.run_cascade(fam, n_max, **kw)
+    return calls
 
 
 def test_branch_switching_saves_newton_steps(logistic, henon, monkeypatch):
     # with a settle orbit and a fixed-t polish at every level these were
     # 120 and 92
-    assert count_newton_steps(monkeypatch, logistic, 13) <= 80
-    assert count_newton_steps(monkeypatch, henon, 9) <= 72
+    assert len(count_newton_steps(monkeypatch, logistic, 13)) <= 80
+    assert len(count_newton_steps(monkeypatch, henon, 9)) <= 72
+
+
+def shift_seeds(res, t0):
+    """The starts of the cascade of the family shifted by t0: res's
+    converged orbits at its t_N - t0."""
+    return [(x, cascade._diff(t, t0)) for x, t in zip(res.orbits, res.params)]
+
+
+@pytest.mark.parametrize("name, depth", [("logistic", 8), ("henon", 6)])
+@pytest.mark.parametrize("t0", [-0.05, 0.05])
+def test_seeded_cascade_matches_unseeded(request, name, depth, t0):
+    fam = request.getfixturevalue(name)
+    shifted = cascade.shift_family(fam, t0)
+    seeds = shift_seeds(cascade.run_cascade(fam, depth), t0)
+    seeded = cascade.run_cascade(shifted, depth, seeds=seeds)
+    plain = cascade.run_cascade(shifted, depth)
+    for a, b in zip(seeded.params, plain.params, strict=True):
+        assert abs(cascade._diff(a, b)) <= 2e-16 * max(1.0, abs(b))
+    assert seeded.t_inf == plain.t_inf
+    assert [x.shape for x in seeded.orbits] == [x.shape for x, _ in seeds]
+
+
+@pytest.mark.parametrize("name, depth", [("logistic", 8), ("henon", 6)])
+@pytest.mark.parametrize("t0", [-0.05, 0.05])
+def test_seeded_cascade_saves_newton_steps(request, monkeypatch, name, depth, t0):
+    # a seed is a converged orbit of the same map: no settle orbit, no branch
+    # switch, and a Newton solve that stops at its rounding floor
+    fam = request.getfixturevalue(name)
+    shifted = cascade.shift_family(fam, t0)
+    seeds = shift_seeds(cascade.run_cascade(fam, depth), t0)
+    seeded = count_newton_steps(monkeypatch, shifted, depth, seeds=seeds)
+    assert all(seeded.count(2 ** level) <= 3 for level in range(depth + 1))
+    assert 2 * len(seeded) < len(count_newton_steps(monkeypatch, shifted, depth))
+
+
+def test_seeds_of_wrong_count_or_shape_raise(logistic, henon):
+    for fam in (logistic, henon):
+        seeds = shift_seeds(cascade.run_cascade(fam, 4), 0.0)
+        for bad in (seeds[:-1], seeds + seeds[-1:], [(x.ravel(), t) for x, t in seeds[:1]]
+                    + seeds[1:], [(np.vstack([x, x]), t) for x, t in seeds]):
+            with pytest.raises(ValueError, match="seeds must be"):
+                cascade.run_cascade(fam, 4, seeds=bad)
 
 
 # the high parts of logistic t_0 .. t_16 when every level started from a

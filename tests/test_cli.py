@@ -510,14 +510,29 @@ def test_attractor_csv_bytes_match_csv_writer(tmp_path, monkeypatch, family, gen
     assert path.read_bytes() == csv_writer_bytes(rows)
 
 
-@pytest.mark.parametrize("family, tmin, tmax, tn, transient, keep, n_rows", [
-    ("logistic", 3.9, 4.3, 41, 400, 5, 11 * 5),     # the columns past a = 4 escape
-    ("logistic", 4.5, 5.0, 6, 400, 80, 0),          # every column escapes
-    ("logistic", 1e-05, 0.5, 3, 5, 3, 3 * 3),       # exponent-form t and x
-    ("henon", 0.3, 1.4, 9, 50, 4, 9 * 4),
-], ids=["some-escape", "all-escape", "exponent-form", "henon"])
+@pytest.mark.parametrize("family, tmin, tmax, tn, transient, keep, nudge, n_rows", [
+    ("logistic", 3.9, 4.3, 41, 400, 5, False, 11 * 5),  # the columns past a = 4 escape
+    ("logistic", 4.5, 5.0, 6, 400, 80, False, 0),       # every column escapes
+    ("logistic", 1e-05, 0.5, 3, 5, 3, False, 3 * 3),    # exponent-form t and x
+    ("henon", 0.3, 1.4, 9, 50, 4, False, 9 * 4),
+    # exact cycles of length 1, 2, 2 and 2, with a remainder of 7, then a
+    # period-4 sink longer than keep / 2, written in full
+    ("logistic", 2.3, 3.5, 5, 400, 7, False, 5 * 7),
+    ("logistic", 3.83, 3.84, 5, 400, 80, False, 5 * 80),  # the period-3 window
+    # the same cycles with every last kept value one ulp up: no column repeats
+    ("logistic", 2.3, 3.2, 4, 400, 7, True, 4 * 7),
+], ids=["some-escape", "all-escape", "exponent-form", "henon", "sinks-1-2-4",
+        "period-3-window", "cycle-but-last"])
 def test_bifdiag_csv_bytes_match_csv_writer(tmp_path, monkeypatch, capsys, family, tmin,
-                                            tmax, tn, transient, keep, n_rows):
+                                            tmax, tn, transient, keep, nudge, n_rows):
+    if nudge:
+        orbit = cascade.orbit
+
+        def nudged(*args, **kw):
+            x, kept = orbit(*args, **kw)
+            kept[-1] = np.nextafter(kept[-1], np.inf)
+            return x, kept
+        monkeypatch.setattr(cascade, "orbit", nudged)
     orbits = record(monkeypatch, cascade, "orbit")
     path = tmp_path / "b.csv"
     assert cli.main(["bifdiag", "--family", family, "--tmin", repr(tmin), "--tmax",

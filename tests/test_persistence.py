@@ -51,15 +51,33 @@ def test_shift_is_reparametrization(logistic):
 
 
 def test_shift_property_logistic(logistic):
-    dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], 8,
-                                           persistence.persistence_a(logistic, 8))
+    dev = persistence.verify_shift_property(logistic, [-0.05, 0.05],
+                                           cascade.run_cascade(logistic, 8))
     assert dev < 1e-5
 
 
 def test_shift_property_henon(henon):
-    dev = persistence.verify_shift_property(henon, [0.02], 6,
-                                           persistence.persistence_a(henon, 6))
+    dev = persistence.verify_shift_property(henon, [0.02], cascade.run_cascade(henon, 6))
     assert dev < 1e-4
+
+
+def test_shift_law_seeds_do_not_decide_the_answer():
+    # the b = 0.3 cascade seeds the shifted cascades of the b = 0.3001
+    # family; their own Newton solves still move every level to that family,
+    # so the deviation is the two families' difference in t_inf
+    base = cascade.run_cascade(cascade.henon_family(0.3), 6)
+    other = cascade.henon_family(0.3001)
+    diff = abs(cascade.run_cascade(other, 6).t_inf - base.t_inf)
+    assert diff > 1e-6
+    for t0 in (-0.05, 0.05):
+        dev = persistence.verify_shift_property(other, [t0], base)
+        assert dev == pytest.approx(diff, abs=1e-12)
+
+
+def test_chart_keeps_its_cascade(logistic, chart):
+    res = cascade.run_cascade(logistic, 8)
+    assert chart.cascade == res and chart.depth == 8 and chart.t_inf == res.t_inf
+    assert [x.shape for x in chart.cascade.orbits] == [(2 ** n, 1) for n in range(9)]
 
 
 def test_b_zero_at_base(chart):
@@ -148,6 +166,8 @@ def test_chart_depth_validation(logistic):
         persistence.build_chart(logistic, depth=4)
     with pytest.raises(InsufficientDataError):
         persistence.persistence_a(logistic, 2)
+    with pytest.raises(InsufficientDataError):
+        persistence.verify_shift_property(logistic, [0.01], cascade.run_cascade(logistic, 3))
 
 
 def test_gradient_transverse_free_direction(chart):
