@@ -11,6 +11,7 @@ reports only ever appear with a .partial suffix.
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -197,9 +198,16 @@ def _cmd_manifold(cfg):
     }, None
 
 
+def _t_window(cfg):
+    """bifdiag's (tmin, tmax): each flag, or else the family's param_range end."""
+    return tuple(fam_end if cfg[key] is None else cfg[key]
+                 for key, fam_end in zip(("tmin", "tmax"), _family(cfg).param_range))
+
+
 def _cmd_bifdiag(cfg):
     fam = _family(cfg)
-    ts = np.linspace(cfg["tmin"], cfg["tmax"], cfg["tn"])
+    tmin, tmax = _t_window(cfg)
+    ts = np.linspace(tmin, tmax, cfg["tn"])
     # all parameters step as one block of rows, base(x) + t * slope(x); an
     # escaped row reads nan
     base, slope = cascade_mod.MapND(fam.exponents, fam.base), fam.direction
@@ -229,7 +237,7 @@ def _cmd_bifdiag(cfg):
     chunks = (chunk(repr(t) + ",", x[:, j], int(period[j]) or keep)
               for j, t in zip(alive.tolist(), ts[alive].tolist()))
     return {"rows": alive.size * keep, "family": cfg["family"],
-            "t_range": [cfg["tmin"], cfg["tmax"]]}, _csv(("t", "x"), chunks)
+            "t_range": [tmin, tmax]}, _csv(("t", "x"), chunks)
 
 
 def finite(text):
@@ -290,8 +298,9 @@ _COMMANDS = {
         _OUT]),
     "bifdiag": Command(_cmd_bifdiag, "bifurcation-diagram (t, x) sample CSV", [
         _FAMILY,
-        Option("tmin", finite, 2.9, check=(lambda v, cfg: v < cfg["tmax"], "must be < --tmax")),
-        Option("tmax", finite, 4.0),
+        Option("tmin", finite, None, "default: the family's param_range",
+               check=(lambda _, cfg: operator.lt(*_t_window(cfg)), "must be < --tmax")),
+        Option("tmax", finite, None, "default: the family's param_range"),
         Option("tn", int, 400, check=_within(2)),
         Option("transient", int, 400, check=_within(0)),
         Option("keep", int, 80, check=_within(1)),

@@ -81,12 +81,6 @@ class DiskND:
         """Map reference-ball points into the disk."""
         return np.asarray(ball_pts, dtype=float) @ self.linear.T + self.center
 
-    def chart_norm(self, pts):
-        """Reference-ball norm of ambient points (<= 1 means inside)."""
-        rel = (np.asarray(pts, dtype=float) - self.center) @ self._inv.T
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.linalg.norm(rel, axis=-1)
-
     def scaled(self, factor):
         return DiskND(self.center, self.linear * factor)
 
@@ -191,18 +185,8 @@ def check_renormalizable(psi, d1, samples=2048):
     """Sampled test of psi(D1) disjoint from D1 and psi^2(D1) inside it."""
     if samples < 1000:
         raise ValueError("need at least 1000 sample points for the margins")
-    pts = d1.chart(ball_samples(d1.dim, samples))
-    with np.errstate(over="ignore", invalid="ignore"):
-        im1 = psi(pts)
-        im2 = psi(im1)
-    n1 = d1.chart_norm(im1)
-    n2 = d1.chart_norm(im2)
-    n1 = np.where(np.isfinite(n1), n1, np.inf)   # escaped points are far outside
-    disjoint_margin = float(np.min(n1) - 1.0)
-    if np.all(np.isfinite(n2)):
-        inside_margin = float(1.0 - np.max(n2))
-    else:
-        inside_margin = -np.inf
+    disjoint_margin, inside_margin = (float(m[0]) for m in _batched_margins(
+        psi, d1.center[None], d1.linear[None], ball_samples(d1.dim, samples)))
     return RenormCheck(disjoint_margin > 0, inside_margin > 0,
                        disjoint_margin, inside_margin)
 
@@ -273,7 +257,8 @@ def _best_candidate(psi, centers, linears, ball, tally=None):
     of every candidate, without computing most of them.
 
     The ball points are scored in nested stages: every _FIRST_STRIDE-th
-    point, then the points halfway between, and so on down to every point.
+    point, then the points halfway between, and so on down to every point;
+    a stage with no points is skipped.
     The min of a candidate's stage values bounds its full value from above
     and, once every stage is scored, is that value to the bit: the root and
     the subtraction in the margins are monotone, so they commute with min
@@ -286,7 +271,8 @@ def _best_candidate(psi, centers, linears, ball, tally=None):
     """
     stride, stages = _FIRST_STRIDE, [np.ascontiguousarray(ball[::_FIRST_STRIDE])]
     while stride > 1:
-        stages.append(np.ascontiguousarray(ball[stride // 2::stride]))
+        if len(stage := ball[stride // 2::stride]):
+            stages.append(np.ascontiguousarray(stage))
         stride //= 2
 
     def score(idx, pts):
@@ -352,14 +338,17 @@ def search_renorm_disk(psi, start=None, samples=512, rounds=2, verify_samples=20
     """Unseeded renormalization-disk search.
 
     Samples the attractor, splits it into the two first-generation parity
-    clusters, and scans ellipse parameters (two frames: coordinate-aligned
-    and cluster-PCA) around each cluster, refining the grid around the best
+    clusters, and scans ellipse parameters around each cluster in the
+    frame of its principal axes, refining the grid around the best
     candidate.  _best_candidate's staged scan picks each round's best; the
     best of all rounds (the first, if every margin is -inf) is verified on
     verify_samples points and returned as a DiskSearch, whose `scored`
-    counts candidate x ball-point evaluations.  RangeError if no round had
-    a candidate.
+    counts candidate x ball-point evaluations.  ValueError before any
+    search for samples < 1 or verify_samples < 1000; RangeError if no
+    round had a candidate.
     """
+    if samples < 1 or verify_samples < 1000:
+        raise ValueError("need at least 1 search and 1000 verify sample points")
     cloud = attractor_cloud(psi, start=start)
     ball = ball_samples(psi.dim, samples)
     best = (-np.inf, None, None)
@@ -367,44 +356,39 @@ def search_renorm_disk(psi, start=None, samples=512, rounds=2, verify_samples=20
     for parity in (0, 1):
         sub = cloud[parity::2]
         center0 = sub.mean(axis=0)
-        cov = np.cov(sub.T)
-        _, vecs = np.linalg.eigh(cov)
-        frames = [np.eye(psi.dim), vecs[:, ::-1].T]
-        for frame in frames:
-            coords = (sub - center0) @ frame.T
-            ws = (coords.max(axis=0) - coords.min(axis=0)) / 2
-            ws = np.maximum(ws, 0.12 * max(float(np.max(ws)), 1e-3))
-            c_grid = [np.linspace(-0.6, 0.6, 5) * ws[i] for i in range(psi.dim)]
-            a_grid = [np.linspace(0.6, 2.4, 6) * ws[i] for i in range(psi.dim)]
-            spread_c = [g[1] - g[0] for g in c_grid]
-            spread_a = [g[1] - g[0] for g in a_grid]
-            for rnd in range(rounds + 1):
-                # the grid in itertools.product order, center offsets outer,
-                # without the singular linear parts; frame.T * ax is
-                # frame.T @ diag(ax) but for a -0 entry, which the matrix
-                # product sums onto +0, and so does + 0.0
-                offsets = np.array([frame.T @ c for c in itertools.product(*c_grid)])
-                axes = np.array(list(itertools.product(*a_grid)))
-                shapes = frame.T * axes[:, None, :] + 0.0
-                shapes = shapes[np.abs(np.linalg.det(shapes)) > 1e-12]
-                if not len(shapes):
-                    break
-                centers = np.repeat(center0 + offsets, len(shapes), axis=0)
-                linears = np.tile(shapes, (len(offsets), 1, 1))
-                tried += len(centers)
-                i, value = _best_candidate(psi, centers, linears, ball, scored)
-                if value > best[0] or best[1] is None:
-                    best = (value, centers[i], linears[i])
-                center_b = centers[i] - center0
-                axes_b = linears[i]
-                # shrink the grids around the round's winner
-                cb = frame @ center_b
-                ab = np.abs(np.diag(frame @ axes_b))
-                c_grid = [cb[k] + np.linspace(-1, 1, 5) * spread_c[k] / (3 ** (rnd + 1))
-                          for k in range(psi.dim)]
-                a_grid = [np.maximum(ab[k] + np.linspace(-1, 1, 5)
-                                     * spread_a[k] / (3 ** (rnd + 1)), 1e-4)
-                          for k in range(psi.dim)]
+        frame = np.linalg.eigh(np.cov(sub.T))[1][:, ::-1].T   # principal axes, largest first
+        coords = (sub - center0) @ frame.T
+        ws = (coords.max(axis=0) - coords.min(axis=0)) / 2
+        ws = np.maximum(ws, 0.12 * max(float(np.max(ws)), 1e-3))
+        c_grid = [np.linspace(-0.6, 0.6, 5) * ws[i] for i in range(psi.dim)]
+        a_grid = [np.linspace(0.6, 2.4, 6) * ws[i] for i in range(psi.dim)]
+        spread_c = [g[1] - g[0] for g in c_grid]
+        spread_a = [g[1] - g[0] for g in a_grid]
+        for rnd in range(rounds + 1):
+            # the grid in itertools.product order, center offsets outer,
+            # without the singular linear parts; frame.T * ax is
+            # frame.T @ diag(ax) but for a -0 entry, which the matrix
+            # product sums onto +0, and so does + 0.0
+            offsets = np.array([frame.T @ c for c in itertools.product(*c_grid)])
+            axes = np.array(list(itertools.product(*a_grid)))
+            shapes = frame.T * axes[:, None, :] + 0.0
+            shapes = shapes[np.abs(np.linalg.det(shapes)) > 1e-12]
+            if not len(shapes):
+                break
+            centers = np.repeat(center0 + offsets, len(shapes), axis=0)
+            linears = np.tile(shapes, (len(offsets), 1, 1))
+            tried += len(centers)
+            i, value = _best_candidate(psi, centers, linears, ball, scored)
+            if value > best[0] or best[1] is None:
+                best = (value, centers[i], linears[i])
+            # shrink the grids around the round's winner
+            cb = frame @ (centers[i] - center0)
+            ab = np.abs(np.diag(frame @ linears[i]))
+            c_grid = [cb[k] + np.linspace(-1, 1, 5) * spread_c[k] / (3 ** (rnd + 1))
+                      for k in range(psi.dim)]
+            a_grid = [np.maximum(ab[k] + np.linspace(-1, 1, 5)
+                                 * spread_a[k] / (3 ** (rnd + 1)), 1e-4)
+                      for k in range(psi.dim)]
     if best[1] is None:
         raise RangeError("disk search found no candidates")
     disk = DiskND(best[1], best[2])

@@ -161,6 +161,19 @@ def test_bifdiag_column_matches_single_orbit_at_sinks(tmp_path, capsys, family, 
         assert np.max(np.abs(np.array(col) - ref)) <= 1e-9
 
 
+@pytest.mark.parametrize("family, window, reversed_flag", [
+    ("logistic", [2.5, 4.0], ("--tmax", "2.5")), ("henon", [0.1, 1.4], ("--tmin", "1.4"))])
+def test_bifdiag_defaults_to_the_family_window(tmp_path, capsys, family, window, reversed_flag):
+    # no --tmin/--tmax: the family's own param_range, where no orbit escapes
+    assert cli.main(["bifdiag", "--family", family, "--csv", str(tmp_path / "bif.csv"),
+                     "--no-timestamp"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["t_range"] == window and report["rows"] == 400 * 80
+    # the order check compares the values used: one flag against one family end
+    r = usage_error("bifdiag", "--family", family, *reversed_flag)
+    assert "--tmin must be < --tmax" in r.stderr
+
+
 def test_bifdiag_every_orbit_escaping_exits_zero(tmp_path, capsys):
     csv_path = tmp_path / "bif.csv"
     assert cli.main(["bifdiag", "--tmin", "4.5", "--tmax", "5.0", "--tn", "6",

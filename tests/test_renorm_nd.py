@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import time
@@ -220,32 +221,36 @@ def test_search_renorm_disk_with_every_margin_minus_inf_reports_not_found():
                                          verify_samples=1024)
     assert not found.found and found.disk is None
     assert found.check.inside_margin == -np.inf
-    assert found.tried == 4 * 900          # 2 parities x 2 frames, 5^2 * 6^2 each
+    assert found.tried == 2 * 900          # 2 parities, 5^2 * 6^2 each
+
+
+def recorded_search(psi, start, **kw):
+    """A disk search and its scored rounds (psi, centers, linears, ball)."""
+    rounds, pick = [], renorm_nd._best_candidate
+
+    def record(*args):
+        rounds.append(args[:4])      # without the search's tally
+        return pick(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(renorm_nd, "_best_candidate", record)
+        return renorm_nd.search_renorm_disk(psi, start=np.array(start), **kw), rounds
 
 
 @pytest.fixture(scope="module")
 def ndcheck_searches(std_map, refit8):
     """ndcheck's first two disk searches, of the standard map and of its
     degree-8 renormalization: level -> (DiskSearch, its scored rounds)."""
-    out = {}
-    pick = renorm_nd._best_candidate
-    with pytest.MonkeyPatch.context() as mp:
-        for level, psi, start in ((1, std_map, [0.3, 0.5]), (2, refit8, [0.1, 0.1])):
-            rounds = []
-
-            def record(*args, rounds=rounds):
-                rounds.append(args[:4])      # without the search's tally
-                return pick(*args)
-            mp.setattr(renorm_nd, "_best_candidate", record)
-            out[level] = renorm_nd.search_renorm_disk(psi, start=np.array(start)), rounds
-    return out
+    return {level: recorded_search(psi, start)
+            for level, psi, start in ((1, std_map, [0.3, 0.5]), (2, refit8, [0.1, 0.1]))}
 
 
 @pytest.fixture(scope="module")
-def search_rounds(ndcheck_searches):
+def search_rounds(std_map, refit8):
     """The scored rounds (psi, centers, linears, ball) of ndcheck's first two
-    disk searches: the standard map and its degree-8 renormalization."""
-    return {level: rounds for level, (_, rounds) in ndcheck_searches.items()}
+    disk searches, each refined 5 times instead of ndcheck's 2: 6 rounds a
+    parity, the first 3 of them ndcheck's, the last of nearly equal disks."""
+    return {level: recorded_search(psi, start, rounds=5)[1]
+            for level, psi, start in ((1, std_map, [0.3, 0.5]), (2, refit8, [0.1, 0.1]))}
 
 
 def exhaustive_best(psi, centers, linears, ball):
@@ -262,7 +267,7 @@ def test_pruned_selection_equals_exhaustive_scan(search_rounds, level, rnd, chun
     # one candidate per chunk puts the stop rule to work after each of them
     monkeypatch.setattr(renorm_nd, "_PRUNE_CHUNK", chunk)
     args = search_rounds[level][rnd]
-    assert len(search_rounds[level]) == 12        # 2 parities x 2 frames x 3 rounds
+    assert len(search_rounds[level]) == 12        # 2 parities x 6 rounds
     i, value = renorm_nd._best_candidate(*args)
     assert (i, value) == exhaustive_best(*args)
 
@@ -334,6 +339,54 @@ def test_staged_search_scores_fewer_points_than_two_passes(ndcheck_searches, lev
     assert found.tried == tried
     # every candidate takes the first stage, and none more than every point
     assert tried * 512 // renorm_nd._FIRST_STRIDE <= found.scored < TWO_PASS_SCORED[level]
+
+
+def test_search_with_fewer_points_than_the_first_stride(std_map):
+    # 16 ball points leave the stride-32 stage between the first stage's
+    # points empty; each round must still pick what a scan of every point picks
+    found, rounds = recorded_search(std_map, [0.3, 0.5], samples=16, rounds=1)
+    assert len(rounds) == 4 and len(rounds[0][3]) == 16
+    for args in rounds:
+        i, value = renorm_nd._best_candidate(*args)
+        expected = exhaustive_best(*args)
+        assert i == expected[0]
+        assert np.float64(value).tobytes() == np.float64(expected[1]).tobytes()
+    assert found.scored <= found.tried * 16
+
+
+@pytest.mark.parametrize("bad", [{"samples": 0}, {"verify_samples": 999}],
+                         ids=["samples-0", "verify-999"])
+def test_search_rejects_bad_sample_counts_before_searching(std_map, bad, monkeypatch):
+    calls = []
+    monkeypatch.setattr(renorm_nd, "_best_candidate", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="at least"):
+        renorm_nd.search_renorm_disk(std_map, start=np.array([0.3, 0.5]), **bad)
+    assert calls == []
+
+
+# ndcheck --levels 2 as recorded before the coordinate frame was dropped
+# from the disk search: each level's disk and margins, as float.hex
+NDCHECK_LEVELS_2 = [
+    {"center": ["0x1.aa2fd27ea9faap-1", "-0x1.0778e5244dba0p-8"],
+     "linear": [["-0x1.a223d467b4ec5p-3", "-0x1.60083b118a556p-4"],
+                ["0x1.e7060db8198bcp-2", "-0x1.2e3dcc7d8f2f1p-5"]],
+     "margins": ["0x1.3ff81a4d86056p-1", "0x1.5bbd1ef5733c8p-3"]},
+    {"center": ["-0x1.5a55e55f39adap-1", "0x1.4a30598051900p-9"],
+     "linear": [["-0x1.79f87a08ef228p-3", "-0x1.e039a26782164p-9"],
+                ["0x1.732448de72a54p-6", "-0x1.e90fa494afdaap-6"]],
+     "margins": ["0x1.26a101291c932p-1", "0x1.5885f73040810p-3"]},
+]
+
+
+def test_ndcheck_levels_2_picks_are_pinned(tmp_path):
+    out = tmp_path / "nd.json"
+    assert cli.main(["ndcheck", "--levels", "2", "--no-timestamp", "--out", str(out)]) == 0
+    levels = json.loads(out.read_text())["levels"]
+    got = [{"center": [float.hex(v) for v in lv["disk"]["center"]],
+            "linear": [[float.hex(v) for v in row] for row in lv["disk"]["linear"]],
+            "margins": [float.hex(lv["check"]["disjoint_margin"]),
+                        float.hex(lv["check"]["inside_margin"])]} for lv in levels]
+    assert got == NDCHECK_LEVELS_2
 
 
 def test_pruned_selection_takes_the_lowest_index_on_exact_ties(search_rounds):
