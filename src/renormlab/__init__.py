@@ -21,7 +21,7 @@ from .renorm_nd import (DiskND, DiskSearch, RenormCheck, ball_samples,
                         check_renormalizable, distance_to_standard, iterate,
                         renormalize_nd, search_renorm_disk, standard_fct_map)
 from .cascade import (AccumulationEstimate, CascadeResult, DoubleDouble, MapND,
-                      OneParamFamily, accumulation_parameter,
+                      OneParamFamily, accumulation_parameter, cascade_tangents,
                       find_doubling_bifurcation, henon_family, linear_family,
                       logistic_family, lyapunov_exponent, orbit,
                       orbit_multiplier, periodic_orbit, recenter, run_cascade,

@@ -19,8 +19,9 @@ past level 1.  Successive doubling parameters shrink geometrically, so the
 gap is predicted from the last one, and the accumulation parameter is
 produced by Aitken extrapolation of the t_N sequence.  t_N's derivative
 along a direction w of maps (the family psi_t + e*w) is one more
-right-hand side of the converged Newton system, and the extrapolation
-carries those derivatives in forward mode.
+right-hand side of the Newton system, read off a converged cascade's
+stored orbits by cascade_tangents, and the extrapolation carries those
+derivatives in forward mode.
 
 Every map is a MapND, a polynomial of R^n for any n >= 1, the interval
 (n = 1) included.  Every family is affine in its parameter, psi_t = base +
@@ -83,14 +84,14 @@ class OneParamFamily:
         return MapND(self.exponents, self.slope)
 
 
-def logistic_family(window=(2.5, 4.0)):
+def logistic_family():
     """a x - a x^2."""
     return OneParamFamily(
         exponents=np.array([[1], [2]]), base=np.zeros((2, 1)), slope=np.array([[1.0], [-1.0]]),
-        param_range=tuple(window), bracket0=(2.8, 3.2), gap_hint=0.45, start_at=lambda a: 0.5)
+        param_range=(2.5, 4.0), bracket0=(2.8, 3.2), gap_hint=0.45, start_at=lambda a: 0.5)
 
 
-def henon_family(b=0.3, window=(0.1, 1.4)):
+def henon_family(b=0.3):
     """(1 - a x^2 + y, b x).  Its first two doublings are known in closed
     form: the fixed point flips at a0 = 3(1-b)^2/4 and the 2-cycle (trace
     of M = -1 - b^2) at a1 = (1-b)^2 + (1+b)^2/4."""
@@ -107,7 +108,7 @@ def henon_family(b=0.3, window=(0.1, 1.4)):
         exponents=np.array([[0, 0], [2, 0], [0, 1], [1, 0]]),
         base=np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, b]]),
         slope=np.array([[0.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-        param_range=tuple(window),
+        param_range=(0.1, 1.4),
         # the fixed point exists for a > -(1-b)^2/4 and is a sink below a0
         bracket0=(a0 / 3.0, a0 + 0.5 * (a1 - a0)), gap_hint=a1 - a0, start_at=start)
 
@@ -312,7 +313,7 @@ class MapND:
     orbits that must be followed point by point.
     """
 
-    def __init__(self, exponents, coeffs, family=""):
+    def __init__(self, exponents, coeffs):
         exps = np.asarray(exponents, dtype=np.intp)
         coeffs = np.asarray(coeffs, dtype=float)
         if exps.ndim != 2 or exps.shape[0] == 0:
@@ -327,7 +328,6 @@ class MapND:
         self.exponents = exps
         self.coeffs = coeffs
         self.dim = n
-        self.family = family
         self.fit_residual = None
 
     @functools.cached_property
@@ -416,10 +416,10 @@ class MapND:
         if not isinstance(other, MapND) or other.dim != self.dim:
             return NotImplemented
         exps, a, b = _one_table(self, other)
-        return MapND(exps, a + b, family=self.family)
+        return MapND(exps, a + b)
 
     def __mul__(self, s):
-        return MapND(self.exponents, self.coeffs * float(s), family=self.family)
+        return MapND(self.exponents, self.coeffs * float(s))
 
     __rmul__ = __mul__
 
@@ -605,13 +605,12 @@ def _bordered(fam, slopes, xh, xl, th, tl):
     return res, dx, sol[n:].ravel()
 
 
-def _newton(fam, pts, t, doubling, directions=()):
+def _newton(fam, pts, t, doubling):
     """Multiple-shooting Newton solve of _bordered's system in all p points
     of `pts` (p, n), with t held fixed or, when `doubling`, free.
 
-    Returns the orbit's high parts (p, n), t as hi, lo, and, by the implicit
-    function theorem, dt/de for the family psi_t + e*w of each w in
-    `directions`: more right-hand sides of the system at the solution.
+    Returns the orbit as high and low parts, each (p, n), and t as hi, lo;
+    cascade_tangents solves the same system again at that solution.
     Raises NoConvergenceError after MAX_NEWTON iterations, on escape or on a
     singular step, and WrongPeriodError if the orbit closes up early.
     """
@@ -647,9 +646,7 @@ def _newton(fam, pts, t, doubling, directions=()):
                 if np.max(np.abs(xh - np.roll(xh, -q, axis=0))) < DISTINCT_TOL:
                     raise WrongPeriodError(f"orbit closes after {q} steps, not {p}",
                                            true_period=q)
-            if directions:
-                dts = _bordered(fam, slopes + list(directions), xh, xl, th, tl)[2]
-            return xh, th, tl, dts[:-1]         # every dt but the Newton step's
+            return xh, xl, th, tl
         prev = size
     raise NoConvergenceError(f"no orbit convergence after {MAX_NEWTON} iterations",
                              last=last, residual=res)
@@ -730,33 +727,30 @@ def _flip_direction(fam, t, pts):
     return pts, w / np.sqrt(np.mean(w * w))
 
 
-def find_doubling_bifurcation(fam, level, bracket, directions=(), seed=None):
+def find_doubling_bifurcation(fam, level, bracket, seed=None):
     """Parameter where the period-2^level orbit's multiplier crosses -1.
 
     One Newton solve of the doubling system, started from the orbit at the
     bracket's lower end, where it is a sink, found there by iteration.
     Returns a DoubleDouble; a solution outside the bracket raises
-    BracketError.  Given directions, MapNDs w, returns it with the array of
-    its derivatives d/de along them, for the families psi_t + e*w.
+    BracketError.
 
     A seed (points (2^level, n), t) starts the solve there instead; then
-    the result is the triple (t_N, derivatives, the converged orbit's
-    points), the derivatives empty without directions.
+    the result is the triple (t_N, the converged orbit's high parts, its
+    low parts), each part (2^level, n).
     """
     period = 2 ** level
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not t_lo < t_hi:
         raise BracketError(f"empty bracket ({t_lo}, {t_hi})")
     pts, t = (_orbit_by_iteration(fam, t_lo, period), t_lo) if seed is None else seed
-    xh, th, tl, tangents = _newton(fam, pts, t, doubling=True, directions=directions)
+    xh, xl, th, tl = _newton(fam, pts, t, doubling=True)
     if not t_lo < th < t_hi:
         raise BracketError(
             f"the period-{period} orbit doubles at t={th:.9g}, outside the "
             f"bracket ({t_lo:.6g}, {t_hi:.6g})")
     if seed is not None:
-        return DoubleDouble(th, tl), tangents, xh
-    if directions:
-        return DoubleDouble(th, tl), tangents
+        return DoubleDouble(th, tl), xh, xl
     return DoubleDouble(th, tl)
 
 
@@ -766,9 +760,9 @@ class CascadeResult:
     delta_estimates: tuple        # gap ratios, one per interior level
     t_inf: float
     t_inf_error: float
-    t_inf_tangents: tuple = ()    # d t_inf / de along each direction asked for
-    # level N's converged orbit (2^N, n); arrays, so left out of ==
+    # level N's converged orbit (2^N, n), high and low parts; arrays, so not in ==
     orbits: tuple = field(default=(), compare=False)
+    orbit_lows: tuple = field(default=(), compare=False)
 
     @property
     def params(self):
@@ -822,7 +816,7 @@ def accumulation_parameter(sequence, delta=None, tangents=None):
                                 float(err), tuple((tan[-1] + dcur[-1]).tolist()))
 
 
-def run_cascade(fam, n_max, directions=(), seeds=None):
+def run_cascade(fam, n_max, seeds=None):
     """Doubling parameters t_0 .. t_n_max, gap ratios, and the accumulation.
 
     Level N+1 is bracketed just past t_N, between 0.08 and 0.5 of the last
@@ -837,17 +831,15 @@ def run_cascade(fam, n_max, directions=(), seeds=None):
     about 2/3 per level.  seeds, one (points (2^N, n), t) per level, replace
     those starts, as when another cascade has converged nearby orbits; the
     same Newton solve, bracket and checks still decide every level.  Gaps,
-    ratios and the extrapolation use the parameters' low parts.  Given
-    directions, MapNDs w, t_inf_tangents holds the exact derivative of
-    t_inf for the families psi_t + e*w at e = 0: every t_N's tangent,
-    extrapolated through the same recurrence.  On failure the exception
-    carries the completed prefix in `.completed`.
+    ratios and the extrapolation use the parameters' low parts.  Each
+    level's converged orbit is kept, high and low parts, for
+    cascade_tangents.  On failure the exception carries the completed
+    prefix in `.completed`.
     """
-    directions = tuple(directions)
     if seeds is not None and [np.shape(x) for x, _ in seeds] != [
             (2 ** level, fam.dim) for level in range(n_max + 1)]:
         raise ValueError(f"seeds must be one (points (2^N, {fam.dim}), t) per level 0..{n_max}")
-    ts, tangents, orbits = [], [], []
+    ts, orbits, lows = [], [], []
     try:
         for level in range(n_max + 1):
             if level == 0:
@@ -868,12 +860,10 @@ def run_cascade(fam, n_max, directions=(), seeds=None):
                 x, w = flip
                 seed = (np.vstack([x, x]) + (2.0 / 3.0) * k * math.sqrt(dt) * np.vstack([w, -w]),
                         float(ts[-1]) + dt)
-            t, tangent, pts = find_doubling_bifurcation(fam, level, (lo, hi), directions,
-                                                        seed=seed)
+            t, pts, low = find_doubling_bifurcation(fam, level, (lo, hi), seed=seed)
             ts.append(t)
             orbits.append(pts)
-            if directions:
-                tangents.append(tangent)
+            lows.append(low)
             if level < n_max and seeds is None:
                 if level:
                     # <(w, -w), y - (x, x)> = <w, y_front - y_back>: x cancels
@@ -887,16 +877,28 @@ def run_cascade(fam, n_max, directions=(), seeds=None):
     gaps = [_diff(b, a) for a, b in zip(ts, ts[1:])]
     deltas = tuple(gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1))
     if len(ts) >= 4:
-        acc = accumulation_parameter(ts, delta=deltas[-1], tangents=tangents or None)
-        t_inf, t_err, t_inf_tangents = acc.value, acc.error, acc.tangents
+        acc = accumulation_parameter(ts, delta=deltas[-1])
+        t_inf, t_err = acc.value, acc.error
     else:                                   # too short to extrapolate
         t_inf = t_err = float("nan")
-        t_inf_tangents = (float("nan"),) * len(directions)
-    return CascadeResult(tuple(enumerate(ts)), deltas, t_inf, t_err, t_inf_tangents,
-                         tuple(orbits))
+    return CascadeResult(tuple(enumerate(ts)), deltas, t_inf, t_err, tuple(orbits), tuple(lows))
 
 
-def lyapunov_exponent(fam, t, n_transient=1000, n_iter=20000, x0=None):
+def cascade_tangents(fam, res, directions):
+    """The exact derivative of res.t_inf, fam's converged cascade, for the
+    family psi_t + e*w at e = 0 of each MapND w in directions: by the
+    implicit function theorem, each t_N's is one more right-hand side of
+    its Newton system at the stored orbit, extrapolated like t_inf.
+    InsufficientDataError for fewer than 4 levels."""
+    if len(res.doubling_params) < 4:
+        raise InsufficientDataError(f"need at least 4 levels, got {len(res.doubling_params)}")
+    slopes = [fam.direction, *directions]
+    tangents = [_bordered(fam, slopes, xh, xl, float(t), t.lo)[2][:-1]
+                for t, xh, xl in zip(res.params, res.orbits, res.orbit_lows)]
+    return accumulation_parameter(res.params, res.delta_estimates[-1], tangents).tangents
+
+
+def lyapunov_exponent(fam, t, n_transient=1000, n_iter=20000):
     """Largest Lyapunov exponent of psi_t: the mean log growth per step of
     e1 carried along the orbit by the Jacobians.
 
@@ -911,10 +913,9 @@ def lyapunov_exponent(fam, t, n_transient=1000, n_iter=20000, x0=None):
     if n_transient < 0:
         raise ValueError("n_transient must be >= 0")
     m = fam.map_at(t)
-    if x0 is None:
-        # nudge off the family's seed: the exact critical point can land on
-        # an eventually-fixed orbit (logistic a=4: 0.5 -> 1 -> 0)
-        x0 = np.add(fam.start_at(t), 0.0137 * np.eye(fam.dim)[0])
+    # nudge off the family's seed: the exact critical point can land on an
+    # eventually-fixed orbit (logistic a=4: 0.5 -> 1 -> 0)
+    x0 = np.add(fam.start_at(t), 0.0137 * np.eye(fam.dim)[0])
     # the derivative is taken at the n_iter points before each step; the
     # step after the last one is kept only for its escape check
     pts = orbit(m, x0, n_transient + n_iter, keep=n_iter + 1)[1][:-1]

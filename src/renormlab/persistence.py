@@ -11,9 +11,10 @@ precision, and the directional derivative of b along v0 is -1.
 
 The gradient of b is the exact derivative of the depth-N b, not a
 difference quotient: every t_N's derivative along a direction w comes from
-the linearization of the Newton system that defines t_N, and is carried
-through the same extrapolation that gives a.  One cascade gives b and its
-derivatives along any number of directions.
+the linearization of the Newton system that defines t_N, read off the
+converged cascade, and is carried through the same extrapolation that
+gives a.  One cascade gives b and its derivatives along any number of
+directions.
 
 b is computed through cascades, not through renormalization distance to
 the 1-D fixed point, so the same chart machinery works for families far
@@ -22,8 +23,8 @@ from the standard map (Henon included).
 
 from dataclasses import dataclass
 
-from .cascade import (CascadeResult, OneParamFamily, _diff, linear_family, recenter,
-                      run_cascade, shift_family)
+from .cascade import (CascadeResult, OneParamFamily, _diff, cascade_tangents, linear_family,
+                      recenter, run_cascade, shift_family)
 from .errors import InsufficientDataError, RenormLabError
 
 
@@ -108,19 +109,19 @@ def chart_gradient(chart, probe_dirs):
     """b at the base map and its directional derivatives along the probe
     directions, from one cascade.
 
-    Each derivative is the exact derivative of the depth-N b, from the
-    tangents of the doubling solutions (see run_cascade), with no step size.
+    Each derivative is the exact derivative of the depth-N b, read off the
+    converged cascade of b(psi0) by cascade_tangents, with no step size.
     Along v0 it is -1 (the transversal normalization) and along a zero
     probe exactly 0.  Returns (b, one derivative per probe direction).
     """
-    res = run_cascade(chart.family_through(chart.psi0), chart.depth, directions=probe_dirs)
-    return res.t_inf, list(res.t_inf_tangents)
+    fam = chart.family_through(chart.psi0)
+    res = run_cascade(fam, chart.depth)
+    return res.t_inf, list(cascade_tangents(fam, res, probe_dirs))
 
 
-def chart_validity_radius(chart, h_values=(1e-3, 1e-2, 0.05, 0.1, 0.2),
-                          tol=0.05):
+def chart_validity_radius(chart, h_values=(1e-3, 1e-2, 0.05, 0.1, 0.2)):
     """Largest probe size h at which the difference quotient of b along v0,
-    over [-h, h], stays within tol of -1.
+    over [-h, h], stays within 0.05 of -1.
 
     The chart is only locally valid; this reports the empirically usable
     radius instead of deriving one.
@@ -132,7 +133,7 @@ def chart_validity_radius(chart, h_values=(1e-3, 1e-2, 0.05, 0.1, 0.2),
             minus = chart_b(chart, chart.psi0 + (-h) * chart.v0)
         except RenormLabError:
             break
-        if abs((plus - minus) / (2 * h) + 1.0) > tol:
+        if abs((plus - minus) / (2 * h) + 1.0) > 0.05:
             break
         largest = h
     return largest

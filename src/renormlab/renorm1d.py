@@ -92,7 +92,7 @@ def renormalize(f, degree=None):
         degree = f.trunc_degree
     if degree < 0 or degree > MAX_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
-    return AnalyticUnimodal(_renorm_coeffs(f.coeffs, degree), f.domain_halfwidth)
+    return AnalyticUnimodal(_renorm_coeffs(f.coeffs, degree))
 
 
 def residual(f):
@@ -169,15 +169,15 @@ def solve_fixed_point(initial=None, degree=DEFAULT_DEGREE, tol=DEFAULT_TOL,
         last=AnalyticUnimodal(c), residual=res)
 
 
-def linearize(phi0, residual_tol=1e-6):
-    """Exact Jacobian of R at phi0 with its spectral summary.
+def linearize(phi0):
+    """Exact Jacobian of R at phi0, a fixed point to residual 1e-6, with its
+    spectral summary.
 
     Degenerate inputs (e.g. the constant series) yield a near-zero Jacobian
     and a sub-unit leading eigenvalue rather than an error.
     """
-    if residual(phi0) >= residual_tol:
-        raise LinearizationError(
-            f"phi0 is not a solved fixed point (residual >= {residual_tol})")
+    if residual(phi0) >= 1e-6:
+        raise LinearizationError("phi0 is not a solved fixed point (residual >= 1e-06)")
     jac = _renorm_jacobian(phi0.coeffs, phi0.trunc_degree)
     full_eigs = np.linalg.eigvals(jac)
     pinned_eigs = np.linalg.eigvals(jac[1:, 1:])

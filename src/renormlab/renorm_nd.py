@@ -48,7 +48,7 @@ def standard_fct_map(n, phi0):
     coeffs = np.zeros((len(powers), n))
     coeffs[0, 0] = 1.0
     coeffs[1:, -1] = phi0.coeffs
-    return MapND(exps, coeffs, family="standard-fct")
+    return MapND(exps, coeffs)
 
 
 def iterate(psi, x, k):
@@ -191,17 +191,17 @@ def check_renormalizable(psi, d1, samples=2048):
                        disjoint_margin, inside_margin)
 
 
-def renormalize_nd(psi, xi, degree=8, samples=2048, fit_tol=1e-3):
+def renormalize_nd(psi, xi, degree=8, fit_tol=1e-3):
     """R psi = xi^-1 o psi o psi o xi, refit to total degree <= degree.
 
     xi is the affine chart of the renormalization disk D1 (a DiskND).  The
-    refit is a least-squares polynomial over sampled ball points; its max
-    residual is attached to the result as `fit_residual` and must stay
+    refit is a least-squares polynomial over 2048 sampled ball points; its
+    max residual is attached to the result as `fit_residual` and must stay
     below fit_tol.
     """
     if not isinstance(xi, DiskND):
         raise DiskError("xi must be a DiskND (affine chart of D1)")
-    ball = ball_samples(xi.dim, samples)
+    ball = ball_samples(xi.dim, 2048)
     pts = xi.chart(ball)
     with np.errstate(over="ignore", invalid="ignore"):
         im2 = psi(psi(pts))
@@ -216,7 +216,7 @@ def renormalize_nd(psi, xi, degree=8, samples=2048, fit_tol=1e-3):
     if worst > fit_tol:
         raise RefitError(
             f"refit residual {worst:.3e} exceeds {fit_tol:.1e}", residual=worst)
-    out = MapND(exps, coeffs, family=f"renormalized({psi.family})")
+    out = MapND(exps, coeffs)
     out.fit_residual = worst
     return out
 
@@ -320,15 +320,15 @@ def distance_to_standard(psi, phi0, disk, samples=2048):
     return float(np.max(np.linalg.norm(diff, axis=1)))
 
 
-def attractor_cloud(psi, start=None, transient=500, n_points=2500):
-    """Post-transient orbit sample of psi, for locating its attractor."""
+def attractor_cloud(psi, start=None):
+    """2500 orbit points of psi after 500 steps, for locating its attractor."""
     n = psi.dim
     starts = [start] if start is not None else [
         np.full(n, 0.1), np.full(n, -0.1), np.full(n, 0.3)]
     last_exc = None
     for s in starts:
         try:
-            return orbit(psi, s, transient + n_points, keep=n_points)[1]
+            return orbit(psi, s, 3000, keep=2500)[1]
         except EscapeError as exc:
             last_exc = exc
     raise last_exc

@@ -1,4 +1,4 @@
-"""Truncated even power series over [-h, h].
+"""Truncated even power series over [-1, 1].
 
 A real analytic unimodal map with a quadratic critical point at the origin
 is stored through its even representation phi(x) = g(x^2) = sum_j c_j x^(2j).
@@ -29,22 +29,20 @@ FIT_RCOND = 1e-9
 
 
 class AnalyticUnimodal:
-    """Even power series phi(x) = sum_j coeffs[j] * x^(2j) on [-h, h].
+    """Even power series phi(x) = sum_j coeffs[j] * x^(2j) on [-1, 1].
 
     coeffs[0] is phi(0).  When flagged `normalized`, phi(0) = 1 and
     phi''(0) = 2*coeffs[1] < 0 are enforced at construction.
     """
 
-    __slots__ = ("coeffs", "domain_halfwidth", "normalized")
+    __slots__ = ("coeffs", "normalized")
 
-    def __init__(self, coeffs, domain_halfwidth=1.0, normalized=False):
+    def __init__(self, coeffs, normalized=False):
         c = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(c)):
             raise ValueError("coeffs must be finite")
-        if domain_halfwidth <= 0:
-            raise ValueError("domain_halfwidth must be positive")
         if normalized:
             if c[0] != 1.0:
                 raise ValueError("normalized series must have c0 = 1")
@@ -52,7 +50,6 @@ class AnalyticUnimodal:
                 raise ValueError("normalized series must have c1 < 0")
         c.setflags(write=False)
         self.coeffs = c
-        self.domain_halfwidth = float(domain_halfwidth)
         self.normalized = bool(normalized)
 
     @property
@@ -65,18 +62,16 @@ class AnalyticUnimodal:
     def __repr__(self):
         head = np.array2string(self.coeffs[:4], precision=6)
         return (f"AnalyticUnimodal(K={self.trunc_degree}, coeffs={head}..., "
-                f"h={self.domain_halfwidth}, normalized={self.normalized})")
+                f"normalized={self.normalized})")
 
     def _binary(self, other, sign):
         if not isinstance(other, AnalyticUnimodal):
             return NotImplemented
-        if other.domain_halfwidth != self.domain_halfwidth:
-            raise ValueError("series live on different domains")
         n = max(self.coeffs.size, other.coeffs.size)
         a = np.zeros(n)
         a[: self.coeffs.size] = self.coeffs
         a[: other.coeffs.size] += sign * other.coeffs
-        return AnalyticUnimodal(a, self.domain_halfwidth)
+        return AnalyticUnimodal(a)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -85,7 +80,7 @@ class AnalyticUnimodal:
         return self._binary(other, -1.0)
 
     def __mul__(self, s):
-        return AnalyticUnimodal(self.coeffs * float(s), self.domain_halfwidth)
+        return AnalyticUnimodal(self.coeffs * float(s))
 
     __rmul__ = __mul__
 
@@ -108,9 +103,8 @@ def _eval_in_u(coeffs, u):
 def evaluate(f, x):
     """phi(x) by Horner evaluation in u = x^2.  Accepts scalars or arrays."""
     xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > f.domain_halfwidth * (1 + 1e-12)):
-        raise DomainError(
-            f"|x| > domain halfwidth {f.domain_halfwidth}: x={x!r}")
+    if np.any(np.abs(xs) > 1 + 1e-12):
+        raise DomainError(f"|x| > 1: x={x!r}")
     out = _eval_in_u(f.coeffs, xs**2)
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
@@ -118,19 +112,19 @@ def evaluate(f, x):
 _FIT_CACHE = {}
 
 
-def _fit_operator(m, degree, halfwidth=1.0):
+def _fit_operator(m, degree):
     """Cached (nodes, design matrix, pseudoinverse) for the default grids."""
-    key = (m, degree, halfwidth)
+    key = (m, degree)
     if key not in _FIT_CACHE:
-        nodes = cheb_nodes(m) * halfwidth
+        nodes = cheb_nodes(m)
         a = np.vander(nodes**2, degree + 1, increasing=True)
         _FIT_CACHE[key] = (nodes, a, np.linalg.pinv(a, rcond=FIT_RCOND))
     return _FIT_CACHE[key]
 
 
-def _fit_values(values, m, degree, halfwidth=1.0):
+def _fit_values(values, m, degree):
     # fast path used by compose/renormalize: default grid, cached pinv
-    nodes, a, p = _fit_operator(m, degree, halfwidth)
+    nodes, a, p = _fit_operator(m, degree)
     c = p @ values
     return c + p @ (values - a @ c)
 
@@ -143,19 +137,16 @@ def compose_unimodal(f, h, degree):
     """
     if degree < 0 or degree > MAX_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
-    if f.domain_halfwidth != h.domain_halfwidth:
-        raise ValueError("composition requires a shared domain convention")
-    hw = h.domain_halfwidth
     m = 2 * max(degree, 1) + 1
-    nodes, _, _ = _fit_operator(m, degree, hw)
+    nodes, _, _ = _fit_operator(m, degree)
     inner = evaluate(h, nodes)
-    lim = f.domain_halfwidth * (1 + 1e-12)
+    lim = 1 + 1e-12
     if np.max(np.abs(inner)) > lim:
         raise RangeError(
             f"inner values reach {np.max(np.abs(inner)):.6g}, outside the "
-            f"outer domain [-{f.domain_halfwidth}, {f.domain_halfwidth}]")
+            "outer domain [-1, 1]")
     vals = _eval_in_u(f.coeffs, np.clip(inner, -lim, lim) ** 2)
-    return AnalyticUnimodal(_fit_values(vals, m, degree, hw), hw)
+    return AnalyticUnimodal(_fit_values(vals, m, degree))
 
 
 def scale_conjugate(f, s, degree=None):
@@ -170,13 +161,12 @@ def scale_conjugate(f, s, degree=None):
     k = min(degree, f.trunc_degree) + 1
     j = np.arange(k)
     c[:k] = f.coeffs[:k] * float(s) ** (2 * j - 1)
-    return AnalyticUnimodal(c, f.domain_halfwidth)
+    return AnalyticUnimodal(c)
 
 
-def sup_norm(f, grid_points=512):
-    """max |phi| over a dense grid with one Newton polish at the best node."""
-    hw = f.domain_halfwidth
-    xs = np.linspace(-hw, hw, max(int(grid_points), 512) + 1)
+def sup_norm(f):
+    """max |phi| on 513 grid points of [-1, 1], Newton-polished at the best."""
+    xs = np.linspace(-1.0, 1.0, 513)
     vals = np.abs(_eval_in_u(f.coeffs, xs**2))
     i = int(np.argmax(vals))
     best = vals[i]
@@ -196,14 +186,14 @@ def sup_norm(f, grid_points=512):
         denom = dp * dp + p * ddp
         if abs(denom) > 1e-300:
             x1 = x0 - (p * dp) / denom
-            if abs(x1) <= hw:
+            if abs(x1) <= 1.0:
                 best = max(best, abs(float(_eval_in_u(c, np.array(x1**2)))))
     return float(best)
 
 
-def sup_distance(f, g, grid_points=512):
-    """sup-norm distance between two series on their shared domain."""
-    return sup_norm(f - g, grid_points)
+def sup_distance(f, g):
+    """sup-norm distance between two series on [-1, 1]."""
+    return sup_norm(f - g)
 
 
 def save_coeffs(f, path):
@@ -212,8 +202,7 @@ def save_coeffs(f, path):
         json.dump([float(c) for c in f.coeffs], fh)
 
 
-def load_coeffs(path, domain_halfwidth=1.0):
+def load_coeffs(path):
     """Read a bare JSON coefficient array written by save_coeffs."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return AnalyticUnimodal(data, domain_halfwidth)
+        return AnalyticUnimodal(json.load(fh))

@@ -555,19 +555,29 @@ def test_cascade_time_budgets(logistic, henon):
     assert best_time(lambda: cascade.run_cascade(henon, 9)) < 0.40
 
 
+# d t_inf along (the family's direction, x^3 e_x), as float.hex
+TANGENT_HEXES = {"logistic": ("-0x1.0000000000000p+0", "0x1.0079c9b64b048p-1"),
+                 "henon": ("-0x1.0000000000000p+0", "0x1.ab4985dcdd63bp-1"),
+                 "fold3d": ("-0x1.0000000000061p+0", "0x1.e2d5b773dab42p-1")}
+
+
 @pytest.mark.parametrize("name, depth", [("logistic", 10), ("henon", 7), ("fold3d", 8)])
 def test_tangents_leave_the_cascade_bit_identical(request, name, depth):
+    # the tangents are read off a plain cascade, which they cannot change
     fam = request.getfixturevalue(name)
     w = cascade.MapND(np.eye(fam.dim, dtype=int)[:1] * 3, np.eye(fam.dim)[:1])   # x^3 e_x
-    plain = cascade.run_cascade(fam, depth)
-    res = cascade.run_cascade(fam, depth, directions=[fam.direction, w])
-    assert [(t.hex(), t.lo.hex()) for t in res.params] == \
-        [(t.hex(), t.lo.hex()) for t in plain.params]
-    assert res.delta_estimates == plain.delta_estimates
-    assert (res.t_inf, res.t_inf_error) == (plain.t_inf, plain.t_inf_error)
-    assert plain.t_inf_tangents == () and len(res.t_inf_tangents) == 2
+    tangents = cascade.cascade_tangents(fam, cascade.run_cascade(fam, depth), [fam.direction, w])
+    assert tuple(t.hex() for t in tangents) == TANGENT_HEXES[name]
     # moving along the family's own direction moves every t_N back by as much
-    assert res.t_inf_tangents[0] == pytest.approx(-1.0, abs=1e-12)
+    assert tangents[0] == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+def test_tangents_need_four_levels(logistic, n_max):
+    res = cascade.run_cascade(logistic, n_max)
+    assert math.isnan(res.t_inf)
+    with pytest.raises(InsufficientDataError, match="at least 4"):
+        cascade.cascade_tangents(logistic, res, [logistic.direction])
 
 
 @pytest.mark.parametrize("name", ["logistic", "henon"])

@@ -1,19 +1,23 @@
 """Source rules for the package, checked on its syntax trees.
 
 No handler may catch every exception (a bug would turn into a plausible
-result), numpy is the only import outside the standard library, and every
+result), numpy is the only import outside the standard library, every
 private module-level function or constant is referenced somewhere outside
-its own definition (a leftover helper or setting is dead code).
+its own definition (a leftover helper or setting is dead code), and every
+option, a parameter with a default, is passed by some call (an option with
+one value in use is a constant).
 """
 
 import ast
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "renormlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "renormlab"
+CALLERS = [ROOT / "src", ROOT / "tests", ROOT / "demos", ROOT / "benchmark"]
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "renormlab"}
 
 
@@ -123,6 +127,72 @@ def test_rule_catches_an_unreferenced_private_function(source, expected):
 def test_rule_catches_an_unreferenced_private_constant(source, expected):
     tree = ast.parse(source)
     assert [what for _, what in unreferenced(tree, [tree])] == expected
+
+
+def options(tree):
+    """Every parameter with a default of tree's module-level functions and
+    of its classes' __init__ and __new__: (line, the name a call uses, the
+    parameter, its position in a call, None when keyword-only)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs = [(node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            # a call of the class passes no self or cls
+            defs = [(f, 1) for f in node.body
+                    if isinstance(f, ast.FunctionDef) and f.name in ("__init__", "__new__")]
+        else:
+            continue
+        for fn, skip in defs:
+            args = fn.args
+            params = args.posonlyargs + args.args
+            for pos in range(len(params) - len(args.defaults), len(params)):
+                yield params[pos].lineno, node.name, params[pos].arg, pos - skip
+            for param, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield param.lineno, node.name, param.arg, None
+
+
+def passes(call, param, pos):
+    """Whether call passes param, at position pos (None when keyword-only):
+    by keyword, by position, or through a * or ** splat."""
+    if any(kw.arg in (param, None) for kw in call.keywords):      # None: a ** splat
+        return True
+    return pos is not None and (len(call.args) > pos
+                                or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unpassed(tree, trees):
+    """The options of tree that no call of their name in trees passes."""
+    calls = defaultdict(list)
+    for t in trees:
+        for node in ast.walk(t):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[getattr(func, "id", getattr(func, "attr", None))].append(node)
+    for line, name, param, pos in options(tree):
+        if not any(passes(call, param, pos) for call in calls[name]):
+            yield line, f"{name}({param}) is never passed"
+
+
+def test_every_option_is_passed():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for root in CALLERS for path in sorted(root.rglob("*.py"))]
+    found = [f"{path.name}:{line}: {what}" for path in sorted(SRC.glob("*.py"))
+             for line, what in unpassed(ast.parse(path.read_text(encoding="utf-8")), trees)]
+    assert not found, found
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f(x, y=1):\n    pass\n\nf(0, y=2)\n", []),
+    ("def f(x, y=1):\n    pass\n\nf(0, 2)\n", []),
+    ("def f(x, y=1):\n    pass\n\nf(*xs)\nf(0, **kw)\n", []),
+    ("def f(x, *rest, y=1):\n    pass\n\nf(0, 1, 2)\nf(*xs)\n", ["f(y) is never passed"]),
+    ("class Box:\n    def __init__(self, size=1):\n        pass\n\nBox(2)\n", []),
+    ("def f(x, y=1):\n    pass\n\nf(0)\n", ["f(y) is never passed"]),
+], ids=["keyword", "positional", "splat", "keyword-only", "self-offset", "unused"])
+def test_rule_catches_an_option_that_is_never_passed(source, expected):
+    tree = ast.parse(source)
+    assert [what for _, what in unpassed(tree, [tree])] == expected
 
 
 def test_rules_allow_stdlib_numpy_and_relative_imports():
