@@ -32,7 +32,7 @@ print(f"expanding directions: full space {lin.expanding_count} "
 # the fixed point really is fixed: compose, rescale, compare
 s = series.evaluate(phi, 1.0)
 second = series.compose_unimodal(phi, phi, phi.trunc_degree)
-rescaled = series.scale_conjugate(second, s, phi.trunc_degree)
+rescaled = series.scale_conjugate(second, s)
 print(f"\nsup distance of rescaled second iterate from phi: "
       f"{series.sup_distance(rescaled, phi):.3e}")
 

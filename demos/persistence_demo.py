@@ -33,7 +33,7 @@ print(f"db along x^3           = {grads[2]:+.15f}   (a transversal direction)")
 dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], chart.cascade)
 print(f"\nshift law |a((t0)*F) - a(F) + t0|, t0 = +-0.05: max deviation {dev:.2e}")
 
-radius = persistence.chart_validity_radius(chart, h_values=(1e-3, 1e-2, 0.05, 0.1, 0.2))
+radius = persistence.chart_validity_radius(chart)
 print(f"empirical chart validity radius (difference quotient within 5% of -1): {radius}")
 
 print("\nsame identities for the Henon family (depth 6):")

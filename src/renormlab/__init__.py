@@ -18,7 +18,7 @@ from .series import (AnalyticUnimodal, cheb_nodes, compose_unimodal, evaluate,
 from .renorm1d import (FixedPointResult, LinearizationResult, lambda_of,
                        linearize, renormalize, residual, solve_fixed_point)
 from .renorm_nd import (DiskND, DiskSearch, RenormCheck, ball_samples,
-                        check_renormalizable, distance_to_standard, iterate,
+                        check_renormalizable, distance_to_standard,
                         renormalize_nd, search_renorm_disk, standard_fct_map)
 from .cascade import (AccumulationEstimate, CascadeResult, DoubleDouble, MapND,
                       OneParamFamily, accumulation_parameter, cascade_tangents,

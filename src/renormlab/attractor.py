@@ -24,6 +24,7 @@ from .cascade import (_orbit_by_iteration, orbit, orbit_multiplier,
 from .errors import InsufficientDataError, RenormLabError, ResolutionError
 
 MAX_GENERATIONS = 12
+TRANSIENT = 4096        # orbit steps dropped before the atoms' points are kept
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,9 @@ class AtomTree:
         return self.generations[m]
 
 
-def build_atoms(fam, t, generations, n_points, transient=4096):
-    """Cluster a long critical orbit into the nested atom hierarchy.
+def build_atoms(fam, t, generations, n_points):
+    """Cluster a long critical orbit, after TRANSIENT steps, into the nested
+    atom hierarchy.
 
     Generation m holds the 2^m clusters of orbit points indexed by iterate
     mod 2^m.  Raises ResolutionError if any two same-generation bounding
@@ -69,7 +71,7 @@ def build_atoms(fam, t, generations, n_points, transient=4096):
     if n_points < 2 ** (generations + 6):
         raise ValueError(
             f"need n_points >= 2^(generations+6) = {2 ** (generations + 6)}")
-    pts = orbit(fam.map_at(t), fam.start_at(t), transient + n_points,
+    pts = orbit(fam.map_at(t), fam.start_at(t), TRANSIENT + n_points,
                 keep=n_points)[1]
 
     levels = []
@@ -126,19 +128,18 @@ def _classify(mults):
     return "saddle"
 
 
-def verify_periodic_saddles(fam, t, levels, cascade_result=None):
+def verify_periodic_saddles(fam, t, levels):
     """Locate the period-2^N orbits at parameter t and classify them.
 
-    Each orbit is found at the midpoint of its stability window (where it
-    is the attractor) and then continued in the parameter to t, where it
+    The stability windows come from fam's cascade to level max(levels) + 1.
+    Each orbit is found at the midpoint of its window (where it is the
+    attractor) and then continued in the parameter to t, where it
     generically survives as a repeller (1-D) or saddle (n-D).  The
     continuation solves the orbit afresh at steps of half the window's
     width, each from the whole orbit of the step before.
     """
     levels = sorted(levels)
-    if cascade_result is None:
-        cascade_result = run_cascade(fam, max(levels) + 1)
-    ts = cascade_result.params
+    ts = run_cascade(fam, max(levels) + 1).params
     reports = []
     for lv in levels:
         period = 2 ** lv

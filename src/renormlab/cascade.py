@@ -48,6 +48,7 @@ BLOCK = 2048            # points per MapND evaluation block: bounds the monomial
 DISTINCT_TOL = 1e-10
 ESCAPE_CHECK = 256      # images stepped between two escape checks
 LYAPUNOV_CHUNK = 64     # Jacobians multiplied between two renormalizations
+LYAPUNOV_TRANSIENT = 1000   # steps dropped before the exponent's average starts
 MAX_LEVEL = 16          # deepest cascade level offered by the CLI: period 2^16
 MAX_NEWTON = 12         # Newton iterations before an orbit solve gives up
 MAX_SETTLE = 6000       # plain-iteration steps before a stable orbit is polished
@@ -113,9 +114,10 @@ def henon_family(b=0.3):
         bracket0=(a0 / 3.0, a0 + 0.5 * (a1 - a0)), gap_hint=a1 - a0, start_at=start)
 
 
-def linear_family(base, direction, bracket0, gap_hint, start_at, window=(-1.0, 1.0)):
-    """psi_t = base + t*direction, for MapNDs base and direction."""
-    return OneParamFamily(*_one_table(base, direction), tuple(window), tuple(bracket0),
+def linear_family(base, direction, bracket0, gap_hint, start_at):
+    """psi_t = base + t*direction, for MapNDs base and direction, on the
+    parameter window (-1, 1)."""
+    return OneParamFamily(*_one_table(base, direction), (-1.0, 1.0), tuple(bracket0),
                           gap_hint, start_at)
 
 
@@ -731,13 +733,10 @@ def find_doubling_bifurcation(fam, level, bracket, seed=None):
     """Parameter where the period-2^level orbit's multiplier crosses -1.
 
     One Newton solve of the doubling system, started from the orbit at the
-    bracket's lower end, where it is a sink, found there by iteration.
-    Returns a DoubleDouble; a solution outside the bracket raises
-    BracketError.
-
-    A seed (points (2^level, n), t) starts the solve there instead; then
-    the result is the triple (t_N, the converged orbit's high parts, its
-    low parts), each part (2^level, n).
+    bracket's lower end, where it is a sink, found there by iteration, or
+    from a seed (points (2^level, n), t).  Returns the triple (t_N as a
+    DoubleDouble, the converged orbit's high parts, its low parts), each
+    part (2^level, n); a solution outside the bracket raises BracketError.
     """
     period = 2 ** level
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
@@ -749,9 +748,7 @@ def find_doubling_bifurcation(fam, level, bracket, seed=None):
         raise BracketError(
             f"the period-{period} orbit doubles at t={th:.9g}, outside the "
             f"bracket ({t_lo:.6g}, {t_hi:.6g})")
-    if seed is not None:
-        return DoubleDouble(th, tl), xh, xl
-    return DoubleDouble(th, tl)
+    return DoubleDouble(th, tl), xh, xl
 
 
 @dataclass(frozen=True)
@@ -776,16 +773,18 @@ class AccumulationEstimate:
     tangents: tuple = ()          # d value / de, given the terms' d/de
 
 
-def accumulation_parameter(sequence, delta=None, tangents=None):
+def accumulation_parameter(sequence, tangents=None):
     """Iterated Aitken extrapolation of the doubling-parameter sequence.
 
     Exact for geometric sequences.  Works on offsets from the last term, so
     DoubleDouble terms keep their low parts.  The attached error estimate
-    is the geometric-tail bound |t_inf - t_last| / (delta - 1).  Given the
-    terms' derivatives along some directions, tangents (len, K), the value's
-    are carried through the same recurrence in forward mode.
+    is the geometric-tail bound |t_inf - t_last| / (delta - 1), delta the
+    last gap ratio of the sequence, as run_cascade's delta_estimates[-1]
+    reads it (4 when the last gap is 0).  Given the terms' derivatives
+    along some directions, tangents (len, K), the value's are carried
+    through the same recurrence in forward mode.
     """
-    seq = sequence.params if isinstance(sequence, CascadeResult) else list(sequence)
+    seq = list(sequence)
     if len(seq) < 4:
         raise InsufficientDataError(
             f"need at least 4 doubling parameters, got {len(seq)}")
@@ -793,7 +792,6 @@ def accumulation_parameter(sequence, delta=None, tangents=None):
     cur = np.array([_diff(v, ref) for v in seq])
     tan = np.zeros((len(seq), 0)) if tangents is None else np.array(tangents, dtype=float)
     dcur = tan - tan[-1]
-    gaps = np.diff(cur)
     scale = max(abs(float(ref)), 1.0)
     while len(cur) >= 3:
         d = np.diff(cur)
@@ -807,10 +805,9 @@ def accumulation_parameter(sequence, delta=None, tangents=None):
         dcur = dcur[2:] - d2 * (2.0 * dd[1:] * den[:, None] - d2 * dden) / (den * den)[:, None]
         cur = cur[2:] - d[1:] * d[1:] / den
     offset = float(cur[-1])
-    if delta is None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta = abs(gaps[-2] / gaps[-1]) if abs(gaps[-1]) > 0 else 4.0
-    delta = max(float(delta), 1.0 + 1e-9)
+    last = _diff(seq[-1], seq[-2])
+    delta = abs(_diff(seq[-2], seq[-3]) / last) if abs(last) > 0 else 4.0
+    delta = max(delta, 1.0 + 1e-9)
     err = abs(offset) * (1.0 / delta) / (1.0 - 1.0 / delta)
     return AccumulationEstimate(float(ref) + (getattr(ref, "lo", 0.0) + offset),
                                 float(err), tuple((tan[-1] + dcur[-1]).tolist()))
@@ -820,15 +817,18 @@ def run_cascade(fam, n_max, seeds=None):
     """Doubling parameters t_0 .. t_n_max, gap ratios, and the accumulation.
 
     Level N+1 is bracketed just past t_N, between 0.08 and 0.5 of the last
-    gap, which holds it once gaps shrink faster than 2.  Levels 0 and 1
-    start from the sink that iteration finds at the bracket's lower end.
-    Every later level starts by branch switching at the flip of the one
-    before: level N's orbit x, doubled, moved along its doubled flip
-    direction (w, -w) by k sqrt(dt), at t_N + dt.  dt is the last gap over
-    the last gap ratio (4.67 before one exists).  k is 2/3 of level N's own
-    amplitude, |<(w, -w), y - (x, x)>| / |(w, -w)|^2 / sqrt(t_N - t_(N-1))
-    for its orbit y against level N-1's x and w: that amplitude shrinks by
-    about 2/3 per level.  seeds, one (points (2^N, n), t) per level, replace
+    gap, which holds it once gaps shrink faster than 2; level 1 between
+    0.15 and 1.4 gap_hint past t_0.  That bracket only accepts or rejects
+    the solved t_1, so it may reach past the family's param_range, as it
+    does for Henon maps with b < 0.  Levels 0 and 1 start from the sink
+    that iteration finds at the bracket's lower end.  Every later level
+    starts by branch switching at the flip of the one before: level N's
+    orbit x, doubled, moved along its doubled flip direction (w, -w) by
+    k sqrt(dt), at t_N + dt.  dt is the last gap over the last gap ratio
+    (4.67 before one exists).  k is 2/3 of level N's own amplitude,
+    |<(w, -w), y - (x, x)>| / |(w, -w)|^2 / sqrt(t_N - t_(N-1)) for its
+    orbit y against level N-1's x and w: that amplitude shrinks by about
+    2/3 per level.  seeds, one (points (2^N, n), t) per level, replace
     those starts, as when another cascade has converged nearby orbits; the
     same Newton solve, bracket and checks still decide every level.  Gaps,
     ratios and the extrapolation use the parameters' low parts.  Each
@@ -846,16 +846,12 @@ def run_cascade(fam, n_max, seeds=None):
                 lo, hi = fam.bracket0
             elif level == 1:
                 # provisional: gap_hint estimates the first gap itself
-                lo = ts[-1] + 0.15 * fam.gap_hint
-                hi = min(ts[-1] + 1.4 * fam.gap_hint, fam.param_range[1])
+                lo, hi = ts[-1] + 0.15 * fam.gap_hint, ts[-1] + 1.4 * fam.gap_hint
             else:
                 gap = _diff(ts[-1], ts[-2])
                 lo, hi = ts[-1] + 0.08 * gap, ts[-1] + 0.5 * gap
-            if seeds is not None:
-                seed = seeds[level]
-            elif level < 2:
-                seed = (_orbit_by_iteration(fam, lo, 2 ** level), lo)
-            else:
+            seed = None if seeds is None else seeds[level]
+            if seeds is None and level > 1:
                 dt = gap / (_diff(ts[-2], ts[-3]) / gap if level > 2 else 4.67)
                 x, w = flip
                 seed = (np.vstack([x, x]) + (2.0 / 3.0) * k * math.sqrt(dt) * np.vstack([w, -w]),
@@ -877,7 +873,7 @@ def run_cascade(fam, n_max, seeds=None):
     gaps = [_diff(b, a) for a, b in zip(ts, ts[1:])]
     deltas = tuple(gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1))
     if len(ts) >= 4:
-        acc = accumulation_parameter(ts, delta=deltas[-1])
+        acc = accumulation_parameter(ts)
         t_inf, t_err = acc.value, acc.error
     else:                                   # too short to extrapolate
         t_inf = t_err = float("nan")
@@ -895,12 +891,13 @@ def cascade_tangents(fam, res, directions):
     slopes = [fam.direction, *directions]
     tangents = [_bordered(fam, slopes, xh, xl, float(t), t.lo)[2][:-1]
                 for t, xh, xl in zip(res.params, res.orbits, res.orbit_lows)]
-    return accumulation_parameter(res.params, res.delta_estimates[-1], tangents).tangents
+    return accumulation_parameter(res.params, tangents).tangents
 
 
-def lyapunov_exponent(fam, t, n_transient=1000, n_iter=20000):
+def lyapunov_exponent(fam, t, n_iter=20000):
     """Largest Lyapunov exponent of psi_t: the mean log growth per step of
-    e1 carried along the orbit by the Jacobians.
+    e1 carried along the orbit by the Jacobians, after LYAPUNOV_TRANSIENT
+    steps that let the orbit settle on the attractor.
 
     e1 follows the first column of a per-step QR, so this is the QR
     exponent without a QR per step.  Each Jacobian is scaled by a power of
@@ -910,15 +907,13 @@ def lyapunov_exponent(fam, t, n_transient=1000, n_iter=20000):
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
-    if n_transient < 0:
-        raise ValueError("n_transient must be >= 0")
     m = fam.map_at(t)
     # nudge off the family's seed: the exact critical point can land on an
     # eventually-fixed orbit (logistic a=4: 0.5 -> 1 -> 0)
     x0 = np.add(fam.start_at(t), 0.0137 * np.eye(fam.dim)[0])
     # the derivative is taken at the n_iter points before each step; the
     # step after the last one is kept only for its escape check
-    pts = orbit(m, x0, n_transient + n_iter, keep=n_iter + 1)[1][:-1]
+    pts = orbit(m, x0, LYAPUNOV_TRANSIENT + n_iter, keep=n_iter + 1)[1][:-1]
     jacs = m.jac(pts)
     scale = np.frexp(np.max(np.abs(jacs), axis=(1, 2)))[1]
     total = math.log(2.0) * float(np.sum(scale))

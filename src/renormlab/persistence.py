@@ -119,15 +119,19 @@ def chart_gradient(chart, probe_dirs):
     return res.t_inf, list(cascade_tangents(fam, res, probe_dirs))
 
 
-def chart_validity_radius(chart, h_values=(1e-3, 1e-2, 0.05, 0.1, 0.2)):
-    """Largest probe size h at which the difference quotient of b along v0,
-    over [-h, h], stays within 0.05 of -1.
+# probe sizes of chart_validity_radius, smallest first
+VALIDITY_PROBES = (1e-3, 1e-2, 0.05, 0.1, 0.2)
+
+
+def chart_validity_radius(chart):
+    """Largest probe size h of VALIDITY_PROBES at which the difference
+    quotient of b along v0, over [-h, h], stays within 0.05 of -1.
 
     The chart is only locally valid; this reports the empirically usable
     radius instead of deriving one.
     """
     largest = 0.0
-    for h in sorted(h_values):
+    for h in VALIDITY_PROBES:
         try:
             plus = chart_b(chart, chart.psi0 + h * chart.v0)
             minus = chart_b(chart, chart.psi0 + (-h) * chart.v0)

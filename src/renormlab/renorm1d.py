@@ -105,25 +105,20 @@ def lambda_of(phi0):
     return -evaluate(phi0, 1.0)
 
 
-def solve_fixed_point(initial=None, degree=DEFAULT_DEGREE, tol=DEFAULT_TOL,
-                      max_iters=25):
-    """Newton solve of R(phi) = phi on the normalized slice c0 = 1.
+def solve_fixed_point(degree=DEFAULT_DEGREE, tol=DEFAULT_TOL, max_iters=25):
+    """Newton solve of R(phi) = phi on the normalized slice c0 = 1, from
+    DEFAULT_INITIAL, 1 - 1.4 x^2.
 
     The c0 component is pinned (the normalization replaces that equation;
     R preserves f(0) = 1 exactly) and the Jacobian of the remaining system
     is the exact one, restricted to that slice.  Steps are damped by simple
     halving whenever the sup-norm residual would not decrease.
     """
-    if initial is None:
-        initial = AnalyticUnimodal(DEFAULT_INITIAL, normalized=True)
-    if not initial.normalized:
-        raise ValueError("initial guess must be normalized (c0 = 1, c1 < 0)")
     if degree < 1 or degree > MAX_DEGREE:
         raise ValueError(f"degree must be in [1, {MAX_DEGREE}]")
 
     c = np.zeros(degree + 1)
-    k = min(degree, initial.trunc_degree) + 1
-    c[:k] = initial.coeffs[:k]
+    c[:len(DEFAULT_INITIAL)] = DEFAULT_INITIAL
 
     grid2 = np.linspace(-1.0, 1.0, 1025) ** 2
 

@@ -13,6 +13,7 @@ exhibit the doubling phenomenon; the polynomial refit of the renormalized
 map absorbs what a nonlinear chart would have straightened out.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -20,13 +21,13 @@ from statistics import NormalDist
 import numpy as np
 
 from .cascade import MapND, orbit
-from .errors import (DimensionError, DiskError, EscapeError, RefitError,
-                     RangeError)
+from .errors import DimensionError, DiskError, RefitError, RangeError
 from .series import AnalyticUnimodal
 
 _FIRST_STRIDE = 32    # every candidate is first scored on every 32nd ball point
 _BOUND_CHUNK = 1024   # candidates per call of that first stage; a 2-D round is one call
 _PRUNE_CHUNK = 64     # candidates per call of each later stage
+REFIT_TOL = 1e-3      # largest refit residual of a renormalized map, in chart units
 
 
 # ---------------------------------------------------------------------------
@@ -49,11 +50,6 @@ def standard_fct_map(n, phi0):
     coeffs[0, 0] = 1.0
     coeffs[1:, -1] = phi0.coeffs
     return MapND(exps, coeffs)
-
-
-def iterate(psi, x, k):
-    """k-fold application; raises EscapeError past coordinate size 1e10."""
-    return np.asarray(orbit(psi, x, k)[0], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +96,6 @@ def _halton(count, base):
     return seq
 
 
-_BALL_CACHE = {}
-
-
 def _first_primes(count):
     primes = []
     k = 2
@@ -117,32 +110,27 @@ def _halton_bases(n):
     """Distinct Halton bases of the n axes and of the radius.
 
     Axis k takes the (k+2)-th prime: 3, 5, 7, ...  The radius takes the
-    next prime after the axes' up to n = 8, and 2 from n = 9 on.  (Below
-    n = 4 the sphere has its own parametrization, in bases 2 and 3.)
+    next prime after the axes' up to n = 8, and 2 from n = 9 on.  (The
+    circle, n = 2, has its own parametrization, in base 2.)
     """
     primes = _first_primes(n + 2)
     return primes[1:n + 1], primes[n + 1] if n <= 8 else 2
 
 
+@functools.lru_cache(maxsize=64)
 def ball_samples(n, count):
-    """Deterministic low-discrepancy points of the unit n-ball.
+    """Deterministic low-discrepancy points of the unit n-ball, read-only
+    and shared by identical calls.
 
     Half interior (radius u^(1/n)), half on the boundary sphere; Halton
-    sequences throughout, each coordinate and the radius with its own base,
-    so identical calls give identical points.
+    sequences throughout, each coordinate and the radius with its own base.
+    The circle's directions are angles; from n = 3 on they are normalized
+    vectors of Gaussian coordinates.
     """
-    key = (n, count)
-    if key in _BALL_CACHE:
-        return _BALL_CACHE[key]
     axis_bases, radius_base = _halton_bases(n)
     if n == 2:
         theta = 2 * np.pi * _halton(count, 2)
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-    elif n == 3:
-        z = 2 * _halton(count, 2) - 1
-        theta = 2 * np.pi * _halton(count, 3)
-        s = np.sqrt(np.maximum(0.0, 1 - z * z))
-        dirs = np.column_stack([s * np.cos(theta), s * np.sin(theta), z])
     else:
         nd = NormalDist()
         cols = []
@@ -156,7 +144,6 @@ def ball_samples(n, count):
     radii[:m] = _halton(m, radius_base) ** (1.0 / n)
     pts = dirs * radii[:, None]
     pts.setflags(write=False)
-    _BALL_CACHE[key] = pts
     return pts
 
 
@@ -191,13 +178,13 @@ def check_renormalizable(psi, d1, samples=2048):
                        disjoint_margin, inside_margin)
 
 
-def renormalize_nd(psi, xi, degree=8, fit_tol=1e-3):
+def renormalize_nd(psi, xi, degree=8):
     """R psi = xi^-1 o psi o psi o xi, refit to total degree <= degree.
 
     xi is the affine chart of the renormalization disk D1 (a DiskND).  The
     refit is a least-squares polynomial over 2048 sampled ball points; its
     max residual is attached to the result as `fit_residual` and must stay
-    below fit_tol.
+    below REFIT_TOL, else RefitError.
     """
     if not isinstance(xi, DiskND):
         raise DiskError("xi must be a DiskND (affine chart of D1)")
@@ -213,9 +200,9 @@ def renormalize_nd(psi, xi, degree=8, fit_tol=1e-3):
     cols = np.prod(ball[:, None, :] ** exps, axis=2)
     coeffs, *_ = np.linalg.lstsq(cols, target, rcond=None)
     worst = float(np.max(np.abs(cols @ coeffs - target)))
-    if worst > fit_tol:
+    if worst > REFIT_TOL:
         raise RefitError(
-            f"refit residual {worst:.3e} exceeds {fit_tol:.1e}", residual=worst)
+            f"refit residual {worst:.3e} exceeds {REFIT_TOL:.1e}", residual=worst)
     out = MapND(exps, coeffs)
     out.fit_residual = worst
     return out
@@ -320,36 +307,28 @@ def distance_to_standard(psi, phi0, disk, samples=2048):
     return float(np.max(np.linalg.norm(diff, axis=1)))
 
 
-def attractor_cloud(psi, start=None):
-    """2500 orbit points of psi after 500 steps, for locating its attractor."""
-    n = psi.dim
-    starts = [start] if start is not None else [
-        np.full(n, 0.1), np.full(n, -0.1), np.full(n, 0.3)]
-    last_exc = None
-    for s in starts:
-        try:
-            return orbit(psi, s, 3000, keep=2500)[1]
-        except EscapeError as exc:
-            last_exc = exc
-    raise last_exc
+def attractor_cloud(psi, start):
+    """2500 orbit points of psi from start after 500 steps, for locating its
+    attractor; EscapeError if the orbit escapes."""
+    return orbit(psi, start, 3000, keep=2500)[1]
 
 
-def search_renorm_disk(psi, start=None, samples=512, rounds=2, verify_samples=2048):
+def search_renorm_disk(psi, start, samples=512, rounds=2, verify_samples=2048):
     """Unseeded renormalization-disk search.
 
-    Samples the attractor, splits it into the two first-generation parity
-    clusters, and scans ellipse parameters around each cluster in the
-    frame of its principal axes, refining the grid around the best
-    candidate.  _best_candidate's staged scan picks each round's best; the
-    best of all rounds (the first, if every margin is -inf) is verified on
-    verify_samples points and returned as a DiskSearch, whose `scored`
-    counts candidate x ball-point evaluations.  ValueError before any
-    search for samples < 1 or verify_samples < 1000; RangeError if no
-    round had a candidate.
+    Samples the attractor from start, splits it into the two
+    first-generation parity clusters, and scans ellipse parameters around
+    each cluster in the frame of its principal axes, refining the grid
+    around the best candidate.  _best_candidate's staged scan picks each
+    round's best; the best of all rounds (the first, if every margin is
+    -inf) is verified on verify_samples points and returned as a
+    DiskSearch, whose `scored` counts candidate x ball-point evaluations.
+    ValueError before any search for samples < 1 or verify_samples <
+    1000; RangeError if no round had a candidate.
     """
     if samples < 1 or verify_samples < 1000:
         raise ValueError("need at least 1 search and 1000 verify sample points")
-    cloud = attractor_cloud(psi, start=start)
+    cloud = attractor_cloud(psi, start)
     ball = ball_samples(psi.dim, samples)
     best = (-np.inf, None, None)
     tried, scored = 0, []

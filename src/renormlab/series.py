@@ -15,6 +15,7 @@ high-order coefficients of near-degenerate inputs are not identifiable in
 binary64 by any method.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -109,17 +110,12 @@ def evaluate(f, x):
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
 
-_FIT_CACHE = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _fit_operator(m, degree):
     """Cached (nodes, design matrix, pseudoinverse) for the default grids."""
-    key = (m, degree)
-    if key not in _FIT_CACHE:
-        nodes = cheb_nodes(m)
-        a = np.vander(nodes**2, degree + 1, increasing=True)
-        _FIT_CACHE[key] = (nodes, a, np.linalg.pinv(a, rcond=FIT_RCOND))
-    return _FIT_CACHE[key]
+    nodes = cheb_nodes(m)
+    a = np.vander(nodes**2, degree + 1, increasing=True)
+    return nodes, a, np.linalg.pinv(a, rcond=FIT_RCOND)
 
 
 def _fit_values(values, m, degree):
@@ -149,19 +145,13 @@ def compose_unimodal(f, h, degree):
     return AnalyticUnimodal(_fit_values(vals, m, degree))
 
 
-def scale_conjugate(f, s, degree=None):
-    """Even series of x -> f(s*x)/s, i.e. coefficient c_j -> c_j * s^(2j-1)."""
+def scale_conjugate(f, s):
+    """Even series of x -> f(s*x)/s, of f's degree: coefficient c_j ->
+    c_j * s^(2j-1)."""
     if s == 0:
         raise SingularScalingError("scale factor s = 0")
-    if degree is None:
-        degree = f.trunc_degree
-    if degree < 0 or degree > MAX_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
-    c = np.zeros(degree + 1)
-    k = min(degree, f.trunc_degree) + 1
-    j = np.arange(k)
-    c[:k] = f.coeffs[:k] * float(s) ** (2 * j - 1)
-    return AnalyticUnimodal(c)
+    j = np.arange(f.coeffs.size)
+    return AnalyticUnimodal(f.coeffs * float(s) ** (2 * j - 1))
 
 
 def sup_norm(f):

@@ -62,8 +62,8 @@ def test_criterion_3_exact_anchors():
     """logistic t1 = 3.0 to 1e-13 and t2 = 3.449490 +- 1e-5, < 10 s."""
     fam = cascade.logistic_family()
     t0 = time.perf_counter()
-    t1 = cascade.find_doubling_bifurcation(fam, 0, (2.8, 3.2))
-    t2 = cascade.find_doubling_bifurcation(fam, 1, (3.2, 3.5))
+    t1 = cascade.find_doubling_bifurcation(fam, 0, (2.8, 3.2))[0]
+    t2 = cascade.find_doubling_bifurcation(fam, 1, (3.2, 3.5))[0]
     elapsed = time.perf_counter() - t0
     ok = abs(t1 - 3.0) < 1e-13 and abs(t2 - 3.449490) <= 1e-5 and elapsed < 10
     report(3, ok, f"t1={t1!r} t2={t2:.7f} (1+sqrt6={1 + math.sqrt(6):.7f}) "

@@ -133,8 +133,9 @@ def test_overlap_names_first_pair(logistic):
 
 def test_overlap_names_pair_after_the_first_atom():
     # a linear 5-D map whose second coordinate y has the period-4 pattern
-    # values[p % 4] at sample p (image p + 1), so phases 1 and 3 coincide in
-    # y and every other pair is apart.  The other coordinates are a step
+    # values[p % 4] at sample p (image p + 1; build_atoms' transient is
+    # whole cycles of it), so phases 1 and 3 coincide in y and every other
+    # pair is apart.  The other coordinates are a step
     # counter x and the next three pattern values, each plus x: they keep
     # all boxes overlapping along those axes.  (x, y, v2, v3, v4) ->
     # (x + 1, v2 - x, v3 + 1, v4 + 1, y + x + 1)
@@ -151,13 +152,12 @@ def test_overlap_names_pair_after_the_first_atom():
     pts = cascade.orbit(fam.map_at(0.0), fam.start_at(0.0), 256, keep=256)[1]
     assert np.allclose(pts[:, 1], np.resize(values, 256), rtol=0, atol=1e-12)
     with pytest.raises(ResolutionError, match="generation 2: atoms 1 and 3 overlap"):
-        attractor.build_atoms(fam, 0.0, 2, 256, transient=0)
+        attractor.build_atoms(fam, 0.0, 2, 256)
 
 
 def test_periodic_saddles_logistic(logistic, logistic_cascade12):
     reports = attractor.verify_periodic_saddles(
-        logistic, logistic_cascade12.t_inf, [0, 1, 2],
-        cascade_result=logistic_cascade12)
+        logistic, logistic_cascade12.t_inf, [0, 1, 2])
     assert [r.level for r in reports] == [0, 1, 2]
     for r in reports:
         assert r.found
@@ -167,7 +167,7 @@ def test_periodic_saddles_logistic(logistic, logistic_cascade12):
 
 def test_periodic_saddles_henon(henon, henon_cascade9):
     reports = attractor.verify_periodic_saddles(
-        henon, henon_cascade9.t_inf, [0, 1], cascade_result=henon_cascade9)
+        henon, henon_cascade9.t_inf, [0, 1])
     for r in reports:
         assert r.found
         assert r.classification == "saddle"
@@ -189,5 +189,4 @@ def test_periodic_saddles_let_bugs_propagate(logistic, monkeypatch):
         raise TypeError("bug")
     monkeypatch.setattr(attractor, "_orbit_by_iteration", broken)
     with pytest.raises(TypeError):
-        attractor.verify_periodic_saddles(
-            logistic, 3.2, [0], cascade_result=SimpleNamespace(params=(3.0,)))
+        attractor.verify_periodic_saddles(logistic, 3.2, [0])

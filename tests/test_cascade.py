@@ -216,7 +216,7 @@ def test_lyapunov_escape_counts_from_orbit_start(logistic):
     while abs(x) <= ESCAPE_LIMIT:
         x, step = m.step(x), step + 1
     with pytest.raises(EscapeError) as err:
-        cascade.lyapunov_exponent(logistic, 4.5, n_transient=3, n_iter=100)
+        cascade.lyapunov_exponent(logistic, 4.5, n_iter=100)
     assert err.value.step == step > 3
 
 
@@ -442,12 +442,12 @@ def test_3d_family_cascade_accumulates_with_feigenbaum_delta(fold3d):
 # --- doubling detection ----------------------------------------------------
 
 def test_first_doubling_exact(logistic):
-    t0 = cascade.find_doubling_bifurcation(logistic, 0, (2.8, 3.2))
+    t0 = cascade.find_doubling_bifurcation(logistic, 0, (2.8, 3.2))[0]
     assert abs(t0 - 3.0) < 1e-13
 
 
 def test_second_doubling_matches_oracle_and_algebra(logistic):
-    t1 = cascade.find_doubling_bifurcation(logistic, 1, (3.2, 3.5))
+    t1 = cascade.find_doubling_bifurcation(logistic, 1, (3.2, 3.5))[0]
     assert t1 == pytest.approx(1.0 + SQRT6, abs=1e-13)
     oracle = scan_doubling_oracle(logistic, 3.40, 3.46, 2)
     assert t1 == pytest.approx(oracle, abs=1e-4)
@@ -455,7 +455,7 @@ def test_second_doubling_matches_oracle_and_algebra(logistic):
 
 
 def test_third_doubling_matches_oracle(logistic):
-    t2 = cascade.find_doubling_bifurcation(logistic, 2, (3.50, 3.56))
+    t2 = cascade.find_doubling_bifurcation(logistic, 2, (3.50, 3.56))[0]
     oracle = scan_doubling_oracle(logistic, 3.52, 3.55, 4)
     assert t2 == pytest.approx(oracle, abs=1e-4)
     assert t2 == pytest.approx(3.544090, abs=1e-4)
@@ -472,7 +472,7 @@ def test_doubling_parameters_carry_low_parts(logistic):
     getcontext().prec = 40
     for level, bracket, exact in ((0, (2.8, 3.2), Decimal(3)),
                                   (1, (3.2, 3.5), 1 + Decimal(6).sqrt())):
-        t = cascade.find_doubling_bifurcation(logistic, level, bracket)
+        t = cascade.find_doubling_bifurcation(logistic, level, bracket)[0]
         assert isinstance(t, cascade.DoubleDouble)
         assert abs(Decimal(float(t)) + Decimal(t.lo) - exact) < Decimal("1e-16")
 
@@ -537,6 +537,30 @@ def test_gaps_use_low_parts(logistic_cascade16):
 def test_henon_delta_no_worse(henon_cascade9):
     # the error of delta_9 before the double-double solve was 2.0144e-5
     assert abs(henon_cascade9.delta_estimates[-1] - DELTA) <= 2.0144e-5
+
+
+@pytest.mark.parametrize("b, tol", [(-0.3, 1e-4), (-0.6, 1e-4), (-0.9, 0.01)])
+def test_henon_cascade_with_negative_b(b, tol):
+    # t_1 = (1 - b)^2 + (1 + b)^2 / 4 lies past param_range's 1.4 for these
+    # b: the level-1 bracket reaches it all the same
+    res = cascade.run_cascade(cascade.henon_family(b), 9)
+    assert res.params[1] == pytest.approx((1 - b) ** 2 + 0.25 * (1 + b) ** 2, abs=1e-12)
+    assert abs(res.delta_estimates[-1] - DELTA) < tol
+
+
+@pytest.mark.parametrize("name", ["logistic", "henon", "fold3d"])
+def test_unseeded_doubling_solve_is_the_cascade_start(request, name):
+    # levels 0 and 1 of a cascade are the unseeded solve on the cascade's
+    # own bracket, which starts from the sink at its lower end
+    fam = request.getfixturevalue(name)
+    res = cascade.run_cascade(fam, 1)
+    t0 = res.params[0]
+    brackets = (fam.bracket0, (t0 + 0.15 * fam.gap_hint, t0 + 1.4 * fam.gap_hint))
+    for level, bracket in enumerate(brackets):
+        t, xh, xl = cascade.find_doubling_bifurcation(fam, level, bracket)
+        assert (t, t.lo) == (res.params[level], res.params[level].lo)
+        assert xh.tobytes() == res.orbits[level].tobytes()
+        assert xl.tobytes() == res.orbit_lows[level].tobytes()
 
 
 def best_time(fn, runs=3):
@@ -614,6 +638,11 @@ def test_branch_switching_saves_newton_steps(logistic, henon, monkeypatch):
     # 120 and 92
     assert len(count_newton_steps(monkeypatch, logistic, 13)) <= 80
     assert len(count_newton_steps(monkeypatch, henon, 9)) <= 72
+    # the extrapolation reads delta off the sequence as the cascade does
+    for fam, n_max in ((logistic, 13), (henon, 9)):
+        res = cascade.run_cascade(fam, n_max)
+        acc = cascade.accumulation_parameter(res.params)
+        assert (acc.value, acc.error) == (res.t_inf, res.t_inf_error)
 
 
 def shift_seeds(res, t0):
@@ -805,11 +834,6 @@ def test_henon_contracting_multiplier_is_resolved(henon, henon_cascade7, level):
     mu1, mu2 = cascade.orbit_multiplier(henon, t, cascade._orbit_by_iteration(henon, t, period))
     assert isinstance(mu2, float)
     assert mu2 == pytest.approx((-0.3) ** period / mu1, rel=1e-12, abs=0)
-
-
-def test_lyapunov_rejects_negative_transient(logistic):
-    with pytest.raises(ValueError, match="n_transient must be >= 0"):
-        cascade.lyapunov_exponent(logistic, 3.2, n_transient=-5, n_iter=100)
 
 
 def test_lyapunov_sink_negative(logistic):

@@ -180,7 +180,7 @@ def test_gradient_transverse_free_direction(chart):
 
 
 def test_chart_validity_radius(chart):
-    radius = persistence.chart_validity_radius(chart, h_values=(1e-3, 1e-2, 0.05))
+    radius = persistence.chart_validity_radius(chart)
     assert radius >= 0.05  # b is globally linear along v0 for this family
 
 

@@ -92,11 +92,6 @@ def test_solve_single_fixed_point_above_lambda(phi40):
     assert x_star > phi40.lam
 
 
-def test_solve_requires_normalized_initial():
-    with pytest.raises(ValueError):
-        renorm1d.solve_fixed_point(series.AnalyticUnimodal([1.0, -1.4]))
-
-
 def test_truncation_stability(phi40, phi20):
     fp30 = renorm1d.solve_fixed_point(degree=30)
     assert abs(fp30.lam - phi40.lam) < 1e-6

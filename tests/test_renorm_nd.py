@@ -62,30 +62,30 @@ def test_standard_map_dimension_error(phi20):
 
 def test_iterate_zero_steps(std_map):
     x = np.array([0.3, 0.4])
-    assert np.array_equal(renorm_nd.iterate(std_map, x, 0), x)
+    assert np.array_equal(cascade.orbit(std_map, x, 0)[0], x)
 
 
 def test_iterate_critical_value(std_map):
-    assert renorm_nd.iterate(std_map, np.array([0.0, 0.0]), 1) == pytest.approx([0.0, 1.0])
+    assert cascade.orbit(std_map, np.array([0.0, 0.0]), 1)[0] == pytest.approx([0.0, 1.0])
 
 
 def test_iterate_composition_law(std_map):
     x = np.array([0.2, 0.6])
-    once = renorm_nd.iterate(std_map, x, 7)
-    split = renorm_nd.iterate(std_map, renorm_nd.iterate(std_map, x, 3), 4)
+    once = cascade.orbit(std_map, x, 7)[0]
+    split = cascade.orbit(std_map, cascade.orbit(std_map, x, 3)[0], 4)[0]
     assert np.array_equal(once, split)
 
 
 def test_iterate_henon_bounded():
     psi = henon_mapnd(1.4, 0.3)
-    out = renorm_nd.iterate(psi, np.array([0.0, 0.0]), 10000)
+    out = cascade.orbit(psi, np.array([0.0, 0.0]), 10000)[0]
     assert np.all(np.abs(out) < 2.0)
 
 
 def test_iterate_escape_reports_step():
     psi = henon_mapnd(6.0, 0.3)
     with pytest.raises(EscapeError) as err:
-        renorm_nd.iterate(psi, np.array([3.0, 0.0]), 1000)
+        cascade.orbit(psi, np.array([3.0, 0.0]), 1000)[0]
     assert err.value.step is not None and err.value.step < 50
 
 
@@ -175,7 +175,7 @@ def test_renormalize_reproduces_1d_operator(std_map, std_disk, phi20):
 
 def test_renormalize_fit_tolerance_enforced(std_map, std_disk):
     with pytest.raises(RefitError):
-        renorm_nd.renormalize_nd(std_map, std_disk.disk, degree=2, fit_tol=1e-9)
+        renorm_nd.renormalize_nd(std_map, std_disk.disk, degree=2)
 
 
 def test_renormalized_map_renormalizes_again(std_map, std_disk):
@@ -209,7 +209,8 @@ def test_search_renorm_disk_all_singular_rounds_raise_range_error():
     # |det| is below 1e-12, and no round has a candidate to score
     with pytest.raises(RangeError, match="no candidates"):
         renorm_nd.search_renorm_disk(
-            renorm_nd.MapND(np.eye(4, dtype=int), 0.5 * np.eye(4)), samples=64)
+            renorm_nd.MapND(np.eye(4, dtype=int), 0.5 * np.eye(4)), start=np.full(4, 0.1),
+            samples=64)
 
 
 def test_search_renorm_disk_with_every_margin_minus_inf_reports_not_found():
@@ -444,7 +445,7 @@ def ranks(x):
     return np.argsort(np.argsort(x))
 
 
-@pytest.mark.parametrize("n", [10, 11, 12])
+@pytest.mark.parametrize("n", [3, 10, 11, 12])
 def test_ball_samples_use_distinct_bases(n):
     axis_bases, radius_base = renorm_nd._halton_bases(n)
     assert len(set(axis_bases) | {radius_base}) == n + 1
@@ -482,7 +483,7 @@ def test_cascade_on_mapnd_family_matches_henon(henon, henon_cascade7):
     fam = cascade.linear_family(
         henon_mapnd(0.0), renorm_nd.MapND([[2, 0]], [[-1.0, 0.0]]),
         bracket0=henon.bracket0, gap_hint=henon.gap_hint,
-        start_at=henon.start_at, window=henon.param_range)
+        start_at=henon.start_at)
     res = cascade.run_cascade(fam, 4)
     assert np.allclose(res.params, henon_cascade7.params[:5], rtol=0, atol=1e-12)
 

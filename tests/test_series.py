@@ -73,7 +73,7 @@ def test_compose_fixed_point_self(phi40):
     phi = phi40.phi0
     s = series.evaluate(phi, 1.0)
     squared = series.compose_unimodal(phi, phi, phi.trunc_degree)
-    conj = series.scale_conjugate(squared, s, phi.trunc_degree)
+    conj = series.scale_conjugate(squared, s)
     assert series.sup_distance(conj, phi) < 1e-8
 
 

@@ -4,8 +4,9 @@ No handler may catch every exception (a bug would turn into a plausible
 result), numpy is the only import outside the standard library, every
 private module-level function or constant is referenced somewhere outside
 its own definition (a leftover helper or setting is dead code), and every
-option, a parameter with a default, is passed by some call (an option with
-one value in use is a constant).
+option, a parameter with a default, is passed by some call of the package
+or the benchmark (an option with one value in use, or one that only tests
+set, is a constant).
 """
 
 import ast
@@ -180,6 +181,24 @@ def test_every_option_is_passed():
     found = [f"{path.name}:{line}: {what}" for path in sorted(SRC.glob("*.py"))
              for line, what in unpassed(ast.parse(path.read_text(encoding="utf-8")), trees)]
     assert not found, found
+
+
+# the tests run the disk search at reduced cost, and through more
+# refinement rounds than ndcheck's 2
+TEST_ONLY_OPTIONS = {"search_renorm_disk(samples) is never passed",
+                     "search_renorm_disk(rounds) is never passed"}
+
+
+def test_every_option_is_set_outside_tests():
+    # tests and examples do not justify an option: only the package and the
+    # benchmark's own code count as callers
+    callers = sorted((ROOT / "src").rglob("*.py")) + [
+        path for path in sorted((ROOT / "benchmark").rglob("*.py"))
+        if not path.name.startswith("test_")]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in callers]
+    found = {f"{path.name}: {what}" for path in sorted(SRC.glob("*.py"))
+             for _, what in unpassed(ast.parse(path.read_text(encoding="utf-8")), trees)}
+    assert found == {f"renorm_nd.py: {what}" for what in TEST_ONLY_OPTIONS}
 
 
 @pytest.mark.parametrize("source, expected", [
