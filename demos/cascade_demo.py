@@ -13,7 +13,7 @@ from renormlab import cascade, renorm1d
 print("logistic family a*x*(1-x):")
 log = cascade.run_cascade(cascade.logistic_family(), 10)
 print(f"  {'N':>2} {'t_N':>18} {'delta_N':>12}")
-for (level, t) in log.doubling_params:
+for level, t in enumerate(log.params):
     d = (f"{log.delta_estimates[level - 1]:12.7f}"
          if 1 <= level <= len(log.delta_estimates) else "")
     print(f"  {level:>2} {t:18.12f} {d}")
@@ -21,7 +21,7 @@ print(f"  accumulation t_inf = {log.t_inf:.10f}  (+- {log.t_inf_error:.1e})")
 
 print("\nHenon family (x, y) -> (1 - a x^2 + y, 0.3 x):")
 hen = cascade.run_cascade(cascade.henon_family(), 7)
-for (level, t) in hen.doubling_params:
+for level, t in enumerate(hen.params):
     d = (f"{hen.delta_estimates[level - 1]:12.7f}"
          if 1 <= level <= len(hen.delta_estimates) else "")
     print(f"  {level:>2} {t:18.12f} {d}")

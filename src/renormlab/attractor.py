@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import (_orbit_by_iteration, orbit, orbit_multiplier,
-                      periodic_orbit, run_cascade)
+from .cascade import orbit, orbit_multiplier, periodic_orbit, run_cascade
 from .errors import InsufficientDataError, RenormLabError, ResolutionError
 
 MAX_GENERATIONS = 12
@@ -116,7 +115,7 @@ class SaddleReport:
     found: bool
     classification: str      # 'sink' | 'saddle' | 'repeller' | 'not-found'
     multipliers: tuple
-    orbit: tuple
+    orbit: tuple             # the orbit's points at t, each of shape (n,)
 
 
 def _classify(mults):
@@ -129,30 +128,26 @@ def _classify(mults):
 
 
 def verify_periodic_saddles(fam, t, levels):
-    """Locate the period-2^N orbits at parameter t and classify them.
+    """Continue the period-2^N orbits of fam's cascade to parameter t and
+    classify them there.
 
-    The stability windows come from fam's cascade to level max(levels) + 1.
-    Each orbit is found at the midpoint of its window (where it is the
-    attractor) and then continued in the parameter to t, where it
-    generically survives as a repeller (1-D) or saddle (n-D).  The
-    continuation solves the orbit afresh at steps of half the window's
-    width, each from the whole orbit of the step before.
+    fam's cascade to level max(levels) converges each period-2^N orbit at
+    its doubling parameter t_N, where the sink flips; it generically
+    survives to t as a repeller (1-D) or saddle (n-D).  The continuation
+    solves the orbit afresh at steps of half its window (t_(N-1), t_N),
+    t_(-1) the lower end of fam.bracket0, each from the whole orbit of the
+    step before.
     """
     levels = sorted(levels)
-    ts = run_cascade(fam, max(levels) + 1).params
+    res = run_cascade(fam, max(levels))
+    ends = (fam.bracket0[0],) + res.params
     reports = []
     for lv in levels:
-        period = 2 ** lv
         try:
-            if lv == 0:
-                window = (fam.bracket0[0], ts[0])
-            else:
-                window = (ts[lv - 1], ts[lv])
-            t_mid = 0.5 * (window[0] + window[1])
-            orbit = _orbit_by_iteration(fam, t_mid, period)
-            steps = max(1, math.ceil(2 * abs(t - t_mid) / (window[1] - window[0])))
-            for s in np.linspace(t_mid, t, steps + 1)[1:]:
-                orbit = periodic_orbit(fam, s, period, orbit)
+            orbit, t_n = res.orbits[lv], ends[lv + 1]
+            steps = max(1, math.ceil(2 * abs(t - t_n) / (t_n - ends[lv])))
+            for s in np.linspace(t_n, t, steps + 1)[1:]:
+                orbit = periodic_orbit(fam, s, 2 ** lv, orbit)
             mults = orbit_multiplier(fam, t, orbit)
             reports.append(SaddleReport(lv, True, _classify(mults),
                                         tuple(mults), tuple(orbit)))

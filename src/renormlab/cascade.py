@@ -616,14 +616,14 @@ def _newton(fam, pts, t, doubling):
     Raises NoConvergenceError after MAX_NEWTON iterations, on escape or on a
     singular step, and WrongPeriodError if the orbit closes up early.
     """
-    xh = np.array(pts, dtype=float).reshape(len(pts), -1)
+    xh = np.array(pts, dtype=float)
     p, n = xh.shape
     xl = np.zeros_like(xh)
     th, tl = float(t), 0.0
     prev = res = math.inf
     slopes = [fam.direction] if doubling else []
     for _ in range(MAX_NEWTON):
-        last = th if doubling else (xh[0, 0] if n == 1 else xh[0].copy())
+        last = th if doubling else xh[0]
         with np.errstate(all="ignore"):
             try:
                 res, dx, dts = _bordered(fam, slopes, xh, xl, th, tl)
@@ -655,23 +655,29 @@ def _newton(fam, pts, t, doubling):
 
 
 def periodic_orbit(fam, t, period, guess):
-    """The period-`period` orbit of psi_t, by multiple-shooting Newton.
+    """The period-`period` orbit of psi_t, by multiple-shooting Newton: a
+    (period, n) array for every n = fam.dim, the interval's n = 1 included.
 
-    guess is one point of the orbit, whose images start the solve, or all
-    `period` points of it (a (period, n) stack; period floats in 1-D).  The
-    orbit must consist of `period` distinct points; if it closes up early
-    the period is a proper divisor and WrongPeriodError reports it.
+    guess is the whole orbit (period x n values, in orbit order) or one
+    point of it (n values), whose images start the solve; any other size
+    raises ValueError.  The orbit must consist of `period` distinct points;
+    if it closes up early the period is a proper divisor and
+    WrongPeriodError reports it.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
     start = np.asarray(guess, dtype=float)
-    if start.ndim == (0 if fam.dim == 1 else 1):
+    if start.size == period * fam.dim:
+        start = start.reshape(period, fam.dim)
+    elif start.size == fam.dim:
         try:
-            start = orbit(fam.map_at(t), guess, period - 1, keep=period)[1]
+            start = orbit(fam.map_at(t), start.ravel(), period - 1, keep=period)[1]
         except EscapeError as exc:
             raise NoConvergenceError("starting orbit escaped", last=guess) from exc
-    pts = _newton(fam, start, t, doubling=False)[0]
-    return pts[:, 0].tolist() if fam.dim == 1 else list(pts)
+    else:
+        raise ValueError(f"guess must be one point ({fam.dim} values) or the whole orbit "
+                         f"({period} x {fam.dim} values), not {start.size} values")
+    return _newton(fam, start, t, doubling=False)[0]
 
 
 def _mantissa_product(values):
@@ -708,9 +714,10 @@ def orbit_multiplier(fam, t, orbit):
 
 def _orbit_by_iteration(fam, t, period):
     """Stable orbit at parameter t found by plain iteration (64 periods, at
-    most MAX_SETTLE steps), then polished."""
-    x = orbit(fam.map_at(t), fam.start_at(t), min(MAX_SETTLE, 64 * period))[0]
-    return periodic_orbit(fam, t, period, np.asarray(x))
+    most MAX_SETTLE steps) and the next period - 1 images, then polished."""
+    settle = min(MAX_SETTLE, 64 * period)
+    pts = orbit(fam.map_at(t), fam.start_at(t), settle + period - 1, keep=period)[1]
+    return periodic_orbit(fam, t, period, pts)
 
 
 def _flip_direction(fam, t, pts):
@@ -753,17 +760,15 @@ def find_doubling_bifurcation(fam, level, bracket, seed=None):
 
 @dataclass(frozen=True)
 class CascadeResult:
-    doubling_params: tuple        # ((level, t_level), ...), t_level a DoubleDouble
+    """A converged cascade: entry N of params, orbits and orbit_lows
+    belongs to level N."""
+    params: tuple                 # the doubling parameters t_N, DoubleDoubles
     delta_estimates: tuple        # gap ratios, one per interior level
     t_inf: float
     t_inf_error: float
     # level N's converged orbit (2^N, n), high and low parts; arrays, so not in ==
     orbits: tuple = field(default=(), compare=False)
     orbit_lows: tuple = field(default=(), compare=False)
-
-    @property
-    def params(self):
-        return [t for _, t in self.doubling_params]
 
 
 @dataclass(frozen=True)
@@ -834,8 +839,10 @@ def run_cascade(fam, n_max, seeds=None):
     ratios and the extrapolation use the parameters' low parts.  Each
     level's converged orbit is kept, high and low parts, for
     cascade_tangents.  On failure the exception carries the completed
-    prefix in `.completed`.
+    prefix of doubling parameters in `.completed`.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if seeds is not None and [np.shape(x) for x, _ in seeds] != [
             (2 ** level, fam.dim) for level in range(n_max + 1)]:
         raise ValueError(f"seeds must be one (points (2^N, {fam.dim}), t) per level 0..{n_max}")
@@ -868,7 +875,7 @@ def run_cascade(fam, n_max, seeds=None):
                          / math.sqrt(_diff(ts[-1], ts[-2])))
                 flip = _flip_direction(fam, t, pts)
     except RenormLabError as exc:
-        exc.completed = tuple(enumerate(ts))
+        exc.completed = tuple(ts)
         raise
     gaps = [_diff(b, a) for a, b in zip(ts, ts[1:])]
     deltas = tuple(gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1))
@@ -877,7 +884,7 @@ def run_cascade(fam, n_max, seeds=None):
         t_inf, t_err = acc.value, acc.error
     else:                                   # too short to extrapolate
         t_inf = t_err = float("nan")
-    return CascadeResult(tuple(enumerate(ts)), deltas, t_inf, t_err, tuple(orbits), tuple(lows))
+    return CascadeResult(tuple(ts), deltas, t_inf, t_err, tuple(orbits), tuple(lows))
 
 
 def cascade_tangents(fam, res, directions):
@@ -886,8 +893,8 @@ def cascade_tangents(fam, res, directions):
     implicit function theorem, each t_N's is one more right-hand side of
     its Newton system at the stored orbit, extrapolated like t_inf.
     InsufficientDataError for fewer than 4 levels."""
-    if len(res.doubling_params) < 4:
-        raise InsufficientDataError(f"need at least 4 levels, got {len(res.doubling_params)}")
+    if len(res.params) < 4:
+        raise InsufficientDataError(f"need at least 4 levels, got {len(res.params)}")
     slopes = [fam.direction, *directions]
     tangents = [_bordered(fam, slopes, xh, xl, float(t), t.lo)[2][:-1]
                 for t, xh, xl in zip(res.params, res.orbits, res.orbit_lows)]

@@ -121,10 +121,10 @@ def _cmd_cascade(cfg):
     res = cascade_mod.run_cascade(_family(cfg), cfg["nmax"])
     d = res.delta_estimates
     rows = ((level, repr(t), repr(d[level - 1]) if 1 <= level <= len(d) else "")
-            for level, t in res.doubling_params)
+            for level, t in enumerate(res.params))
     report = {
         "family": cfg["family"],
-        "doubling_params": [[lvl, t] for (lvl, t) in res.doubling_params],
+        "doubling_params": [[lvl, t] for lvl, t in enumerate(res.params)],
         "delta_estimates": list(res.delta_estimates),
         "t_inf": res.t_inf,
         "t_inf_error": res.t_inf_error,
@@ -385,7 +385,7 @@ def main(argv=None):
             err["last"] = np.ravel(last).tolist()
         completed = getattr(exc, "completed", None)
         if completed and cfg.get("out"):
-            _write_report({"error": err, "completed_prefix": list(completed)},
+            _write_report({"error": err, "completed_prefix": list(enumerate(completed))},
                           cfg["out"] + ".partial")
         sys.stdout.write(_json(err) + "\n")
         return 1

@@ -42,7 +42,7 @@ def verify_shift_property(fam, t0_list, base):
     uses.  A shift only relabels t, so each shifted cascade starts every
     level from base's converged orbit at t_N - t0; its own Newton solves
     still decide each t_N."""
-    depth = len(base.doubling_params) - 1
+    depth = len(base.params) - 1
     if depth < 4:
         raise InsufficientDataError("depth must be >= 4 for the extrapolation")
     worst = 0.0
@@ -69,7 +69,7 @@ class PersistenceChart:
 
     @property
     def depth(self):
-        return len(self.cascade.doubling_params) - 1
+        return len(self.cascade.params) - 1
 
     @property
     def t_inf(self):

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (LinearizationError, NoConvergenceError, RangeError,
                      SingularScalingError)
 from .series import (AnalyticUnimodal, MAX_DEGREE, _eval_in_u, _fit_operator,
-                     _fit_values, evaluate, sup_distance)
+                     _fit_values, evaluate, sup_distance, sup_norm)
 
 DEFAULT_DEGREE = 40
 DEFAULT_TOL = 1e-10
@@ -111,8 +111,10 @@ def solve_fixed_point(degree=DEFAULT_DEGREE, tol=DEFAULT_TOL, max_iters=25):
 
     The c0 component is pinned (the normalization replaces that equation;
     R preserves f(0) = 1 exactly) and the Jacobian of the remaining system
-    is the exact one, restricted to that slice.  Steps are damped by simple
-    halving whenever the sup-norm residual would not decrease.
+    is the exact one, restricted to that slice.  Stopping, damping and the
+    reported residual all use the measure of `residual`, taken once per
+    iterate: steps are damped by simple halving whenever it would not
+    decrease.
     """
     if degree < 1 or degree > MAX_DEGREE:
         raise ValueError(f"degree must be in [1, {MAX_DEGREE}]")
@@ -120,25 +122,18 @@ def solve_fixed_point(degree=DEFAULT_DEGREE, tol=DEFAULT_TOL, max_iters=25):
     c = np.zeros(degree + 1)
     c[:len(DEFAULT_INITIAL)] = DEFAULT_INITIAL
 
-    grid2 = np.linspace(-1.0, 1.0, 1025) ** 2
-
-    def func_residual(cv):
-        # sup-norm distance between R(f) and f on a dense grid
-        return float(np.max(np.abs(_eval_in_u(_renorm_coeffs(cv, degree), grid2)
-                                   - _eval_in_u(cv, grid2))))
-
     steps = []
-    res = func_residual(c)
+    gap = _renorm_coeffs(c, degree) - c     # R f - f, whose sup norm is residual(f)
+    res = sup_norm(AnalyticUnimodal(gap))
     for it in range(max_iters + 1):
         if res < tol:
             phi0 = AnalyticUnimodal(c, normalized=True)
-            return FixedPointResult(phi0, lambda_of(phi0), residual(phi0), it, tuple(steps))
+            return FixedPointResult(phi0, lambda_of(phi0), res, it, tuple(steps))
         if it == max_iters:
             break
-        f_vec = (_renorm_coeffs(c, degree) - c)[1:]
         jac = _renorm_jacobian(c, degree)[1:, 1:] - np.eye(degree)
         try:
-            step = np.linalg.solve(jac, -f_vec)
+            step = np.linalg.solve(jac, -gap[1:])
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"singular Newton Jacobian: {exc}",
                                      last=AnalyticUnimodal(c), residual=res)
@@ -147,7 +142,8 @@ def solve_fixed_point(degree=DEFAULT_DEGREE, tol=DEFAULT_TOL, max_iters=25):
             c_try = c.copy()
             c_try[1:] += damp * step
             try:
-                res_try = func_residual(c_try)
+                gap_try = _renorm_coeffs(c_try, degree) - c_try
+                res_try = sup_norm(AnalyticUnimodal(gap_try))
             except (RangeError, SingularScalingError):
                 res_try = np.inf
             if res_try < res or damp < 1 / 64:
@@ -157,7 +153,7 @@ def solve_fixed_point(degree=DEFAULT_DEGREE, tol=DEFAULT_TOL, max_iters=25):
             raise NoConvergenceError("Newton left the operator's domain",
                                      last=AnalyticUnimodal(c), residual=res)
         steps.append(damp * float(np.max(np.abs(step))))
-        c, res = c_try, res_try
+        c, gap, res = c_try, gap_try, res_try
 
     raise NoConvergenceError(
         f"no convergence after {max_iters} iterations (residual {res:.3e})",

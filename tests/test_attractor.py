@@ -175,6 +175,33 @@ def test_periodic_saddles_henon(henon, henon_cascade9):
         assert mags[0] < 1 < mags[1]
 
 
+def test_periodic_saddles_henon_negative_b():
+    # the orientation-reversing Henon map: its t_1 lies past param_range
+    fam = cascade.henon_family(-0.3)
+    reports = attractor.verify_periodic_saddles(fam, cascade.run_cascade(fam, 9).t_inf, [0, 1, 2])
+    assert [(r.found, r.classification) for r in reports] == 3 * [(True, "saddle")]
+
+
+def test_periodic_saddles_continue_the_cascade_orbits(logistic, monkeypatch):
+    # one cascade to the deepest level asked for; only its levels 0 and 1
+    # settle an orbit by iteration, and the check settles none of its own
+    depths, settles = [], []
+    run, settle = attractor.run_cascade, cascade._orbit_by_iteration
+
+    def counted_run(fam, n_max):
+        depths.append(n_max)
+        return run(fam, n_max)
+
+    def counted_settle(fam, t, period):
+        settles.append(period)
+        return settle(fam, t, period)
+    monkeypatch.setattr(attractor, "run_cascade", counted_run)
+    monkeypatch.setattr(cascade, "_orbit_by_iteration", counted_settle)
+    reports = attractor.verify_periodic_saddles(logistic, 3.5, [0, 1, 2])
+    assert depths == [2] and settles == [1, 2]
+    assert [r.classification for r in reports] == ["repeller", "repeller", "sink"]
+
+
 def test_sink_classified_at_stable_parameter(logistic):
     orbit = cascade.periodic_orbit(logistic, 3.2, 2, 0.5)
     mults = cascade.orbit_multiplier(logistic, 3.2, orbit)
@@ -187,6 +214,6 @@ def test_periodic_saddles_let_bugs_propagate(logistic, monkeypatch):
     # only renormlab errors mean "not found"; anything else is a bug
     def broken(*args, **kwargs):
         raise TypeError("bug")
-    monkeypatch.setattr(attractor, "_orbit_by_iteration", broken)
+    monkeypatch.setattr(attractor, "periodic_orbit", broken)
     with pytest.raises(TypeError):
         attractor.verify_periodic_saddles(logistic, 3.2, [0])

@@ -313,9 +313,9 @@ def test_doubling_solve_without_solution_stops_at_the_cap():
     with pytest.raises(NoConvergenceError, match=f"after {cascade.MAX_NEWTON} iterations") as err:
         cascade.find_doubling_bifurcation(fam, 0, fam.bracket0)
     assert cascade.MAX_NEWTON <= 12
-    # one map per Newton iteration, after the settle, the starting orbit
-    # and the one-step fixed-parameter polish
-    assert len(calls) == cascade.MAX_NEWTON + 3
+    # one map per Newton iteration, after the settle orbit and the one-step
+    # fixed-parameter polish
+    assert len(calls) == cascade.MAX_NEWTON + 2
     assert isinstance(err.value.last, float) and err.value.last == calls[-1]
     assert err.value.residual >= 0.01
 
@@ -324,11 +324,11 @@ def test_doubling_solve_without_solution_stops_at_the_cap():
 
 def test_logistic_fixed_point(logistic):
     orbit = cascade.periodic_orbit(logistic, 2.0, 1, 0.6)
-    assert orbit == [pytest.approx(0.5, abs=1e-13)]
+    assert orbit[:, 0].tolist() == [pytest.approx(0.5, abs=1e-13)]
 
 
 def test_logistic_period_two(logistic):
-    orbit = cascade.periodic_orbit(logistic, 3.2, 2, 0.5)
+    orbit = cascade.periodic_orbit(logistic, 3.2, 2, 0.5)[:, 0]
     assert len(orbit) == 2
     m = logistic.map_at(3.2)
     assert abs(m.step(m.step(orbit[0])) - orbit[0]) < 1e-12
@@ -341,9 +341,24 @@ def test_wrong_period_reports_divisor(logistic):
     assert err.value.true_period == 1
 
 
-def test_periodic_orbit_returns_floats_for_1d(logistic):
-    orbit = cascade.periodic_orbit(logistic, 3.5, 4, 0.5)
-    assert len(orbit) == 4 and all(type(x) is float for x in orbit)
+@pytest.mark.parametrize("name", ["logistic", "henon", "fold3d"])
+def test_periodic_orbit_is_a_period_by_dim_array(request, name):
+    # from one point or from the whole orbit, in every dimension
+    fam = request.getfixturevalue(name)
+    res = cascade.run_cascade(fam, 2)
+    for level, (t, pts) in enumerate(zip(res.params, res.orbits)):
+        for guess in (pts, pts[0]):
+            orbit = cascade.periodic_orbit(fam, t, 2 ** level, guess)
+            assert isinstance(orbit, np.ndarray) and orbit.shape == (2 ** level, fam.dim)
+
+
+@pytest.mark.parametrize("name, t, period, guess", [
+    ("logistic", 3.2, 2, [0.5, 0.5, 0.5]), ("logistic", 3.2, 4, [[0.5, 0.5]]),
+    ("henon", 1.0, 2, [0.6, 0.2, 0.1])], ids=["three-values", "row-of-two", "henon-three"])
+def test_periodic_orbit_rejects_a_guess_of_another_size(request, name, t, period, guess):
+    # a guess is one point (n values) or the whole orbit (period x n values)
+    with pytest.raises(ValueError, match="guess must be one point"):
+        cascade.periodic_orbit(request.getfixturevalue(name), t, period, guess)
 
 
 def test_wrong_period_reports_divisor_henon(henon):
@@ -709,12 +724,17 @@ def test_period_check_does_not_depend_on_point_0(logistic, logistic_cascade16):
     # value's lineage: rolled to start there, it is still a genuine orbit
     ts = logistic_cascade16.params
     t, period = 0.5 * (ts[13] + ts[14]), 2 ** 14
-    pts = np.array(cascade._orbit_by_iteration(logistic, t, period))
+    pts = cascade._orbit_by_iteration(logistic, t, period)[:, 0]
     order = np.argsort(pts)
     first = int(np.argmin(np.diff(pts[order])))
     rolled = np.roll(pts, -int(order[first]))
     assert abs(rolled[0] - pts[order[first + 1]]) < cascade.DISTINCT_TOL
     assert len(cascade.periodic_orbit(logistic, t, period, rolled)) == period
+
+
+def test_cascade_rejects_a_negative_level(logistic):
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        cascade.run_cascade(logistic, -1)
 
 
 def test_cascade_error_carries_prefix(logistic):
@@ -812,7 +832,7 @@ def test_orbit_multiplier_binary64_jacobians_match_double_double(request, monkey
     # the period-2^N orbit, N = 0..depth, midway between t_(N-1) and t_N,
     # where it is a sink; t_(-1) is the first bracket's lower end
     fam = request.getfixturevalue(name)
-    ts = [fam.bracket0[0]] + cascade.run_cascade(fam, depth).params
+    ts = [fam.bracket0[0], *cascade.run_cascade(fam, depth).params]
     cases = [(0.5 * (a + b), 2 ** n) for n, (a, b) in enumerate(zip(ts, ts[1:]))]
     orbits = [(t, cascade._orbit_by_iteration(fam, t, p)) for t, p in cases]
     fast = [cascade.orbit_multiplier(fam, t, orb) for t, orb in orbits]

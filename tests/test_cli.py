@@ -504,7 +504,7 @@ def test_cascade_csv_bytes_match_csv_writer(tmp_path, monkeypatch, family, nmax)
     d = res.delta_estimates
     rows = [["level", "t", "delta"]] + [
         [level, repr(t), repr(d[level - 1]) if 1 <= level <= len(d) else ""]
-        for level, t in res.doubling_params]
+        for level, t in enumerate(res.params)]
     assert path.read_bytes() == csv_writer_bytes(rows)
 
 

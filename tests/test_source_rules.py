@@ -2,11 +2,12 @@
 
 No handler may catch every exception (a bug would turn into a plausible
 result), numpy is the only import outside the standard library, every
-private module-level function or constant is referenced somewhere outside
-its own definition (a leftover helper or setting is dead code), and every
-option, a parameter with a default, is passed by some call of the package
-or the benchmark (an option with one value in use, or one that only tests
-set, is a constant).
+private module-level function or constant, and every private method,
+property or attribute of a module-level class, is referenced somewhere
+outside its own definition (a leftover helper or setting is dead code),
+and every option, a parameter with a default, is passed by some call of
+the package or the benchmark (an option with one value in use, or one that
+only tests set, is a constant).
 """
 
 import ast
@@ -67,10 +68,12 @@ def defined(node):
 
 
 def unreferenced(tree, trees):
-    """The private module-level functions and constants of tree that no
-    module of trees refers to outside their own definition."""
+    """The private module-level functions and constants of tree, and the
+    private methods, properties and attributes of its module-level classes,
+    that no module of trees refers to outside their own definition."""
     used = Counter(name for t in trees for name in names(t))
-    for node in tree.body:
+    members = [f for node in tree.body if isinstance(node, ast.ClassDef) for f in node.body]
+    for node in tree.body + members:
         for name in defined(node):
             if (name.startswith("_") and not name.startswith("__")
                     and used[name] == Counter(names(node))[name]):
@@ -110,8 +113,15 @@ def test_every_private_function_is_referenced():
     ("def _helper():\n    pass\n\nVALUE = _helper()\n", []),
     ("def _helper():\n    pass\n\nTABLE = {'f': _helper}\n", []),
     ("def __getattr__(name):\n    raise AttributeError(name)\n", []),
-    ("class Shape:\n    def _area(self):\n        pass\n", []),
-], ids=["unused", "only-recursive", "called", "stored", "dunder", "method"])
+    ("class Shape:\n    def _area(self):\n        pass\n", ["_area is never referenced"]),
+    ("class Shape:\n    def _area(self):\n        pass\n\n    def size(self):\n"
+     "        return self._area()\n", []),
+    ("class Shape:\n    @property\n    def _area(self):\n        return 1\n",
+     ["_area is never referenced"]),
+    ("class Shape:\n    _SIDES = 4\n", ["_SIDES is never referenced"]),
+    ("class Shape:\n    def __init__(self):\n        pass\n", []),
+], ids=["unused", "only-recursive", "called", "stored", "dunder", "method", "method-called",
+        "property", "class-attribute", "dunder-method"])
 def test_rule_catches_an_unreferenced_private_function(source, expected):
     tree = ast.parse(source)
     assert [what for _, what in unreferenced(tree, [tree])] == expected
