@@ -504,9 +504,14 @@ def orbit(m, x, steps, keep=0):
 
 
 def _chain(jacs):
-    """J[p-1] @ ... @ J[0] for a (p, n, n) stack, in ceil(log2 p) batched
-    rounds."""
-    return _scan(jacs, jacs[..., :0])[0][-1]
+    """J[p-1] @ ... @ J[0] for a (p, ..., n, n) stack, in p - 1 products
+    and ceil(log2 p) batched rounds: each round multiplies neighbours in
+    pairs from the end and keeps an odd leftover at the front, which
+    groups the products as _scan's last prefix does, to the bit."""
+    while len(jacs) > 1:
+        odd = len(jacs) % 2
+        jacs = np.concatenate([jacs[:odd], jacs[odd + 1::2] @ jacs[odd::2]])
+    return jacs[0]
 
 
 def _scan(jacs, cols):

@@ -111,10 +111,11 @@ def solve_fixed_point(degree=DEFAULT_DEGREE, tol=DEFAULT_TOL, max_iters=25):
 
     The c0 component is pinned (the normalization replaces that equation;
     R preserves f(0) = 1 exactly) and the Jacobian of the remaining system
-    is the exact one, restricted to that slice.  Stopping, damping and the
-    reported residual all use the measure of `residual`, taken once per
-    iterate: steps are damped by simple halving whenever it would not
-    decrease.
+    is the exact one, restricted to that slice.  Stopping and the reported
+    residual use the measure of `residual`, taken once per iterate.  Every
+    step is a full Newton step; one that neither halves the residual nor
+    brings it below tol has stalled on rounding or left the basin, and
+    raises NoConvergenceError with the iterate before it.
     """
     if degree < 1 or degree > MAX_DEGREE:
         raise ValueError(f"degree must be in [1, {MAX_DEGREE}]")
@@ -137,22 +138,19 @@ def solve_fixed_point(degree=DEFAULT_DEGREE, tol=DEFAULT_TOL, max_iters=25):
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"singular Newton Jacobian: {exc}",
                                      last=AnalyticUnimodal(c), residual=res)
-        damp = 1.0
-        for _ in range(8):
-            c_try = c.copy()
-            c_try[1:] += damp * step
-            try:
-                gap_try = _renorm_coeffs(c_try, degree) - c_try
-                res_try = sup_norm(AnalyticUnimodal(gap_try))
-            except (RangeError, SingularScalingError):
-                res_try = np.inf
-            if res_try < res or damp < 1 / 64:
-                break
-            damp *= 0.5
-        if not np.isfinite(res_try):
+        c_try = c.copy()
+        c_try[1:] += step
+        try:
+            gap_try = _renorm_coeffs(c_try, degree) - c_try
+        except (RangeError, SingularScalingError):
             raise NoConvergenceError("Newton left the operator's domain",
                                      last=AnalyticUnimodal(c), residual=res)
-        steps.append(damp * float(np.max(np.abs(step))))
+        res_try = sup_norm(AnalyticUnimodal(gap_try))
+        if not (res_try <= res / 2 or res_try < tol):
+            raise NoConvergenceError(
+                f"Newton stalled at residual {res:.3e} (tol {tol:.1e}): "
+                f"a full step did not halve it", last=AnalyticUnimodal(c), residual=res)
+        steps.append(float(np.max(np.abs(step))))
         c, gap, res = c_try, gap_try, res_try
 
     raise NoConvergenceError(

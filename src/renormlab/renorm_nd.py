@@ -173,7 +173,7 @@ def check_renormalizable(psi, d1, samples=2048):
     if samples < 1000:
         raise ValueError("need at least 1000 sample points for the margins")
     disjoint_margin, inside_margin = (float(m[0]) for m in _batched_margins(
-        psi, d1.center[None], d1.linear[None], ball_samples(d1.dim, samples)))
+        psi, d1.center[None], d1.linear[None], ball_samples(d1.dim, samples))[:2])
     return RenormCheck(disjoint_margin > 0, inside_margin > 0,
                        disjoint_margin, inside_margin)
 
@@ -221,7 +221,9 @@ class DiskSearch:
 
 
 def _batched_margins(psi, centers, linears, ball):
-    """Margins for many candidate disks at once, on the ball points (s, n)."""
+    """Margins for many candidate disks at once, on the ball points (s, n),
+    and for each candidate the index into ball of its least |psi| and of
+    its largest |psi^2|."""
     nc, n = centers.shape
     inv = np.linalg.inv(linears)
     pts = (linears @ ball.T).transpose(0, 2, 1) + centers[:, None, :]
@@ -235,53 +237,77 @@ def _batched_margins(psi, centers, linears, ball):
         del im1
         sq2 = _sq_chart_norms(im2.reshape(nc, -1, n), centers, inv)
     # the root commutes with min and max, so it is taken per candidate
-    return np.sqrt(sq1.min(axis=1)) - 1.0, 1.0 - np.sqrt(sq2.max(axis=1))
+    return (np.sqrt(sq1.min(axis=1)) - 1.0, 1.0 - np.sqrt(sq2.max(axis=1)),
+            sq1.argmin(axis=1), sq2.argmax(axis=1))
 
 
-def _best_candidate(psi, centers, linears, ball, tally=None):
+def _best_candidate(psi, centers, linears, ball, carried=(), tally=None, critical=None):
     """Index and value of the largest min(disjoint, inside) margin on the
     ball points, the lowest index on ties: np.argmax over the full margins
     of every candidate, without computing most of them.
 
     The ball points are scored in nested stages: every _FIRST_STRIDE-th
     point, then the points halfway between, and so on down to every point;
-    a stage with no points is skipped.
+    a stage with no points is skipped.  A candidate's critical points in a
+    stage are those of its least |psi| and largest |psi^2| there.
     The min of a candidate's stage values bounds its full value from above
     and, once every stage is scored, is that value to the bit: the root and
     the subtraction in the margins are monotone, so they commute with min
-    and max.  Every candidate takes the first stage, _BOUND_CHUNK at a time;
-    then, in descending order of that bound and _PRUNE_CHUNK at a time, one
-    takes the next stage only while it can beat the best full value or tie
-    it at a lower index.  MapND evaluates each row independently of the
+    and max.  Every candidate takes the first stage and, in a call of its
+    own, the carried ball indices, _BOUND_CHUNK at a time.  In descending
+    order of that bound, the first candidate takes every stage alone and
+    becomes the incumbent.  Then, _PRUNE_CHUNK at a time, a candidate takes
+    the critical points of every incumbent so far, then each next stage,
+    only while it can beat the incumbent's full value or tie it at a lower
+    index.  Carried and critical points repeat points of the stages, which
+    changes no minimum.  MapND evaluates each row independently of the
     others, so chunks and stages change no margin.  Each margins call
-    appends its candidate x ball-point count to tally.
+    appends its candidate x ball-point count to tally; critical, if given,
+    receives the winner's critical points, at most 2 a stage.
     """
-    stride, stages = _FIRST_STRIDE, [np.ascontiguousarray(ball[::_FIRST_STRIDE])]
+    stride, stages = _FIRST_STRIDE, [np.arange(0, len(ball), _FIRST_STRIDE)]
     while stride > 1:
-        if len(stage := ball[stride // 2::stride]):
-            stages.append(np.ascontiguousarray(stage))
+        if len(stage := np.arange(stride // 2, len(ball), stride)):
+            stages.append(stage)
         stride //= 2
+    # per candidate and stage, the ball indices of its least |psi| and
+    # largest |psi^2|; the last column is the critical points' stage
+    extremes = np.empty((len(centers), len(stages) + 1, 2), dtype=np.intp)
+    carried = np.asarray(carried, dtype=np.intp)
 
-    def score(idx, pts):
+    def score(idx, points):
         c, l = centers[idx], linears[idx]
         if tally is not None:
-            tally.append(len(c) * len(pts))
-        return np.minimum(*_batched_margins(psi, c, l, pts))
+            tally.append(len(c) * len(points))
+        disjoint, inside, low, high = _batched_margins(psi, c, l, ball[points])
+        return np.minimum(disjoint, inside), np.column_stack([points[low], points[high]])
 
-    value = np.concatenate([score(slice(s, s + _BOUND_CHUNK), stages[0])
-                            for s in range(0, len(centers), _BOUND_CHUNK)])
+    value = np.empty(len(centers))
+    for s in range(0, len(centers), _BOUND_CHUNK):
+        idx = slice(s, s + _BOUND_CHUNK)
+        value[idx], extremes[idx, 0] = score(idx, stages[0])
+        if len(carried):
+            value[idx] = np.minimum(value[idx], score(idx, carried)[0])
     order = np.argsort(-value, kind="stable")
     best = (-np.inf, -np.inf)        # (value, -index), below every candidate
-    for s in range(0, len(order), _PRUNE_CHUNK):
-        idx = order[s:s + _PRUNE_CHUNK]
+    marked = np.zeros(len(ball), dtype=bool)     # every incumbent's critical points
+    for s, e in itertools.pairwise([0, *range(1, len(order), _PRUNE_CHUNK), len(order)]):
+        idx = order[s:e]
         if (value[idx[0]], -idx[0]) < best:
             break
-        for pts in stages[1:]:
+        for k in (-1, *range(1, len(stages))):
+            points = np.flatnonzero(marked) if k < 0 else stages[k]
             idx = idx[(value[idx] > best[0]) | ((value[idx] == best[0]) & (-idx > best[1]))]
             if not len(idx):
                 break
-            value[idx] = np.minimum(value[idx], score(idx, pts))
-        best = max([best, *zip(value[idx].tolist(), (-idx).tolist())])
+            if len(points):
+                stage_value, extremes[idx, k] = score(idx, points)
+                value[idx] = np.minimum(value[idx], stage_value)
+        if len(idx) and (top := max(zip(value[idx].tolist(), (-idx).tolist()))) > best:
+            best = top
+            marked[extremes[-top[1], :-1]] = True
+    if critical is not None:
+        critical.extend(sorted(set(extremes[-best[1], :-1].ravel().tolist())))
     return -best[1], best[0]
 
 
@@ -320,9 +346,11 @@ def search_renorm_disk(psi, start, samples=512, rounds=2, verify_samples=2048):
     first-generation parity clusters, and scans ellipse parameters around
     each cluster in the frame of its principal axes, refining the grid
     around the best candidate.  _best_candidate's staged scan picks each
-    round's best; the best of all rounds (the first, if every margin is
-    -inf) is verified on verify_samples points and returned as a
-    DiskSearch, whose `scored` counts candidate x ball-point evaluations.
+    round's best, scoring every candidate first on the critical points of
+    the last round's winner of the same parity; the best of all rounds (the
+    first, if every margin is -inf) is verified on verify_samples points
+    and returned as a DiskSearch, whose `scored` counts candidate x
+    ball-point evaluations.
     ValueError before any search for samples < 1 or verify_samples <
     1000; RangeError if no round had a candidate.
     """
@@ -343,6 +371,7 @@ def search_renorm_disk(psi, start, samples=512, rounds=2, verify_samples=2048):
         a_grid = [np.linspace(0.6, 2.4, 6) * ws[i] for i in range(psi.dim)]
         spread_c = [g[1] - g[0] for g in c_grid]
         spread_a = [g[1] - g[0] for g in a_grid]
+        carried = []      # the last round's winner's critical points
         for rnd in range(rounds + 1):
             # the grid in itertools.product order, center offsets outer,
             # without the singular linear parts; frame.T * ax is
@@ -357,7 +386,9 @@ def search_renorm_disk(psi, start, samples=512, rounds=2, verify_samples=2048):
             centers = np.repeat(center0 + offsets, len(shapes), axis=0)
             linears = np.tile(shapes, (len(offsets), 1, 1))
             tried += len(centers)
-            i, value = _best_candidate(psi, centers, linears, ball, scored)
+            i, value = _best_candidate(psi, centers, linears, ball, carried, scored,
+                                       critical := [])
+            carried = critical
             if value > best[0] or best[1] is None:
                 best = (value, centers[i], linears[i])
             # shrink the grids around the round's winner

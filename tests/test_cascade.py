@@ -240,6 +240,20 @@ def test_chain_matches_sequential_product(p):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_chain_groups_its_products_as_the_scan_does():
+    # the pairwise product keeps the bits of the scan's last prefix, for
+    # every length and dimension and for the batched stack of lyapunov_exponent
+    def last_prefix(jacs):
+        return cascade._scan(jacs, jacs[..., :0])[0][-1]
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        for p in range(1, 130):
+            jacs = rng.normal(size=(p, n, n))
+            assert cascade._chain(jacs).tobytes() == last_prefix(jacs).tobytes()
+        batched = rng.normal(size=(141, 64, n, n)).swapaxes(0, 1)
+        assert cascade._chain(batched).tobytes() == last_prefix(batched).tobytes()
+
+
 def cofactor_loop(a):
     """adj(A) one minor at a time: the cofactor definition."""
     n = a.shape[0]

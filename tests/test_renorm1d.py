@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from renormlab import renorm1d, series
-from renormlab.errors import LinearizationError, SingularScalingError
+from renormlab.errors import LinearizationError, NoConvergenceError, SingularScalingError
 
 
 def _rational_renorm_quadratic(c0, c1):
@@ -102,6 +102,30 @@ def test_newton_quadratic_tail(phi40):
     assert len(steps) >= 2
     for s_prev, s_next in zip(steps, steps[1:]):
         assert s_next <= 1e3 * s_prev * s_prev
+
+
+@pytest.mark.parametrize("degree, iters", [(2, 3), (4, 4), (9, 4), (20, 4), (40, 4),
+                                           (80, 4), (160, 4)])
+def test_newton_iterations_at_the_default_tol(degree, iters):
+    # every full step here shrinks the residual tenfold or more, so the
+    # stall rule never fires
+    fp = renorm1d.solve_fixed_point(degree=degree)
+    assert fp.newton_iters == iters and fp.residual < renorm1d.DEFAULT_TOL
+
+
+def test_newton_stall_raises_early(monkeypatch):
+    # at degree 40 the residual bottoms out near 1.3e-13 after 4 steps; a
+    # tol below that stops at the first step that fails to halve it, not
+    # after max_iters
+    steps, jacobian = [], renorm1d._renorm_jacobian
+    monkeypatch.setattr(renorm1d, "_renorm_jacobian",
+                        lambda *a: steps.append(a) or jacobian(*a))
+    with pytest.raises(NoConvergenceError, match=r"stalled at residual 1\.318e-13 "
+                                                 r"\(tol 1\.0e-14\)") as err:
+        renorm1d.solve_fixed_point(degree=40, tol=1e-14)
+    assert len(steps) <= 6
+    assert 1e-14 <= err.value.residual < 2e-13
+    assert renorm1d.residual(err.value.last) == err.value.residual
 
 
 def test_double_renormalization_stays(phi40):

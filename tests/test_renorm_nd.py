@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 import threading
 import time
@@ -255,7 +256,7 @@ def search_rounds(std_map, refit8):
 
 
 def exhaustive_best(psi, centers, linears, ball):
-    combined = np.minimum(*renorm_nd._batched_margins(psi, centers, linears, ball))
+    combined = np.minimum(*renorm_nd._batched_margins(psi, centers, linears, ball)[:2])
     i = int(np.argmax(combined))
     return i, combined[i]
 
@@ -276,25 +277,32 @@ def test_pruned_selection_equals_exhaustive_scan(search_rounds, level, rnd, chun
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("rnd", [0, 11])
 def test_chunked_bound_pass_selects_as_one_call(search_rounds, level, rnd, monkeypatch):
-    # a 2-D round's first stage is one call at the real chunk size; in
-    # chunks of 100 it must select the same candidate, and every later
-    # stage's call takes at most _PRUNE_CHUNK candidates
-    args = search_rounds[level][rnd]
-    assert len(args[1]) <= renorm_nd._BOUND_CHUNK
-    unchunked = renorm_nd._best_candidate(*args)
+    # a 2-D round's first stage is one call at the real chunk size, and so
+    # are its carried points; in chunks of 100 it must select the same
+    # candidate, and every later stage's call takes at most _PRUNE_CHUNK
+    # candidates
     sizes, margins = [], renorm_nd._batched_margins
 
     def counted(psi, centers, linears, ball):
         sizes.append((len(centers), len(ball)))
-        return margins(psi, centers, linears, ball)
+        disjoint, inside, low, high = margins(psi, centers, linears, ball)
+        return disjoint, inside, low, high
 
-    monkeypatch.setattr(renorm_nd, "_BOUND_CHUNK", 100)
-    monkeypatch.setattr(renorm_nd, "_batched_margins", counted)
-    assert renorm_nd._best_candidate(*args) == unchunked
-    first = len(args[3]) // renorm_nd._FIRST_STRIDE
-    bound_calls = [(min(100, len(args[1]) - s), first) for s in range(0, len(args[1]), 100)]
-    assert len(bound_calls) > 1 and sizes[:len(bound_calls)] == bound_calls
-    assert max(c for c, _ in sizes[len(bound_calls):]) <= renorm_nd._PRUNE_CHUNK
+    for carried in ((), (3, 64, 100)):
+        args = (*search_rounds[level][rnd], carried)
+        assert len(args[1]) <= renorm_nd._BOUND_CHUNK
+        unchunked = renorm_nd._best_candidate(*args)
+        sizes.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(renorm_nd, "_BOUND_CHUNK", 100)
+            mp.setattr(renorm_nd, "_batched_margins", counted)
+            assert renorm_nd._best_candidate(*args) == unchunked
+        first = len(args[3]) // renorm_nd._FIRST_STRIDE
+        bound_calls = [(min(100, len(args[1]) - s), points)
+                       for s in range(0, len(args[1]), 100)
+                       for points in (first, len(carried))[:1 + bool(carried)]]
+        assert len(bound_calls) > 1 and sizes[:len(bound_calls)] == bound_calls
+        assert max(c for c, _ in sizes[len(bound_calls):]) <= renorm_nd._PRUNE_CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -328,9 +336,10 @@ def test_staged_selection_equals_exhaustive_scan(search_rounds, exhaustive_picks
 
 
 # candidate x ball-point evaluations of ndcheck's level-1 and level-2 disk
-# searches, staged and scanned in one frame (994,880 in all); a bound pass
-# on every 8th point and full 512-point margins took 1,680,896 and 1,508,864
-SCORED = {1: 405_088, 2: 589_792}
+# searches, pruned on the incumbents' critical points (480,247 in all);
+# without them, 405,088 and 589,792, and a bound pass on every 8th point
+# and full 512-point margins took 1,680,896 and 1,508,864
+SCORED = {1: 144_781, 2: 335_466}
 
 
 @pytest.mark.parametrize("level", [1, 2])
@@ -341,6 +350,55 @@ def test_staged_search_scores_fewer_points_than_two_passes(ndcheck_searches, lev
     assert found.tried == tried
     # every candidate takes the first stage, and none more than every point
     assert tried * 512 // renorm_nd._FIRST_STRIDE <= found.scored <= SCORED[level]
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("rnd", [1, 2, 7, 11])
+def test_selection_with_carried_points_equals_exhaustive_scan(search_rounds, exhaustive_picks,
+                                                             level, rnd):
+    # carried points are scored for every candidate in the bound pass; any
+    # set of them, repeats included, must leave the pick and its bits alone
+    args = search_rounds[level][rnd]
+    previous = []
+    renorm_nd._best_candidate(*search_rounds[level][rnd - 1], (), None, previous)
+    stride, expected = renorm_nd._FIRST_STRIDE, exhaustive_picks(level, rnd)
+    for carried in ([], [5], [2 * stride, 2 * stride], range(len(args[3])), previous):
+        i, value = renorm_nd._best_candidate(*args, carried)
+        assert i == expected[0]
+        assert np.float64(value).tobytes() == np.float64(expected[1]).tobytes()
+
+
+def test_search_carries_each_winners_critical_points_within_a_parity(std_map, monkeypatch):
+    # rounds 1 and 2 of each parity take the points of the round before;
+    # the first round of each parity takes none
+    calls, pick = [], renorm_nd._best_candidate
+
+    def record(psi, centers, linears, ball, carried, tally, critical):
+        i, value = pick(psi, centers, linears, ball, carried, tally, critical)
+        # the winner's least |psi| and largest |psi^2| on the whole ball
+        extremes = renorm_nd._batched_margins(psi, centers[i:i + 1], linears[i:i + 1], ball)[2:]
+        calls.append((list(carried), list(critical), {int(k[0]) for k in extremes}))
+        return i, value
+
+    monkeypatch.setattr(renorm_nd, "_best_candidate", record)
+    renorm_nd.search_renorm_disk(std_map, start=np.array([0.3, 0.5]))
+    assert len(calls) == 6 and calls[0][0] == calls[3][0] == []
+    for r in (1, 2, 4, 5):
+        assert calls[r][0] == calls[r - 1][1]
+    stages = 6       # strides 32, 16, 8, 4, 2 and 1 on 512 points
+    assert all(extremes <= set(critical) and len(critical) <= 2 * stages
+               for _, critical, extremes in calls)
+
+
+def test_ndcheck_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique and np.union1d load numpy.ma, which costs ndcheck about
+    # 0.5 MB of peak memory; the disk search builds its index sets without them
+    argv = ["ndcheck", "--levels", "1", "--no-timestamp", "--out", str(tmp_path / "nd.json")]
+    code = (f"import sys; from renormlab import cli; cli.main({argv!r}); "
+            "print('numpy.ma' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False"]
 
 
 def test_search_with_fewer_points_than_the_first_stride(std_map):
@@ -399,7 +457,7 @@ def test_pruned_selection_takes_the_lowest_index_on_exact_ties(search_rounds):
     args = (psi, centers[idx], linears[idx], ball)
     i, value = renorm_nd._best_candidate(*args)
     assert (i, value) == exhaustive_best(*args)
-    assert np.count_nonzero(np.minimum(*renorm_nd._batched_margins(*args)) == value) >= 2
+    assert np.count_nonzero(np.minimum(*renorm_nd._batched_margins(*args)[:2]) == value) >= 2
     # one disk 100 times: every bound ties, and the first copy must win
     same = np.full(100, exhaustive_best(psi, centers, linears, ball)[0])
     assert renorm_nd._best_candidate(psi, centers[same], linears[same], ball)[0] == 0
@@ -410,7 +468,7 @@ def test_pruned_selection_of_an_all_minus_inf_round(search_rounds):
     # psi^2 overflows on every disk, so every inside margin is -inf
     blowup = renorm_nd.MapND([[2, 0], [0, 2]], [[1e300, 0.0], [0.0, 1e300]])
     args = (blowup, centers[:100], linears[:100], ball)
-    assert np.all(np.minimum(*renorm_nd._batched_margins(*args)) == -np.inf)
+    assert np.all(np.minimum(*renorm_nd._batched_margins(*args)[:2]) == -np.inf)
     assert renorm_nd._best_candidate(*args) == exhaustive_best(*args) == (0, -np.inf)
 
 
@@ -621,13 +679,18 @@ def test_batched_margins_match_single_checks(std_map, std_disk):
     disks = [disk, disk.scaled(0.8), disk.scaled(1.3),
              renorm_nd.DiskND(disk.center + shift, disk.linear),
              renorm_nd.DiskND(np.array([0.1, 0.2]), np.diag([0.3, 0.1]))]
-    dj, ins = renorm_nd._batched_margins(
-        std_map, np.array([d.center for d in disks]),
-        np.array([d.linear for d in disks]), renorm_nd.ball_samples(2, 1024))
-    for d, a, b in zip(disks, dj, ins):
+    ball = renorm_nd.ball_samples(2, 1024)
+    dj, ins, low, high = renorm_nd._batched_margins(
+        std_map, np.array([d.center for d in disks]), np.array([d.linear for d in disks]), ball)
+    for d, a, b, lo, hi in zip(disks, dj, ins, low, high):
         chk = renorm_nd.check_renormalizable(std_map, d, 1024)
         assert abs(a - chk.disjoint_margin) < 1e-12
         assert abs(b - chk.inside_margin) < 1e-12
+        # the returned ball points are where the margins are attained
+        im1 = std_map(d.chart(ball[[lo, hi]]))
+        norm1, _ = np.linalg.norm((im1 - d.center) @ d._inv.T, axis=1)
+        _, norm2 = np.linalg.norm((std_map(im1) - d.center) @ d._inv.T, axis=1)
+        assert abs(norm1 - 1 - a) < 1e-12 and abs(1 - norm2 - b) < 1e-12
 
 
 def test_ndcheck_time_budget(tmp_path):
