@@ -51,7 +51,7 @@ try:
 
     fig, ax = plt.subplots(figsize=(7, 4))
     for m in range(len(tree.generations)):
-        for a in tree.atoms(m):
+        for a in tree.generations[m]:
             ax.plot([a.lo[0], a.hi[0]], [m, m], lw=3)
     ax.set_xlabel("x")
     ax.set_ylabel("generation")

@@ -29,10 +29,8 @@ print(f"\nexpanding eigenvalue on the normalized slice: {lin.leading_eigenvalue:
 print(f"expanding directions: full space {lin.expanding_count} "
       f"(one is the scaling direction), pinned slice {lin.pinned_expanding_count}")
 
-# the fixed point really is fixed: compose, rescale, compare
-s = series.evaluate(phi, 1.0)
-second = series.compose_unimodal(phi, phi, phi.trunc_degree)
-rescaled = series.scale_conjugate(second, s)
+# the fixed point really is fixed: R phi = phi(1)^-1 phi(phi(phi(1) x))
+rescaled = renorm1d.renormalize(phi)
 print(f"\nsup distance of rescaled second iterate from phi: "
       f"{series.sup_distance(rescaled, phi):.3e}")
 

@@ -12,9 +12,8 @@ persistence  persistence function a, manifold chart b, shift law
 cli          reproducible command-line experiments
 """
 
-from .series import (AnalyticUnimodal, cheb_nodes, compose_unimodal, evaluate,
-                     load_coeffs, save_coeffs, scale_conjugate, sup_distance,
-                     sup_norm)
+from .series import (AnalyticUnimodal, cheb_nodes, evaluate, save_coeffs,
+                     sup_distance, sup_norm)
 from .renorm1d import (FixedPointResult, LinearizationResult, lambda_of,
                        linearize, renormalize, residual, solve_fixed_point)
 from .renorm_nd import (DiskND, DiskSearch, RenormCheck, ball_samples,
@@ -24,8 +23,7 @@ from .cascade import (AccumulationEstimate, CascadeResult, DoubleDouble, MapND,
                       OneParamFamily, accumulation_parameter, cascade_tangents,
                       find_doubling_bifurcation, henon_family, linear_family,
                       logistic_family, lyapunov_exponent, orbit,
-                      orbit_multiplier, periodic_orbit, recenter, run_cascade,
-                      shift_family)
+                      orbit_multiplier, periodic_orbit, recenter, run_cascade)
 from .attractor import (Atom, AtomTree, atom_diameters, build_atoms,
                         scaling_ratios, verify_periodic_saddles)
 from .persistence import (PersistenceChart, build_chart, chart_b,

@@ -52,9 +52,6 @@ class AtomTree:
     generations: tuple       # generations[m] is a tuple of 2^m Atoms
     points: np.ndarray       # the sampled orbit, shape (n_points, dim)
 
-    def atoms(self, m):
-        return self.generations[m]
-
 
 def build_atoms(fam, t, generations, n_points):
     """Cluster a long critical orbit, after TRANSIENT steps, into the nested

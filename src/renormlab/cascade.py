@@ -121,15 +121,9 @@ def linear_family(base, direction, bracket0, gap_hint, start_at):
                           gap_hint, start_at)
 
 
-def shift_family(fam, t0):
-    """(t0)*Psi: the family t -> psi_(t+t0); windows shift accordingly."""
-    if abs(t0) >= 0.5:
-        raise ValueError("|t0| must be < 0.5 for a shift; use recenter() to move far")
-    return recenter(fam, t0)
-
-
 def recenter(fam, t0):
-    """Reparametrize so the new parameter 0 sits at the old parameter t0."""
+    """The family t -> psi_(t+t0): the new parameter 0 sits at the old t0,
+    and the windows shift with it."""
     lo, hi = fam.param_range
     b0, b1 = fam.bracket0
     return replace(

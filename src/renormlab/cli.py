@@ -23,7 +23,7 @@ from . import attractor as attractor_mod
 from . import cascade as cascade_mod
 from . import persistence as persistence_mod
 from . import renorm1d, renorm_nd, series
-from .errors import EscapeError, RenormLabError
+from .errors import EscapeError, LinearizationError, RenormLabError
 
 
 class Option(NamedTuple):
@@ -109,8 +109,16 @@ def _cmd_fixpoint(cfg):
                                         max_iters=cfg["max_iters"])
     if cfg.get("coeffs_out"):
         series.save_coeffs(result.phi0, cfg["coeffs_out"])
+    # a fixed point solved to a loose --tol may be too coarse to linearize
+    try:
+        lin = renorm1d.linearize(result.phi0)
+        delta, unstable = lin.leading_eigenvalue, lin.pinned_expanding_count
+    except LinearizationError:
+        delta = unstable = None
     return {
         "lambda": result.lam,
+        "delta": delta,
+        "unstable_directions": unstable,
         "residual": result.residual,
         "newton_iters": result.newton_iters,
         "coeffs": [float(c) for c in result.phi0.coeffs],

@@ -24,7 +24,7 @@ from the standard map (Henon included).
 from dataclasses import dataclass
 
 from .cascade import (CascadeResult, OneParamFamily, _diff, cascade_tangents, linear_family,
-                      recenter, run_cascade, shift_family)
+                      recenter, run_cascade)
 from .errors import InsufficientDataError, RenormLabError
 
 
@@ -48,7 +48,7 @@ def verify_shift_property(fam, t0_list, base):
     worst = 0.0
     for t0 in t0_list:
         seeds = [(x, _diff(t, t0)) for x, t in zip(base.orbits, base.params)]
-        shifted = run_cascade(shift_family(fam, t0), depth, seeds=seeds).t_inf
+        shifted = run_cascade(recenter(fam, t0), depth, seeds=seeds).t_inf
         worst = max(worst, abs(shifted - (base.t_inf - t0)))
     return worst
 

@@ -77,9 +77,6 @@ class DiskND:
         """Map reference-ball points into the disk."""
         return np.asarray(ball_pts, dtype=float) @ self.linear.T + self.center
 
-    def scaled(self, factor):
-        return DiskND(self.center, self.linear * factor)
-
     def to_json_dict(self):
         return {"center": self.center.tolist(), "linear": self.linear.tolist()}
 
@@ -241,7 +238,7 @@ def _batched_margins(psi, centers, linears, ball):
             sq1.argmin(axis=1), sq2.argmax(axis=1))
 
 
-def _best_candidate(psi, centers, linears, ball, carried=(), tally=None, critical=None):
+def _best_candidate(psi, centers, linears, ball, carried, tally, critical):
     """Index and value of the largest min(disjoint, inside) margin on the
     ball points, the lowest index on ties: np.argmax over the full margins
     of every candidate, without computing most of them.
@@ -262,8 +259,8 @@ def _best_candidate(psi, centers, linears, ball, carried=(), tally=None, critica
     index.  Carried and critical points repeat points of the stages, which
     changes no minimum.  MapND evaluates each row independently of the
     others, so chunks and stages change no margin.  Each margins call
-    appends its candidate x ball-point count to tally; critical, if given,
-    receives the winner's critical points, at most 2 a stage.
+    appends its candidate x ball-point count to tally; critical receives
+    the winner's critical points, at most 2 a stage.
     """
     stride, stages = _FIRST_STRIDE, [np.arange(0, len(ball), _FIRST_STRIDE)]
     while stride > 1:
@@ -277,8 +274,7 @@ def _best_candidate(psi, centers, linears, ball, carried=(), tally=None, critica
 
     def score(idx, points):
         c, l = centers[idx], linears[idx]
-        if tally is not None:
-            tally.append(len(c) * len(points))
+        tally.append(len(c) * len(points))
         disjoint, inside, low, high = _batched_margins(psi, c, l, ball[points])
         return np.minimum(disjoint, inside), np.column_stack([points[low], points[high]])
 
@@ -306,8 +302,7 @@ def _best_candidate(psi, centers, linears, ball, carried=(), tally=None, critica
         if len(idx) and (top := max(zip(value[idx].tolist(), (-idx).tolist()))) > best:
             best = top
             marked[extremes[-top[1], :-1]] = True
-    if critical is not None:
-        critical.extend(sorted(set(extremes[-best[1], :-1].ravel().tolist())))
+    critical.extend(sorted(set(extremes[-best[1], :-1].ravel().tolist())))
     return -best[1], best[0]
 
 

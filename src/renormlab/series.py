@@ -3,8 +3,7 @@
 A real analytic unimodal map with a quadratic critical point at the origin
 is stored through its even representation phi(x) = g(x^2) = sum_j c_j x^(2j).
 Only the coefficients of g are kept, which halves the coefficient count and
-makes phi'(0) = 0 automatic.  Composition and rescaling are closed on this
-class, so the whole doubling-renormalization story can be told in it.
+makes phi'(0) = 0 automatic.
 
 Fits from sampled values use a fixed regularized pseudoinverse of the even
 Vandermonde matrix.  The monomial basis on x^2 in [0, 1] turns severely
@@ -20,7 +19,7 @@ import json
 
 import numpy as np
 
-from .errors import DomainError, RangeError, SingularScalingError
+from .errors import DomainError
 
 # truncation degrees above this are refused outright
 MAX_DEGREE = 256
@@ -65,25 +64,13 @@ class AnalyticUnimodal:
         return (f"AnalyticUnimodal(K={self.trunc_degree}, coeffs={head}..., "
                 f"normalized={self.normalized})")
 
-    def _binary(self, other, sign):
+    def __sub__(self, other):
         if not isinstance(other, AnalyticUnimodal):
             return NotImplemented
-        n = max(self.coeffs.size, other.coeffs.size)
-        a = np.zeros(n)
+        a = np.zeros(max(self.coeffs.size, other.coeffs.size))
         a[: self.coeffs.size] = self.coeffs
-        a[: other.coeffs.size] += sign * other.coeffs
+        a[: other.coeffs.size] -= other.coeffs
         return AnalyticUnimodal(a)
-
-    def __add__(self, other):
-        return self._binary(other, 1.0)
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
-
-    def __mul__(self, s):
-        return AnalyticUnimodal(self.coeffs * float(s))
-
-    __rmul__ = __mul__
 
 
 def cheb_nodes(m):
@@ -119,39 +106,10 @@ def _fit_operator(m, degree):
 
 
 def _fit_values(values, m, degree):
-    # fast path used by compose/renormalize: default grid, cached pinv
+    # the cached pinv on the default grid, then one refinement pass
     nodes, a, p = _fit_operator(m, degree)
     c = p @ values
     return c + p @ (values - a @ c)
-
-
-def compose_unimodal(f, h, degree):
-    """Even series of f o h truncated to the given degree in x^2.
-
-    Computed by sampling x -> f(h(x)) on Chebyshev nodes and refitting,
-    not by coefficient convolution.
-    """
-    if degree < 0 or degree > MAX_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
-    m = 2 * max(degree, 1) + 1
-    nodes, _, _ = _fit_operator(m, degree)
-    inner = evaluate(h, nodes)
-    lim = 1 + 1e-12
-    if np.max(np.abs(inner)) > lim:
-        raise RangeError(
-            f"inner values reach {np.max(np.abs(inner)):.6g}, outside the "
-            "outer domain [-1, 1]")
-    vals = _eval_in_u(f.coeffs, np.clip(inner, -lim, lim) ** 2)
-    return AnalyticUnimodal(_fit_values(vals, m, degree))
-
-
-def scale_conjugate(f, s):
-    """Even series of x -> f(s*x)/s, of f's degree: coefficient c_j ->
-    c_j * s^(2j-1)."""
-    if s == 0:
-        raise SingularScalingError("scale factor s = 0")
-    j = np.arange(f.coeffs.size)
-    return AnalyticUnimodal(f.coeffs * float(s) ** (2 * j - 1))
 
 
 def sup_norm(f):
@@ -190,9 +148,3 @@ def save_coeffs(f, path):
     """Write the coefficient vector as a bare JSON array (*.coeffs.json)."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([float(c) for c in f.coeffs], fh)
-
-
-def load_coeffs(path):
-    """Read a bare JSON coefficient array written by save_coeffs."""
-    with open(path, encoding="utf-8") as fh:
-        return AnalyticUnimodal(json.load(fh))

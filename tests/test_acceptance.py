@@ -77,8 +77,8 @@ def _tree_structure_ok(tree, generations):
                 if not (np.any(a.hi < b.lo) or np.any(b.hi < a.lo)):
                     return False
     for m in range(generations):
-        parents = tree.atoms(m)
-        for child in tree.atoms(m + 1):
+        parents = tree.generations[m]
+        for child in tree.generations[m + 1]:
             if not parents[child.index % 2 ** m].contains(child):
                 return False
     return True

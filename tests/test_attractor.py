@@ -21,7 +21,7 @@ def henon_tree(henon, henon_cascade9):
 
 def test_two_atoms_at_first_generation(logistic, logistic_cascade12):
     tree = attractor.build_atoms(logistic, logistic_cascade12.t_inf, 1, 2 ** 8)
-    assert len(tree.atoms(1)) == 2
+    assert len(tree.generations[1]) == 2
 
 
 def test_atom_counts(logistic_tree):
@@ -38,8 +38,8 @@ def test_atoms_disjoint_by_construction(logistic_tree):
 
 def test_atoms_nested(logistic_tree):
     for m in range(8):
-        parents = logistic_tree.atoms(m)
-        for child in logistic_tree.atoms(m + 1):
+        parents = logistic_tree.generations[m]
+        for child in logistic_tree.generations[m + 1]:
             assert parents[child.index % 2 ** m].contains(child)
 
 
@@ -47,7 +47,7 @@ def test_atoms_cyclically_permuted(logistic, logistic_cascade12, logistic_tree):
     # psi maps points of atom k into atom k+1 mod 2^m, checked on samples
     m = logistic.map_at(logistic_cascade12.t_inf)
     for gen_idx in (3, 6):
-        atoms = logistic_tree.atoms(gen_idx)
+        atoms = logistic_tree.generations[gen_idx]
         k_count = len(atoms)
         pts = logistic_tree.points
         for k in (0, 1, k_count // 2):
@@ -61,7 +61,7 @@ def test_atoms_cyclically_permuted(logistic, logistic_cascade12, logistic_tree):
 def test_diameters_strictly_decreasing(logistic_tree):
     d = attractor.atom_diameters(logistic_tree)
     assert all(b < a for a, b in zip(d, d[1:]))
-    assert d[0] == pytest.approx(logistic_tree.atoms(0)[0].diameter)
+    assert d[0] == pytest.approx(logistic_tree.generations[0][0].diameter)
 
 
 def test_ratio_structure(logistic_tree):
@@ -91,8 +91,8 @@ def test_henon_ratio_near_universal(henon_tree):
 def test_henon_atoms_disjoint_and_nested(henon_tree):
     assert [len(g) for g in henon_tree.generations] == [2 ** m for m in range(7)]
     for m in range(6):
-        parents = henon_tree.atoms(m)
-        for child in henon_tree.atoms(m + 1):
+        parents = henon_tree.generations[m]
+        for child in henon_tree.generations[m + 1]:
             assert parents[child.index % 2 ** m].contains(child)
 
 

@@ -684,7 +684,7 @@ def shift_seeds(res, t0):
 @pytest.mark.parametrize("t0", [-0.05, 0.05])
 def test_seeded_cascade_matches_unseeded(request, name, depth, t0):
     fam = request.getfixturevalue(name)
-    shifted = cascade.shift_family(fam, t0)
+    shifted = cascade.recenter(fam, t0)
     seeds = shift_seeds(cascade.run_cascade(fam, depth), t0)
     seeded = cascade.run_cascade(shifted, depth, seeds=seeds)
     plain = cascade.run_cascade(shifted, depth)
@@ -700,7 +700,7 @@ def test_seeded_cascade_saves_newton_steps(request, monkeypatch, name, depth, t0
     # a seed is a converged orbit of the same map: no settle orbit, no branch
     # switch, and a Newton solve that stops at its rounding floor
     fam = request.getfixturevalue(name)
-    shifted = cascade.shift_family(fam, t0)
+    shifted = cascade.recenter(fam, t0)
     seeds = shift_seeds(cascade.run_cascade(fam, depth), t0)
     seeded = count_newton_steps(monkeypatch, shifted, depth, seeds=seeds)
     assert all(seeded.count(2 ** level) <= 3 for level in range(depth + 1))

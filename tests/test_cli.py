@@ -25,11 +25,37 @@ def test_fixpoint_report(tmp_path):
                 "--coeffs-out", str(coeffs), "--no-timestamp")
     assert r.returncode == 0, r.stderr
     report = json.loads(out.read_text())
-    assert set(report) == {"lambda", "residual", "newton_iters", "coeffs"}
+    assert set(report) == {"lambda", "delta", "unstable_directions", "residual",
+                           "newton_iters", "coeffs"}
     assert abs(report["lambda"] - 0.3995) < 5e-4
     assert report["residual"] < 1e-8
     raw = json.loads(coeffs.read_text())
     assert isinstance(raw, list) and raw[0] == 1.0
+
+
+# Briggs (1991), Math. Comp. 57
+DELTA = 4.669201609102990
+
+
+@pytest.mark.parametrize("degree", [8, 20, 40, 80, 120])
+def test_fixpoint_reports_delta_and_one_unstable_direction(tmp_path, degree):
+    # phi0 has one expanding direction on the normalized slice, with
+    # eigenvalue delta: its stable manifold has codimension one
+    out = tmp_path / "fp.json"
+    assert cli.main(["fixpoint", "--degree", str(degree), "--no-timestamp",
+                     "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["unstable_directions"] == 1
+    assert abs(report["delta"] - DELTA) <= 3e-11
+
+
+def test_fixpoint_too_loose_to_linearize_reports_null(tmp_path):
+    # a residual of 1e-6 or more is refused by linearize, not by fixpoint
+    out = tmp_path / "fp.json"
+    assert cli.main(["fixpoint", "--tol", "1e-4", "--no-timestamp", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert 1e-6 <= report["residual"] < 1e-4
+    assert report["delta"] is None and report["unstable_directions"] is None
 
 
 def test_fixpoint_bad_degree_exits_2():
@@ -343,7 +369,7 @@ def test_cascade_reaches_level_16(tmp_path):
     assert r.returncode == 0, r.stdout + r.stderr
     report = json.loads(out.read_text())
     assert [lvl for lvl, _ in report["doubling_params"]] == list(range(17))
-    assert abs(report["delta_estimates"][-1] - 4.669201609102990) < 1e-8
+    assert abs(report["delta_estimates"][-1] - DELTA) < 1e-8
 
 
 @pytest.mark.parametrize("b", [0.3, 0.6, 0.9])

@@ -21,7 +21,7 @@ def test_a_vanishes_at_recentered_base(logistic):
 
 def test_a_shift_law_single(logistic):
     t_inf = persistence.persistence_a(logistic, 8)
-    shifted = cascade.shift_family(logistic, 0.05)
+    shifted = cascade.recenter(logistic, 0.05)
     assert persistence.persistence_a(shifted, 8) == pytest.approx(t_inf - 0.05, abs=1e-5)
 
 
@@ -34,19 +34,19 @@ def test_a_without_doublings_raises(logistic):
 
 
 def test_shift_family_zero_is_identity(logistic):
-    shifted = cascade.shift_family(logistic, 0.0)
+    shifted = cascade.recenter(logistic, 0.0)
     for t in np.linspace(2.9, 3.6, 10):
         assert shifted.map_at(t).step(0.37) == logistic.map_at(t).step(0.37)
 
 
 def test_shift_twice_is_identity(logistic):
-    twice = cascade.shift_family(cascade.shift_family(logistic, 0.05), -0.05)
+    twice = cascade.recenter(cascade.recenter(logistic, 0.05), -0.05)
     for t in np.linspace(2.9, 3.6, 10):
         assert twice.map_at(t).step(0.41) == pytest.approx(logistic.map_at(t).step(0.41), abs=1e-15)
 
 
 def test_shift_is_reparametrization(logistic):
-    shifted = cascade.shift_family(logistic, 0.05)
+    shifted = cascade.recenter(logistic, 0.05)
     assert shifted.map_at(0.0).step(0.3) == logistic.map_at(0.05).step(0.3)
 
 

@@ -134,7 +134,8 @@ def test_margins_monotone_under_shrink(henon):
         psi = henon_mapnd(a)
         before = renorm_nd.check_renormalizable(psi, disk, 1024)
         assert before.passed
-        after = renorm_nd.check_renormalizable(psi, disk.scaled(0.9), 1024)
+        after = renorm_nd.check_renormalizable(psi, renorm_nd.DiskND(disk.center, 0.9 * disk.linear),
+                                               1024)
         assert after.inside_margin >= before.inside_margin - 1e-9
         count += 1
     assert count == 5
@@ -270,7 +271,7 @@ def test_pruned_selection_equals_exhaustive_scan(search_rounds, level, rnd, chun
     monkeypatch.setattr(renorm_nd, "_PRUNE_CHUNK", chunk)
     args = search_rounds[level][rnd]
     assert len(search_rounds[level]) == 12        # 2 parities x 6 rounds
-    i, value = renorm_nd._best_candidate(*args)
+    i, value = renorm_nd._best_candidate(*args, (), [], [])
     assert (i, value) == exhaustive_best(*args)
 
 
@@ -289,7 +290,7 @@ def test_chunked_bound_pass_selects_as_one_call(search_rounds, level, rnd, monke
         return disjoint, inside, low, high
 
     for carried in ((), (3, 64, 100)):
-        args = (*search_rounds[level][rnd], carried)
+        args = (*search_rounds[level][rnd], carried, [], [])
         assert len(args[1]) <= renorm_nd._BOUND_CHUNK
         unchunked = renorm_nd._best_candidate(*args)
         sizes.clear()
@@ -329,7 +330,7 @@ def test_staged_selection_equals_exhaustive_scan(search_rounds, exhaustive_picks
     monkeypatch.setattr(renorm_nd, "_PRUNE_CHUNK", chunk)
     args = search_rounds[level][rnd]
     assert len(args[3]) == 512
-    i, value = renorm_nd._best_candidate(*args)
+    i, value = renorm_nd._best_candidate(*args, (), [], [])
     expected = exhaustive_picks(level, rnd)
     assert (i, value) == expected
     assert np.float64(value).tobytes() == np.float64(expected[1]).tobytes()
@@ -360,10 +361,10 @@ def test_selection_with_carried_points_equals_exhaustive_scan(search_rounds, exh
     # set of them, repeats included, must leave the pick and its bits alone
     args = search_rounds[level][rnd]
     previous = []
-    renorm_nd._best_candidate(*search_rounds[level][rnd - 1], (), None, previous)
+    renorm_nd._best_candidate(*search_rounds[level][rnd - 1], (), [], previous)
     stride, expected = renorm_nd._FIRST_STRIDE, exhaustive_picks(level, rnd)
     for carried in ([], [5], [2 * stride, 2 * stride], range(len(args[3])), previous):
-        i, value = renorm_nd._best_candidate(*args, carried)
+        i, value = renorm_nd._best_candidate(*args, carried, [], [])
         assert i == expected[0]
         assert np.float64(value).tobytes() == np.float64(expected[1]).tobytes()
 
@@ -407,7 +408,7 @@ def test_search_with_fewer_points_than_the_first_stride(std_map):
     found, rounds = recorded_search(std_map, [0.3, 0.5], samples=16, rounds=1)
     assert len(rounds) == 4 and len(rounds[0][3]) == 16
     for args in rounds:
-        i, value = renorm_nd._best_candidate(*args)
+        i, value = renorm_nd._best_candidate(*args, (), [], [])
         expected = exhaustive_best(*args)
         assert i == expected[0]
         assert np.float64(value).tobytes() == np.float64(expected[1]).tobytes()
@@ -455,12 +456,13 @@ def test_pruned_selection_takes_the_lowest_index_on_exact_ties(search_rounds):
     # far away, and the exhaustive scan's winner is the winner's first copy
     idx = np.r_[np.arange(len(centers))[::-1], np.arange(len(centers))]
     args = (psi, centers[idx], linears[idx], ball)
-    i, value = renorm_nd._best_candidate(*args)
+    i, value = renorm_nd._best_candidate(*args, (), [], [])
     assert (i, value) == exhaustive_best(*args)
     assert np.count_nonzero(np.minimum(*renorm_nd._batched_margins(*args)[:2]) == value) >= 2
     # one disk 100 times: every bound ties, and the first copy must win
     same = np.full(100, exhaustive_best(psi, centers, linears, ball)[0])
-    assert renorm_nd._best_candidate(psi, centers[same], linears[same], ball)[0] == 0
+    assert renorm_nd._best_candidate(psi, centers[same], linears[same], ball,
+                                     (), [], [])[0] == 0
 
 
 def test_pruned_selection_of_an_all_minus_inf_round(search_rounds):
@@ -469,7 +471,7 @@ def test_pruned_selection_of_an_all_minus_inf_round(search_rounds):
     blowup = renorm_nd.MapND([[2, 0], [0, 2]], [[1e300, 0.0], [0.0, 1e300]])
     args = (blowup, centers[:100], linears[:100], ball)
     assert np.all(np.minimum(*renorm_nd._batched_margins(*args)[:2]) == -np.inf)
-    assert renorm_nd._best_candidate(*args) == exhaustive_best(*args) == (0, -np.inf)
+    assert renorm_nd._best_candidate(*args, (), [], []) == exhaustive_best(*args) == (0, -np.inf)
 
 
 # --- determinism -----------------------------------------------------------
@@ -676,7 +678,8 @@ def test_mapnd_rejects_bad_tables():
 def test_batched_margins_match_single_checks(std_map, std_disk):
     disk = std_disk.disk
     shift = 0.05 * disk.linear[:, 1]
-    disks = [disk, disk.scaled(0.8), disk.scaled(1.3),
+    disks = [disk, renorm_nd.DiskND(disk.center, 0.8 * disk.linear),
+             renorm_nd.DiskND(disk.center, 1.3 * disk.linear),
              renorm_nd.DiskND(disk.center + shift, disk.linear),
              renorm_nd.DiskND(np.array([0.1, 0.2]), np.diag([0.3, 0.1]))]
     ball = renorm_nd.ball_samples(2, 1024)

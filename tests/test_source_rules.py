@@ -5,9 +5,12 @@ result), numpy is the only import outside the standard library, every
 private module-level function or constant, and every private method,
 property or attribute of a module-level class, is referenced somewhere
 outside its own definition (a leftover helper or setting is dead code),
-and every option, a parameter with a default, is passed by some call of
-the package or the benchmark (an option with one value in use, or one that
-only tests set, is a constant).
+every option, a parameter with a default, is passed by some call of the
+package or the benchmark (an option with one value in use, or one that
+only tests set, is a constant), and every public function, class, method
+or property is reached from the command line, from module-level
+statements or from the benchmark (public code that only tests call is not
+part of the lab).
 """
 
 import ast
@@ -138,6 +141,147 @@ def test_rule_catches_an_unreferenced_private_function(source, expected):
 def test_rule_catches_an_unreferenced_private_constant(source, expected):
     tree = ast.parse(source)
     assert [what for _, what in unreferenced(tree, [tree])] == expected
+
+
+def tokens(node):
+    """The names the code under node refers to: an attribute as .name, a
+    plain or imported name as name."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            yield "." + n.attr
+        elif isinstance(n, (ast.Name, ast.alias)):
+            yield getattr(n, "id", None) or n.name
+
+
+def unreached(root, exempt):
+    """The public module-level functions and classes of root's
+    src/renormlab, and the public methods and properties of those classes,
+    that no name reaches; then each exempt name that names none of them, or
+    that is reached without its exemption.
+
+    Reaching goes by name and is transitive: a reached name reaches every
+    name in the code of each function, class or method so named.  A
+    function or class is reached as a name or an attribute, a method or
+    property only as an attribute.  A class's own code is all but its
+    methods that are not dunders, which are reached by their own names; its
+    dunders run when it is used.  The roots are cli.main, the package's
+    module-level statements other than imports, every name in the
+    benchmark's files but its tests, the (module, attribute) pairs of their
+    TARGETS, and the exempt names, "Class.method" for a method.
+    """
+    package = [(path.name, ast.parse(path.read_text(encoding="utf-8")))
+               for path in sorted((root / "src" / "renormlab").glob("*.py"))]
+    callers = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((root / "benchmark").glob("*.py"))
+               if not path.name.startswith("test_")]
+    code, public, roots = defaultdict(Counter), [], {"main"}
+    for file, tree in package:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    roots.update(tokens(node))
+                continue
+            methods = [f for f in node.body if isinstance(f, ast.FunctionDef)
+                       and not f.name.startswith("__")] if isinstance(node, ast.ClassDef) else []
+            for key in (node.name, "." + node.name):
+                code[key].update(tokens(node))
+                for f in methods:
+                    code[key].subtract(tokens(f))
+            if not node.name.startswith("_"):
+                public.append((file, node.lineno, node.name, {node.name, "." + node.name}))
+            for f in methods:
+                code["." + f.name].update(tokens(f))
+                if not f.name.startswith("_"):
+                    public.append((file, f.lineno, f"{node.name}.{f.name}", {"." + f.name}))
+    for tree in callers:
+        roots.update(tokens(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS"
+                                                    for t in node.targets):
+                # "MapND.__call__" is the name MapND and the attribute .__call__
+                roots.update(key for pair in node.value.elts
+                             for key in pair.elts[-1].value.replace(".", " .").split())
+
+    def reached(start):
+        seen, todo = set(), list(start)
+        while todo:
+            if (name := todo.pop()) not in seen:
+                seen.add(name)
+                todo.extend(n for n, count in code[name].items() if count > 0)
+        return seen
+
+    keys = {qual: names for _, _, qual, names in public}
+    everywhere = reached(roots.union(*(keys.get(qual, ()) for qual in exempt)))
+    for file, line, qual, names in public:
+        if not names & everywhere:
+            yield f"{file}:{line}: {qual} is never reached"
+    without = reached(roots)
+    for qual in exempt:
+        if qual not in keys:
+            yield f"{qual} is exempt but not defined"
+        elif keys[qual] & without:
+            yield f"{qual} is exempt but reached"
+
+
+# public code that no report or benchmark operation reaches yet, and why
+# it stays
+UNREACHED = {
+    "chart_b": "the paper's b(chi), to be reported along transversal families",
+    "chart_validity_radius": "the chart's radius, for manifold once a b is cheap",
+    "verify_periodic_saddles": "the sinks-to-saddles report at the accumulation",
+    "Atom.contains": "the atom-nesting check of the acceptance tests",
+}
+
+
+def test_every_public_function_is_reached():
+    assert list(unreached(ROOT, UNREACHED)) == []
+
+
+PLANTED = {"src/renormlab/cli.py": "from .shapes import area\n\ndef main():\n    area()\n",
+           "src/renormlab/shapes.py": "def area():\n    pass\n\ndef helper():\n    pass\n"}
+CALLS_HELPER = "from renormlab.shapes import helper\n\nhelper()\n"
+# main reaches Box through a private function, and the property size as an
+# attribute; the plain name helper does not reach the method helper
+BOX = """def area():
+    return _side()
+
+
+def _side():
+    helper = Box()
+    return helper.size
+
+
+class Box:
+    def __init__(self):
+        pass
+
+    @property
+    def size(self):
+        pass
+
+    def helper(self):
+        pass
+"""
+
+
+@pytest.mark.parametrize("files, exempt, expected", [
+    ({}, {}, ["shapes.py:4: helper is never reached"]),
+    ({"tests/test_shapes.py": CALLS_HELPER, "benchmark/test_bench.py": CALLS_HELPER}, {},
+     ["shapes.py:4: helper is never reached"]),
+    ({"benchmark/session.py": CALLS_HELPER}, {}, []),
+    ({"benchmark/tracer.py": "TARGETS = ((\"shapes\", \"helper\"),)\n"}, {}, []),
+    ({}, {"helper": "kept"}, []),
+    ({}, {"helper": "kept", "gone": "kept"}, ["gone is exempt but not defined"]),
+    ({}, {"helper": "kept", "area": "kept"}, ["area is exempt but reached"]),
+    ({"src/renormlab/shapes.py": BOX}, {}, ["shapes.py:18: Box.helper is never reached"]),
+    ({"src/renormlab/shapes.py": BOX}, {"Box.helper": "kept"}, []),
+], ids=["unreached", "only-tests", "benchmark", "targets", "exempt", "stale-exemption",
+        "needless-exemption", "method", "exempt-method"])
+def test_rule_catches_an_unreached_public_function(tmp_path, files, exempt, expected):
+    for name, text in (PLANTED | files).items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert list(unreached(tmp_path, exempt)) == expected
 
 
 def options(tree):
