@@ -30,7 +30,7 @@ for level in range(1, 5):
     print(f"  disjoint margin {chk.disjoint_margin:.4f}, "
           f"inside margin {chk.inside_margin:.4f}")
     print(f"  sup distance from the standard form (diagnostic): {dist:.4f}")
-    cur = renorm_nd.renormalize_nd(cur, found.disk, degree=8)
+    cur = renorm_nd.renormalize_nd(cur, found.disk)
     print(f"  refit residual of the renormalized map: {cur.fit_residual:.2e}")
     start = np.array([0.1, 0.1])
 
@@ -38,7 +38,7 @@ for level in range(1, 5):
 # renormalized map against the exact second iterate pulled through the chart
 found = renorm_nd.search_renorm_disk(psi, start=np.array([0.3, 0.5]))
 disk = found.disk
-rpsi = renorm_nd.renormalize_nd(psi, disk, degree=8)
+rpsi = renorm_nd.renormalize_nd(psi, disk)
 w = np.column_stack([np.zeros(9), np.linspace(-1, 1, 9)])
 y = disk.chart(w)[:, 1]
 from renormlab import series  # noqa: E402

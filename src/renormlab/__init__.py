@@ -12,8 +12,7 @@ persistence  persistence function a, manifold chart b, shift law
 cli          reproducible command-line experiments
 """
 
-from .series import (AnalyticUnimodal, cheb_nodes, evaluate, save_coeffs,
-                     sup_distance, sup_norm)
+from .series import AnalyticUnimodal, cheb_nodes, evaluate, sup_distance, sup_norm
 from .renorm1d import (FixedPointResult, LinearizationResult, lambda_of,
                        linearize, renormalize, residual, solve_fixed_point)
 from .renorm_nd import (DiskND, DiskSearch, RenormCheck, ball_samples,
@@ -26,8 +25,7 @@ from .cascade import (AccumulationEstimate, CascadeResult, DoubleDouble, MapND,
                       orbit_multiplier, periodic_orbit, recenter, run_cascade)
 from .attractor import (Atom, AtomTree, atom_diameters, build_atoms,
                         scaling_ratios, verify_periodic_saddles)
-from .persistence import (PersistenceChart, build_chart, chart_b,
-                          chart_gradient, chart_validity_radius,
+from .persistence import (PersistenceChart, build_chart, chart_b, chart_gradient,
                           persistence_a, verify_shift_property)
 from . import errors
 

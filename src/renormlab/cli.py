@@ -4,11 +4,14 @@ Subcommands: fixpoint, cascade, attractor, ndcheck, manifold, bifdiag.
 Flags override values from an optional key=value config file; there is no
 environment-variable configuration.  Reports are deterministic given the
 same config (the timestamp field can be disabled for byte-identical runs).
-Computation failures exit 1 with a machine-readable error object; partial
-reports only ever appear with a .partial suffix.
+Computation failures, and output files that cannot be written, exit 1
+with a machine-readable error object and leave no output file that the run
+wrote; partial reports only ever appear with a .partial suffix.  Every
+output file is written through _write.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import operator
@@ -57,7 +60,7 @@ class Option(NamedTuple):
 
 
 class Command(NamedTuple):
-    run: object                 # cfg -> (report, CSV text chunks, header line first, or None)
+    run: object                 # cfg -> (report, {file option: text chunks})
     help: str
     options: list
 
@@ -76,11 +79,19 @@ def _json(obj, **kw):
 
 
 def _write(path, chunks):
-    """Write text chunks through a temporary file, so it is either whole or absent."""
+    """Write text chunks through a temporary file, so it is either whole or
+    absent; the temporary file does not outlive a failure, and an OSError
+    names path, not the temporary file."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
 
 
 def _csv_line(fields):
@@ -107,8 +118,7 @@ def _write_report(report, out):
 def _cmd_fixpoint(cfg):
     result = renorm1d.solve_fixed_point(degree=cfg["degree"], tol=cfg["tol"],
                                         max_iters=cfg["max_iters"])
-    if cfg.get("coeffs_out"):
-        series.save_coeffs(result.phi0, cfg["coeffs_out"])
+    coeffs = result.phi0.coeffs.tolist()
     # a fixed point solved to a loose --tol may be too coarse to linearize
     try:
         lin = renorm1d.linearize(result.phi0)
@@ -121,8 +131,8 @@ def _cmd_fixpoint(cfg):
         "unstable_directions": unstable,
         "residual": result.residual,
         "newton_iters": result.newton_iters,
-        "coeffs": [float(c) for c in result.phi0.coeffs],
-    }, None
+        "coeffs": coeffs,
+    }, {"coeffs_out": [json.dumps(coeffs)]}
 
 
 def _cmd_cascade(cfg):
@@ -137,7 +147,7 @@ def _cmd_cascade(cfg):
         "t_inf": res.t_inf,
         "t_inf_error": res.t_inf_error,
     }
-    return report, _csv(("level", "t", "delta"), map(_csv_line, rows))
+    return report, {"csv": _csv(("level", "t", "delta"), map(_csv_line, rows))}
 
 
 def _cmd_attractor(cfg):
@@ -161,12 +171,12 @@ def _cmd_attractor(cfg):
         "lambda_estimate": lam_est,
     }
     if not cfg["csv"]:
-        return report, None
+        return report, {}
     rows = ((a.generation, a.index, *map(repr, a.center.tolist()), repr(float(a.diameter)))
             for gen in tree.generations for a in gen)
     dim = tree.points.shape[1]
-    return report, _csv(("generation", "index", *(f"center_{i}" for i in range(dim)),
-                         "diameter"), map(_csv_line, rows))
+    return report, {"csv": _csv(("generation", "index", *(f"center_{i}" for i in range(dim)),
+                                 "diameter"), map(_csv_line, rows))}
 
 
 def _cmd_ndcheck(cfg):
@@ -186,10 +196,10 @@ def _cmd_ndcheck(cfg):
         if not found.found:
             break
         levels[-1]["disk"] = found.disk.to_json_dict()
-        cur = renorm_nd.renormalize_nd(cur, found.disk, degree=8)
+        cur = renorm_nd.renormalize_nd(cur, found.disk)
         start = np.array([0.1, 0.1])
     return {"lambda": fp.lam, "levels": levels,
-            "all_passed": all(lv["passed"] for lv in levels)}, None
+            "all_passed": all(lv["passed"] for lv in levels)}, {}
 
 
 def _cmd_manifold(cfg):
@@ -203,7 +213,7 @@ def _cmd_manifold(cfg):
         "b_value": b0,
         "gradient": [["v0", grads[0]], ["2*v0", grads[1]]],
         "shift_check": shift_dev,
-    }, None
+    }, {}
 
 
 def _t_window(cfg):
@@ -245,7 +255,7 @@ def _cmd_bifdiag(cfg):
     chunks = (chunk(repr(t) + ",", x[:, j], int(period[j]) or keep)
               for j, t in zip(alive.tolist(), ts[alive].tolist()))
     return {"rows": alive.size * keep, "family": cfg["family"],
-            "t_range": [tmin, tmax]}, _csv(("t", "x"), chunks)
+            "t_range": [tmin, tmax]}, {"csv": _csv(("t", "x"), chunks)}
 
 
 def finite(text):
@@ -378,9 +388,22 @@ def main(argv=None):
         if msg:
             parser.error(msg)
 
+    written = []
     try:
-        report, csv = cmd.run(cfg)
-    except RenormLabError as exc:
+        report, files = cmd.run(cfg)
+        if timestamp:
+            report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+        # the files first: a report means every file is written
+        for name, chunks in files.items():
+            if cfg.get(name):
+                _write(cfg[name], chunks)
+                written.append(cfg[name])
+        _write_report(report, cfg.get("out"))
+    except (RenormLabError, OSError) as exc:
+        # a failed run leaves none of its files behind
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         err = {"error": type(exc).__name__, "message": str(exc)}
         err.update((k, getattr(exc, k)) for k in ("residual", "step", "true_period")
                    if getattr(exc, k, None) is not None)
@@ -392,16 +415,14 @@ def main(argv=None):
         if isinstance(last, (float, np.ndarray)):
             err["last"] = np.ravel(last).tolist()
         completed = getattr(exc, "completed", None)
+        # the error object on stdout is the run's outcome, whether or not
+        # its partial report can be written
         if completed and cfg.get("out"):
-            _write_report({"error": err, "completed_prefix": list(enumerate(completed))},
-                          cfg["out"] + ".partial")
+            with contextlib.suppress(OSError):
+                _write_report({"error": err, "completed_prefix": list(enumerate(completed))},
+                              cfg["out"] + ".partial")
         sys.stdout.write(_json(err) + "\n")
         return 1
-    if timestamp:
-        report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    _write_report(report, cfg.get("out"))
-    if csv is not None and cfg.get("csv"):
-        _write(cfg["csv"], csv)
     return 0
 
 

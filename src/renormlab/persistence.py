@@ -9,6 +9,12 @@ on the local codimension-one manifold surrogate, b(psi0) = 0 at the base
 point, the shift law a(shifted by t0) = a - t0 holds to solver
 precision, and the directional derivative of b along v0 is -1.
 
+That last identity holds by construction at any distance from psi0:
+the family through chi = psi0 + h v0 is the family itself, shifted by h,
+so b(chi) = -h to solver precision wherever its cascade runs, and no probe
+along v0 can tell how far the chart stays valid.  What b says about the
+manifold comes from directions transversal to v0.
+
 The gradient of b is the exact derivative of the depth-N b, not a
 difference quotient: every t_N's derivative along a direction w comes from
 the linearization of the Newton system that defines t_N, read off the
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 from .cascade import (CascadeResult, OneParamFamily, _diff, cascade_tangents, linear_family,
                       recenter, run_cascade)
-from .errors import InsufficientDataError, RenormLabError
+from .errors import InsufficientDataError
 
 
 def persistence_a(fam, depth):
@@ -117,27 +123,3 @@ def chart_gradient(chart, probe_dirs):
     fam = chart.family_through(chart.psi0)
     res = run_cascade(fam, chart.depth)
     return res.t_inf, list(cascade_tangents(fam, res, probe_dirs))
-
-
-# probe sizes of chart_validity_radius, smallest first
-VALIDITY_PROBES = (1e-3, 1e-2, 0.05, 0.1, 0.2)
-
-
-def chart_validity_radius(chart):
-    """Largest probe size h of VALIDITY_PROBES at which the difference
-    quotient of b along v0, over [-h, h], stays within 0.05 of -1.
-
-    The chart is only locally valid; this reports the empirically usable
-    radius instead of deriving one.
-    """
-    largest = 0.0
-    for h in VALIDITY_PROBES:
-        try:
-            plus = chart_b(chart, chart.psi0 + h * chart.v0)
-            minus = chart_b(chart, chart.psi0 + (-h) * chart.v0)
-        except RenormLabError:
-            break
-        if abs((plus - minus) / (2 * h) + 1.0) > 0.05:
-            break
-        largest = h
-    return largest

@@ -86,18 +86,16 @@ def _renorm_jacobian(c, degree):
     return _fit_values(dv, m, degree)
 
 
-def renormalize(f, degree=None):
-    """R f = f(1)^-1 * f(f(f(1) x)) as an even series of the given degree."""
-    if degree is None:
-        degree = f.trunc_degree
-    if degree < 0 or degree > MAX_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
-    return AnalyticUnimodal(_renorm_coeffs(f.coeffs, degree))
+def renormalize(f):
+    """R f = f(1)^-1 * f(f(f(1) x)) as an even series of f's own degree."""
+    if f.trunc_degree > MAX_DEGREE:
+        raise ValueError(f"degree must be at most {MAX_DEGREE}")
+    return AnalyticUnimodal(_renorm_coeffs(f.coeffs, f.trunc_degree))
 
 
 def residual(f):
     """sup norm of R f - f, the distance from being a fixed point."""
-    return sup_distance(renormalize(f, f.trunc_degree), f)
+    return sup_distance(renormalize(f), f)
 
 
 def lambda_of(phi0):

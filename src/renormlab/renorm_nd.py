@@ -27,6 +27,9 @@ from .series import AnalyticUnimodal
 _FIRST_STRIDE = 32    # every candidate is first scored on every 32nd ball point
 _BOUND_CHUNK = 1024   # candidates per call of that first stage; a 2-D round is one call
 _PRUNE_CHUNK = 64     # candidates per call of each later stage
+SEARCH_SAMPLES = 512  # ball points a disk search scores each candidate on
+SEARCH_ROUNDS = 2     # refinements of a disk search's grid after its first round
+REFIT_DEGREE = 8      # total degree of the refit of a renormalized map
 REFIT_TOL = 1e-3      # largest refit residual of a renormalized map, in chart units
 
 
@@ -175,8 +178,8 @@ def check_renormalizable(psi, d1, samples=2048):
                        disjoint_margin, inside_margin)
 
 
-def renormalize_nd(psi, xi, degree=8):
-    """R psi = xi^-1 o psi o psi o xi, refit to total degree <= degree.
+def renormalize_nd(psi, xi):
+    """R psi = xi^-1 o psi o psi o xi, refit to total degree <= REFIT_DEGREE.
 
     xi is the affine chart of the renormalization disk D1 (a DiskND).  The
     refit is a least-squares polynomial over 2048 sampled ball points; its
@@ -192,8 +195,8 @@ def renormalize_nd(psi, xi, degree=8):
     if not np.all(np.isfinite(im2)):
         raise RangeError("psi^2 is not finite on the sampled disk")
     target = (im2 - xi.center) @ xi._inv.T
-    exps = np.array([e for e in itertools.product(range(degree + 1), repeat=xi.dim)
-                     if sum(e) <= degree])
+    exps = np.array([e for e in itertools.product(range(REFIT_DEGREE + 1), repeat=xi.dim)
+                     if sum(e) <= REFIT_DEGREE])
     cols = np.prod(ball[:, None, :] ** exps, axis=2)
     coeffs, *_ = np.linalg.lstsq(cols, target, rcond=None)
     worst = float(np.max(np.abs(cols @ coeffs - target)))
@@ -244,9 +247,9 @@ def _best_candidate(psi, centers, linears, ball, carried, tally, critical):
     of every candidate, without computing most of them.
 
     The ball points are scored in nested stages: every _FIRST_STRIDE-th
-    point, then the points halfway between, and so on down to every point;
-    a stage with no points is skipped.  A candidate's critical points in a
-    stage are those of its least |psi| and largest |psi^2| there.
+    point, then the points halfway between, and so on down to every point.
+    A candidate's critical points in a stage are those of its least |psi|
+    and largest |psi^2| there.
     The min of a candidate's stage values bounds its full value from above
     and, once every stage is scored, is that value to the bit: the root and
     the subtraction in the margins are monotone, so they commute with min
@@ -264,8 +267,7 @@ def _best_candidate(psi, centers, linears, ball, carried, tally, critical):
     """
     stride, stages = _FIRST_STRIDE, [np.arange(0, len(ball), _FIRST_STRIDE)]
     while stride > 1:
-        if len(stage := np.arange(stride // 2, len(ball), stride)):
-            stages.append(stage)
+        stages.append(np.arange(stride // 2, len(ball), stride))
         stride //= 2
     # per candidate and stage, the ball indices of its least |psi| and
     # largest |psi^2|; the last column is the critical points' stage
@@ -334,25 +336,25 @@ def attractor_cloud(psi, start):
     return orbit(psi, start, 3000, keep=2500)[1]
 
 
-def search_renorm_disk(psi, start, samples=512, rounds=2, verify_samples=2048):
+def search_renorm_disk(psi, start, verify_samples=2048):
     """Unseeded renormalization-disk search.
 
     Samples the attractor from start, splits it into the two
     first-generation parity clusters, and scans ellipse parameters around
     each cluster in the frame of its principal axes, refining the grid
-    around the best candidate.  _best_candidate's staged scan picks each
-    round's best, scoring every candidate first on the critical points of
-    the last round's winner of the same parity; the best of all rounds (the
-    first, if every margin is -inf) is verified on verify_samples points
-    and returned as a DiskSearch, whose `scored` counts candidate x
-    ball-point evaluations.
-    ValueError before any search for samples < 1 or verify_samples <
-    1000; RangeError if no round had a candidate.
+    SEARCH_ROUNDS times around the best candidate, on SEARCH_SAMPLES ball
+    points.  _best_candidate's staged scan picks each round's best, scoring
+    every candidate first on the critical points of the last round's winner
+    of the same parity; the best of all rounds (the first, if every margin
+    is -inf) is verified on verify_samples points and returned as a
+    DiskSearch, whose `scored` counts candidate x ball-point evaluations.
+    ValueError before any search for verify_samples < 1000; RangeError if
+    no round had a candidate.
     """
-    if samples < 1 or verify_samples < 1000:
-        raise ValueError("need at least 1 search and 1000 verify sample points")
+    if verify_samples < 1000:
+        raise ValueError("need at least 1000 verify sample points")
     cloud = attractor_cloud(psi, start)
-    ball = ball_samples(psi.dim, samples)
+    ball = ball_samples(psi.dim, SEARCH_SAMPLES)
     best = (-np.inf, None, None)
     tried, scored = 0, []
     for parity in (0, 1):
@@ -367,7 +369,7 @@ def search_renorm_disk(psi, start, samples=512, rounds=2, verify_samples=2048):
         spread_c = [g[1] - g[0] for g in c_grid]
         spread_a = [g[1] - g[0] for g in a_grid]
         carried = []      # the last round's winner's critical points
-        for rnd in range(rounds + 1):
+        for rnd in range(SEARCH_ROUNDS + 1):
             # the grid in itertools.product order, center offsets outer,
             # without the singular linear parts; frame.T * ax is
             # frame.T @ diag(ax) but for a -0 entry, which the matrix

@@ -15,7 +15,6 @@ binary64 by any method.
 """
 
 import functools
-import json
 
 import numpy as np
 
@@ -142,9 +141,3 @@ def sup_norm(f):
 def sup_distance(f, g):
     """sup-norm distance between two series on [-1, 1]."""
     return sup_norm(f - g)
-
-
-def save_coeffs(f, path):
-    """Write the coefficient vector as a bare JSON array (*.coeffs.json)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([float(c) for c in f.coeffs], fh)

@@ -134,15 +134,14 @@ def test_criterion_6_nd_renormalizability():
     start = np.array([0.3, 0.5])
     ok = True
     for m in range(1, 5):
-        found = renorm_nd.search_renorm_disk(cur, start=start, samples=384,
-                                             rounds=1)
+        found = renorm_nd.search_renorm_disk(cur, start=start)
         if not (found.found and found.check.disjoint_margin > 1e-3
                 and found.check.inside_margin > 1e-3):
             ok = False
             break
         margins.append((round(found.check.disjoint_margin, 4),
                         round(found.check.inside_margin, 4)))
-        cur = renorm_nd.renormalize_nd(cur, found.disk, degree=8)
+        cur = renorm_nd.renormalize_nd(cur, found.disk)
         start = np.array([0.1, 0.1])
     elapsed = time.perf_counter() - t0
     ok = ok and len(margins) == 4 and elapsed < 60

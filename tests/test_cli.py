@@ -121,6 +121,32 @@ def test_computation_error_exits_1(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["cascade", "--nmax", "3", "--out"],
+    ["cascade", "--nmax", "3", "--out", "{other}", "--csv"],
+    ["bifdiag", "--tn", "10", "--keep", "5", "--transient", "10", "--csv"],
+    ["fixpoint", "--degree", "8", "--out", "{other}", "--coeffs-out"],
+    ["cascade", "--nmax", "3", "--csv", "{other}", "--out"],
+    ["fixpoint", "--degree", "8", "--coeffs-out", "{other}", "--out"],
+], ids=["out", "csv", "bifdiag-csv", "coeffs-out", "out-after-csv", "out-after-coeffs"])
+def test_unwritable_output_path_is_an_error_object(tmp_path, capsys, argv, where):
+    # a path in a missing directory, or one that is a directory, exits 1 with
+    # one JSON error object on stdout and nothing else: no traceback, no
+    # report, and no file left, temporary files and a file the run wrote
+    # before the failing one included; the message names the path given
+    bad = tmp_path / "taken" if where == "directory" else tmp_path / "missing" / "x"
+    if where == "directory":
+        bad.mkdir()
+    argv = [arg.replace("{other}", str(tmp_path / "other")) for arg in argv]
+    assert cli.main([*argv, str(bad), "--no-timestamp"]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == ("IsADirectoryError" if where == "directory"
+                            else "FileNotFoundError")
+    assert err["message"].endswith(f": {str(bad)!r}")
+    assert [p.name for p in tmp_path.rglob("*")] == (["taken"] if where == "directory" else [])
+
+
 def test_attractor_report(tmp_path):
     out = tmp_path / "atoms.json"
     csv_path = tmp_path / "atoms.csv"
@@ -440,7 +466,7 @@ def test_reports_write_non_finite_numbers_as_null(tmp_path, monkeypatch, capsys)
     report = {"levels": [{"check": {"inside_margin": -np.inf}, "distance": np.float64(np.nan)}],
               "all_passed": False, "pair": (np.inf, 1.5)}
     monkeypatch.setitem(cli._COMMANDS, "ndcheck", cli._COMMANDS["ndcheck"]._replace(
-        run=lambda cfg: (report, None)))
+        run=lambda cfg: (report, {})))
     out = tmp_path / "nd.json"
     assert cli.main(["ndcheck", "--out", str(out), "--no-timestamp"]) == 0
     assert strict_json(out.read_text()) == {

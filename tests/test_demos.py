@@ -11,10 +11,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = DEMOS.parent / "src"
 
 
-# nd_renormalization_demo.py is left out: it takes about 10 s, and the
-# acceptance suite runs this whole suite twice
-@pytest.mark.parametrize("name", ["cascade_demo.py", "attractor_demo.py",
-                                  "persistence_demo.py", "fixed_point_demo.py"])
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_exits_zero(tmp_path, name):
     # run from a scratch directory: a demo may write its plot to the cwd
     env = dict(os.environ)

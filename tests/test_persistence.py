@@ -1,5 +1,4 @@
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,21 +178,8 @@ def test_gradient_transverse_free_direction(chart):
     assert grad[0] == 0.0
 
 
-def test_chart_validity_radius(chart):
-    radius = persistence.chart_validity_radius(chart)
-    assert radius >= 0.05  # b is globally linear along v0 for this family
-
-
 def test_chart_works_in_2d(henon):
     chart2 = persistence.build_chart(henon, depth=6)
     assert abs(persistence.chart_b(chart2, chart2.psi0)) < 1e-4
     grad = persistence.chart_gradient(chart2, [chart2.v0])[1][0]
     assert grad == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_validity_radius_lets_bugs_propagate(monkeypatch):
-    def broken(*args, **kwargs):
-        raise TypeError("bug")
-    monkeypatch.setattr(persistence, "chart_b", broken)
-    with pytest.raises(TypeError, match="bug"):
-        persistence.chart_validity_radius(SimpleNamespace(psi0=0.0, v0=1.0))

@@ -28,21 +28,21 @@ assert ORACLE_COEFFS == [Fraction(1), Fraction(-9, 4), Fraction(27, 64)]
 
 
 def test_renormalize_quadratic_example():
-    f = series.AnalyticUnimodal([1.0, -1.5])
-    out = renorm1d.renormalize(f, 2)
+    f = series.AnalyticUnimodal([1.0, -1.5, 0.0])
+    out = renorm1d.renormalize(f)
     assert np.allclose(out.coeffs, [1.0, -2.25, 0.421875], atol=1e-12)
     assert np.allclose(out.coeffs, [float(c) for c in ORACLE_COEFFS], atol=1e-12)
 
 
 def test_renormalize_fixed_point(phi40):
     phi = phi40.phi0
-    out = renorm1d.renormalize(phi, phi.trunc_degree)
+    out = renorm1d.renormalize(phi)
     assert series.sup_distance(out, phi) < 1e-8
 
 
 def test_renormalize_singular_scaling():
     with pytest.raises(SingularScalingError):
-        renorm1d.renormalize(series.AnalyticUnimodal([1.0, -1.0]), 2)
+        renorm1d.renormalize(series.AnalyticUnimodal([1.0, -1.0]))
 
 
 def test_residual_fixed_point(phi40):
@@ -51,8 +51,8 @@ def test_residual_fixed_point(phi40):
 
 def test_residual_quadratic():
     # coefficient gap at degree 2 is (0, -0.75, 0.421875); well above 0.1
-    f = series.AnalyticUnimodal([1.0, -1.5])
-    gap = renorm1d.renormalize(f, 2) - series.AnalyticUnimodal([1.0, -1.5, 0.0])
+    f = series.AnalyticUnimodal([1.0, -1.5, 0.0])
+    gap = renorm1d.renormalize(f) - f
     assert np.allclose(gap.coeffs, [0.0, -0.75, 0.421875], atol=1e-12)
     assert renorm1d.residual(f) > 0.1
 
@@ -130,8 +130,8 @@ def test_newton_stall_raises_early(monkeypatch):
 
 def test_double_renormalization_stays(phi40):
     phi = phi40.phi0
-    once = renorm1d.renormalize(phi, phi.trunc_degree)
-    twice = renorm1d.renormalize(once, phi.trunc_degree)
+    once = renorm1d.renormalize(phi)
+    twice = renorm1d.renormalize(once)
     assert series.sup_distance(twice, once) < 1e-7
     assert series.sup_distance(twice, phi) < 1e-7
 

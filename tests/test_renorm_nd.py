@@ -147,7 +147,7 @@ def test_renormalize_constant_map(std_disk):
     disk = std_disk.disk
     p = disk.center + 0.1 * disk.linear[:, 0]
     const = constant_mapnd(p)
-    out = renorm_nd.renormalize_nd(const, disk, degree=2)
+    out = renorm_nd.renormalize_nd(const, disk)
     expect = (p - disk.center) @ np.linalg.inv(disk.linear).T
     got = out(np.array([[0.3, -0.4], [0.0, 0.0]]))
     assert np.allclose(got, expect[None, :], atol=1e-10)
@@ -164,7 +164,7 @@ def test_renormalize_reproduces_1d_operator(std_map, std_disk, phi20):
     # along the driving coordinate the renormalized map is exactly the
     # second iterate of the interval map in chart coordinates
     disk = std_disk.disk
-    rpsi = renorm_nd.renormalize_nd(std_map, disk, degree=8)
+    rpsi = renorm_nd.renormalize_nd(std_map, disk)
     w = np.column_stack([np.zeros(33), np.linspace(-1, 1, 33)])
     y = disk.chart(w)[:, 1]
     phi = phi20.phi0
@@ -175,15 +175,18 @@ def test_renormalize_reproduces_1d_operator(std_map, std_disk, phi20):
     assert rpsi.fit_residual < 1e-3
 
 
-def test_renormalize_fit_tolerance_enforced(std_map, std_disk):
-    with pytest.raises(RefitError):
-        renorm_nd.renormalize_nd(std_map, std_disk.disk, degree=2)
+def test_renormalize_fit_tolerance_enforced():
+    # (x, y) -> (x^5, y) on the unit disk: its second iterate's x^25 is
+    # beyond a degree-8 refit
+    quintic = renorm_nd.MapND([[5, 0], [0, 1]], [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(RefitError) as err:
+        renorm_nd.renormalize_nd(quintic, renorm_nd.DiskND(np.zeros(2), np.eye(2)))
+    assert err.value.residual == pytest.approx(0.143, abs=1e-3)
 
 
 def test_renormalized_map_renormalizes_again(std_map, std_disk):
-    rpsi = renorm_nd.renormalize_nd(std_map, std_disk.disk, degree=8)
-    again = renorm_nd.search_renorm_disk(rpsi, start=np.array([0.1, 0.1]),
-                                         samples=384, rounds=1)
+    rpsi = renorm_nd.renormalize_nd(std_map, std_disk.disk)
+    again = renorm_nd.search_renorm_disk(rpsi, start=np.array([0.1, 0.1]))
     assert again.found
     assert again.check.inside_margin > 1e-3
 
@@ -192,7 +195,7 @@ def test_renormalized_map_renormalizes_again(std_map, std_disk):
 
 def test_search_renorm_disk_identity_not_found():
     nf = renorm_nd.search_renorm_disk(identity_mapnd(), start=np.array([0.3, 0.2]),
-                                      samples=256, rounds=1, verify_samples=1024)
+                                      verify_samples=1024)
     assert not nf.found and nf.disk is None
     assert nf.check.disjoint_margin <= 0
 
@@ -200,7 +203,7 @@ def test_search_renorm_disk_identity_not_found():
 def test_search_renorm_disk_henon_period2(henon):
     orbit = cascade._orbit_by_iteration(henon, 0.6, 2)
     found = renorm_nd.search_renorm_disk(henon_mapnd(0.6), start=np.asarray(orbit[0]),
-                                         samples=256, rounds=1, verify_samples=1024)
+                                         verify_samples=1024)
     assert found.found
     assert found.check.disjoint_margin > 1e-3
     assert found.check.inside_margin > 1e-3
@@ -211,8 +214,7 @@ def test_search_renorm_disk_all_singular_rounds_raise_range_error():
     # |det| is below 1e-12, and no round has a candidate to score
     with pytest.raises(RangeError, match="no candidates"):
         renorm_nd.search_renorm_disk(
-            renorm_nd.MapND(np.eye(4, dtype=int), 0.5 * np.eye(4)), start=np.full(4, 0.1),
-            samples=64)
+            renorm_nd.MapND(np.eye(4, dtype=int), 0.5 * np.eye(4)), start=np.full(4, 0.1))
 
 
 def test_search_renorm_disk_with_every_margin_minus_inf_reports_not_found():
@@ -220,15 +222,17 @@ def test_search_renorm_disk_with_every_margin_minus_inf_reports_not_found():
     # every round's best value is -inf; the first round's winner is verified
     psi = renorm_nd.MapND([[1, 0], [0, 1], [2, 0], [0, 2]],
                           [[0.5, 0.0], [0.0, 0.5], [1e300, 0.0], [0.0, 1e300]])
-    found = renorm_nd.search_renorm_disk(psi, start=np.zeros(2), samples=64, rounds=0,
-                                         verify_samples=1024)
+    found = renorm_nd.search_renorm_disk(psi, start=np.zeros(2), verify_samples=1024)
     assert not found.found and found.disk is None
     assert found.check.inside_margin == -np.inf
-    assert found.tried == 2 * 900          # 2 parities, 5^2 * 6^2 each
+    # 2 parities, each 5^2 * 6^2 candidates in the first round and 5^2 * 5^2
+    # in each of the 2 refinements
+    assert found.tried == 2 * (900 + 2 * 625) == 4300
 
 
-def recorded_search(psi, start, **kw):
-    """A disk search and its scored rounds (psi, centers, linears, ball)."""
+def recorded_search(psi, start, **constants):
+    """A disk search, with renorm_nd's constants set as given, and its scored
+    rounds (psi, centers, linears, ball)."""
     rounds, pick = [], renorm_nd._best_candidate
 
     def record(*args):
@@ -236,7 +240,9 @@ def recorded_search(psi, start, **kw):
         return pick(*args)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(renorm_nd, "_best_candidate", record)
-        return renorm_nd.search_renorm_disk(psi, start=np.array(start), **kw), rounds
+        for name, value in constants.items():
+            mp.setattr(renorm_nd, name, value)
+        return renorm_nd.search_renorm_disk(psi, start=np.array(start)), rounds
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +258,7 @@ def search_rounds(std_map, refit8):
     """The scored rounds (psi, centers, linears, ball) of ndcheck's first two
     disk searches, each refined 5 times instead of ndcheck's 2: 6 rounds a
     parity, the first 3 of them ndcheck's, the last of nearly equal disks."""
-    return {level: recorded_search(psi, start, rounds=5)[1]
+    return {level: recorded_search(psi, start, SEARCH_ROUNDS=5)[1]
             for level, psi, start in ((1, std_map, [0.3, 0.5]), (2, refit8, [0.1, 0.1]))}
 
 
@@ -402,21 +408,7 @@ def test_ndcheck_leaves_numpy_ma_unloaded(tmp_path):
     assert r.stdout.split() == ["False"]
 
 
-def test_search_with_fewer_points_than_the_first_stride(std_map):
-    # 16 ball points leave the stride-32 stage between the first stage's
-    # points empty; each round must still pick what a scan of every point picks
-    found, rounds = recorded_search(std_map, [0.3, 0.5], samples=16, rounds=1)
-    assert len(rounds) == 4 and len(rounds[0][3]) == 16
-    for args in rounds:
-        i, value = renorm_nd._best_candidate(*args, (), [], [])
-        expected = exhaustive_best(*args)
-        assert i == expected[0]
-        assert np.float64(value).tobytes() == np.float64(expected[1]).tobytes()
-    assert found.scored <= found.tried * 16
-
-
-@pytest.mark.parametrize("bad", [{"samples": 0}, {"verify_samples": 999}],
-                         ids=["samples-0", "verify-999"])
+@pytest.mark.parametrize("bad", [{"verify_samples": 999}], ids=["verify-999"])
 def test_search_rejects_bad_sample_counts_before_searching(std_map, bad, monkeypatch):
     calls = []
     monkeypatch.setattr(renorm_nd, "_best_candidate", lambda *a: calls.append(a))
@@ -551,7 +543,7 @@ def test_cascade_on_mapnd_family_matches_henon(henon, henon_cascade7):
 def test_distance_to_standard_diagnostic(std_map, std_disk, phi20):
     ref = renorm_nd.DiskND(np.zeros(2), 0.8 * np.eye(2))
     assert renorm_nd.distance_to_standard(std_map, phi20.phi0, ref) < 1e-12
-    rpsi = renorm_nd.renormalize_nd(std_map, std_disk.disk, degree=8)
+    rpsi = renorm_nd.renormalize_nd(std_map, std_disk.disk)
     assert renorm_nd.distance_to_standard(rpsi, phi20.phi0, ref) > 0.01
 
 
@@ -559,7 +551,7 @@ def test_distance_to_standard_diagnostic(std_map, std_disk, phi20):
 
 @pytest.fixture(scope="module")
 def refit8(std_map, std_disk):
-    return renorm_nd.renormalize_nd(std_map, std_disk.disk, degree=8)
+    return renorm_nd.renormalize_nd(std_map, std_disk.disk)
 
 
 def naive_eval(psi, pts):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from renormlab import series
+from renormlab import cli, renorm1d, series
 from renormlab.errors import DomainError
 
 
@@ -107,9 +107,11 @@ def test_sup_norm_interior_max():
 
 
 def test_serialization_round_trip(tmp_path):
-    f = series.AnalyticUnimodal([1.0, -1.52763, 0.104815])
+    # fixpoint --coeffs-out writes the bare coefficient array, every float
+    # to the bit
     path = tmp_path / "phi.coeffs.json"
-    series.save_coeffs(f, path)
+    assert cli.main(["fixpoint", "--degree", "8", "--no-timestamp", "--coeffs-out", str(path),
+                     "--out", str(tmp_path / "fp.json")]) == 0
     data = json.loads(path.read_text())
     assert isinstance(data, list) and data[0] == 1.0
-    assert np.array_equal(data, f.coeffs)
+    assert np.array_equal(data, renorm1d.solve_fixed_point(degree=8).phi0.coeffs)

@@ -227,7 +227,6 @@ def unreached(root, exempt):
 # it stays
 UNREACHED = {
     "chart_b": "the paper's b(chi), to be reported along transversal families",
-    "chart_validity_radius": "the chart's radius, for manifold once a b is cheap",
     "verify_periodic_saddles": "the sinks-to-saddles report at the accumulation",
     "Atom.contains": "the atom-nesting check of the acceptance tests",
 }
@@ -337,12 +336,6 @@ def test_every_option_is_passed():
     assert not found, found
 
 
-# the tests run the disk search at reduced cost, and through more
-# refinement rounds than ndcheck's 2
-TEST_ONLY_OPTIONS = {"search_renorm_disk(samples) is never passed",
-                     "search_renorm_disk(rounds) is never passed"}
-
-
 def test_every_option_is_set_outside_tests():
     # tests and examples do not justify an option: only the package and the
     # benchmark's own code count as callers
@@ -350,9 +343,9 @@ def test_every_option_is_set_outside_tests():
         path for path in sorted((ROOT / "benchmark").rglob("*.py"))
         if not path.name.startswith("test_")]
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in callers]
-    found = {f"{path.name}: {what}" for path in sorted(SRC.glob("*.py"))
-             for _, what in unpassed(ast.parse(path.read_text(encoding="utf-8")), trees)}
-    assert found == {f"renorm_nd.py: {what}" for what in TEST_ONLY_OPTIONS}
+    found = [f"{path.name}:{line}: {what}" for path in sorted(SRC.glob("*.py"))
+             for line, what in unpassed(ast.parse(path.read_text(encoding="utf-8")), trees)]
+    assert not found, found
 
 
 @pytest.mark.parametrize("source, expected", [
