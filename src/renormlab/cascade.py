@@ -29,12 +29,17 @@ t*slope, two coefficient matrices on one exponent table: the logistic
 interval family a*x*(1-x), the dissipative Henon family (x, y) -> (1 - a x^2
 + y, b x), and the family through any map base along a direction, used by
 the persistence module.
+
+run_cascade keeps each family's deepest converged unseeded cascade and
+serves any request no deeper from its first levels, bit for bit a fresh
+solve's; seeded cascades bypass it, and a family cannot change after it.
 """
 
 import functools
 import itertools
 import math
 import threading
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -54,7 +59,7 @@ MAX_NEWTON = 12         # Newton iterations before an orbit solve gives up
 MAX_SETTLE = 6000       # plain-iteration steps before a stable orbit is polished
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneParamFamily:
     """The family psi_t = base + t * slope of polynomial maps of R^n.
 
@@ -64,6 +69,9 @@ class OneParamFamily:
     float when dim is 1.  bracket0 must bracket the first doubling (the
     period-1 orbit's multiplier crossing -1), with a sink at its lower end,
     and gap_hint estimates the first inter-doubling gap, which seeds level 1.
+
+    A family compares and hashes by identity, and keeps read-only copies of
+    its three tables: run_cascade keeps its cascade by the family object.
     """
     exponents: np.ndarray
     base: np.ndarray
@@ -72,6 +80,12 @@ class OneParamFamily:
     bracket0: tuple
     gap_hint: float
     start_at: Callable
+
+    def __post_init__(self):
+        for name in ("exponents", "base", "slope"):
+            table = np.array(getattr(self, name))
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def dim(self):
@@ -817,6 +831,10 @@ def accumulation_parameter(sequence, tangents=None):
                                 float(err), tuple((tan[-1] + dcur[-1]).tolist()))
 
 
+# the deepest converged unseeded cascade of each family, see run_cascade
+_KEPT = weakref.WeakKeyDictionary()
+
+
 def run_cascade(fam, n_max, seeds=None):
     """Doubling parameters t_0 .. t_n_max, gap ratios, and the accumulation.
 
@@ -839,12 +857,45 @@ def run_cascade(fam, n_max, seeds=None):
     level's converged orbit is kept, high and low parts, for
     cascade_tangents.  On failure the exception carries the completed
     prefix of doubling parameters in `.completed`.
+
+    The deepest converged unseeded cascade of each family object is kept
+    for the life of the family, its orbits read-only.  An unseeded request
+    no deeper takes that cascade's first n_max + 1 levels instead of
+    solving them again, bit for bit the levels of a fresh solve, since a
+    level depends only on the levels before it; a deeper one solves from
+    level 0 and is kept in its place.  Seeded calls neither read nor keep a
+    cascade, and a failed call keeps nothing.  The family must not change
+    after its first cascade, which OneParamFamily's read-only tables ensure.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if seeds is not None and [np.shape(x) for x, _ in seeds] != [
             (2 ** level, fam.dim) for level in range(n_max + 1)]:
         raise ValueError(f"seeds must be one (points (2^N, {fam.dim}), t) per level 0..{n_max}")
+    kept = _KEPT.get(fam) if seeds is None else None
+    reuse = kept is not None and n_max < len(kept.params)
+    if reuse:
+        ts, orbits, lows = (v[:n_max + 1] for v in (kept.params, kept.orbits, kept.orbit_lows))
+    else:
+        ts, orbits, lows = _solve_levels(fam, n_max, seeds)
+    gaps = [_diff(b, a) for a, b in zip(ts, ts[1:])]
+    deltas = tuple(gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1))
+    if len(ts) >= 4:
+        acc = accumulation_parameter(ts)
+        t_inf, t_err = acc.value, acc.error
+    else:                                   # too short to extrapolate
+        t_inf = t_err = float("nan")
+    res = CascadeResult(tuple(ts), deltas, t_inf, t_err, tuple(orbits), tuple(lows))
+    if seeds is None and not reuse:        # deeper than any kept cascade
+        for part in orbits + lows:
+            part.flags.writeable = False
+        _KEPT[fam] = res
+    return res
+
+
+def _solve_levels(fam, n_max, seeds):
+    """Levels 0..n_max of run_cascade, solved: lists of the doubling
+    parameters and of the converged orbits' high and low parts."""
     ts, orbits, lows = [], [], []
     try:
         for level in range(n_max + 1):
@@ -876,14 +927,7 @@ def run_cascade(fam, n_max, seeds=None):
     except RenormLabError as exc:
         exc.completed = tuple(ts)
         raise
-    gaps = [_diff(b, a) for a, b in zip(ts, ts[1:])]
-    deltas = tuple(gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1))
-    if len(ts) >= 4:
-        acc = accumulation_parameter(ts)
-        t_inf, t_err = acc.value, acc.error
-    else:                                   # too short to extrapolate
-        t_inf = t_err = float("nan")
-    return CascadeResult(tuple(ts), deltas, t_inf, t_err, tuple(orbits), tuple(lows))
+    return ts, orbits, lows
 
 
 def cascade_tangents(fam, res, directions):

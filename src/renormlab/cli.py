@@ -3,7 +3,10 @@
 Subcommands: fixpoint, cascade, attractor, ndcheck, manifold, bifdiag.
 Flags override values from an optional key=value config file; there is no
 environment-variable configuration.  Reports are deterministic given the
-same config (the timestamp field can be disabled for byte-identical runs).
+same config (the timestamp field can be disabled for byte-identical runs),
+and do not depend on what ran before in the process: commands in one
+process share each family's cascade (see _family), whose levels are those
+a fresh solve gives, bit for bit.
 Computation failures, and output files that cannot be written, exit 1
 with a machine-readable error object and leave no output file that the run
 wrote; partial reports only ever appear with a .partial suffix.  Every
@@ -12,6 +15,7 @@ output file is written through _write.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import operator
@@ -66,10 +70,19 @@ class Command(NamedTuple):
 
 
 def _family(cfg):
-    if cfg["family"] == "logistic":
-        return cascade_mod.logistic_family()
     # bifdiag has no --b and takes the Henon family's own default
-    return cascade_mod.henon_family(**{"b": cfg["b"]} if "b" in cfg else {})
+    b = cfg.get("b")
+    return _built_family(cfg["family"], None if b is None else b.hex())
+
+
+@functools.lru_cache(maxsize=8)
+def _built_family(name, b_hex):
+    """One family object per family and b in a process, so that its commands
+    share the cascade run_cascade keeps for it.  b comes as float.hex, which
+    tells -0.0 from 0.0 where == does not."""
+    if name == "logistic":
+        return cascade_mod.logistic_family()
+    return cascade_mod.henon_family(**{} if b_hex is None else {"b": float.fromhex(b_hex)})
 
 
 def _json(obj, **kw):

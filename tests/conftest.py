@@ -4,6 +4,26 @@ import pytest
 from renormlab import cascade, renorm1d, renorm_nd
 
 
+@pytest.fixture(autouse=True)
+def no_kept_cascades():
+    """Every test starts with no cascade kept by run_cascade, so that what the
+    session-scoped families solved in one test does not serve the next."""
+    cascade._KEPT.clear()
+
+
+@pytest.fixture
+def doubling_solves(monkeypatch):
+    """The family of every find_doubling_bifurcation call of the test."""
+    calls = []
+    solve = cascade.find_doubling_bifurcation
+
+    def counted(fam, level, bracket, seed=None):
+        calls.append(fam)
+        return solve(fam, level, bracket, seed=seed)
+    monkeypatch.setattr(cascade, "find_doubling_bifurcation", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def phi40():
     return renorm1d.solve_fixed_point(degree=40)

@@ -632,3 +632,44 @@ def test_cascade_too_short_to_extrapolate_has_no_t_inf(capsys, nmax):
     report = strict_json(capsys.readouterr().out)
     assert len(report["doubling_params"]) == nmax + 1
     assert report["t_inf"] is None and report["t_inf_error"] is None
+
+
+@pytest.mark.parametrize("family, nmax, gens, depth, manifold_solves", [
+    ("henon", 9, 6, 6, 21), ("logistic", 10, 6, 8, 27)])
+def test_session_solves_its_family_cascade_once(tmp_path, doubling_solves, family, nmax, gens,
+                                                 depth, manifold_solves):
+    # attractor and manifold take their levels from cascade's; manifold still
+    # solves chart_gradient's cascade and the two shifts', depth + 1 levels each
+    session = [["cascade", "--nmax", str(nmax)],
+               ["attractor", "--generations", str(gens), "--csv", str(tmp_path / "a.csv")],
+               ["manifold", "--depth", str(depth)]]
+
+    def run(argv):
+        """The command's report and CSV, if it writes one."""
+        for path in tmp_path.iterdir():
+            path.unlink()
+        assert cli.main([*argv, "--family", family, "--out", str(tmp_path / "r.json"),
+                         "--no-timestamp"]) == 0
+        return [path.read_bytes() for path in sorted(tmp_path.iterdir())]
+
+    shared = cli._family({"family": family, "b": 0.3})
+    outputs, solves = [], []
+    for argv in session:
+        del doubling_solves[:]
+        outputs.append(run(argv))
+        solves.append((len(doubling_solves), doubling_solves.count(shared)))
+    assert solves == [(nmax + 1,) * 2, (0, 0), (manifold_solves, 0)]
+    # each command's files are those it writes with nothing kept
+    for argv, files in zip(session, outputs):
+        cascade._KEPT.clear()
+        assert run(argv) == files
+
+
+def test_families_are_built_once_per_family_and_b():
+    henon = cli._family({"family": "henon", "b": 0.3})
+    assert cli._family({"family": "henon", "b": 0.3}) is henon
+    assert cli._family({"family": "henon", "b": 0.6}) is not henon
+    # 0.0 == -0.0, but the maps differ in the sign of their zeros
+    zero = cli._family({"family": "henon", "b": 0.0})
+    assert cli._family({"family": "henon", "b": -0.0}) is not zero
+    assert cli._family({"family": "logistic", "b": 0.3}) is not henon
