@@ -23,6 +23,7 @@ from .cascade import orbit, orbit_multiplier, periodic_orbit, run_cascade
 from .errors import InsufficientDataError, RenormLabError, ResolutionError
 
 MAX_GENERATIONS = 12
+PAIR_CHUNK = 1 << 18    # most box pairs compared in one batch of the disjointness check
 TRANSIENT = 4096        # orbit steps dropped before the atoms' points are kept
 
 
@@ -73,22 +74,26 @@ def build_atoms(fam, t, generations, n_points):
     levels = []
     for gen in range(generations + 1):
         k = 2 ** gen
-        atoms = []
-        for phase in range(k):
-            cluster = pts[phase::k]
-            atoms.append(Atom(gen, phase, cluster.min(axis=0),
-                              cluster.max(axis=0), cluster.shape[0]))
-        lo = np.array([a.lo for a in atoms])
-        hi = np.array([a.hi for a in atoms])
-        for i in range(k - 1):
-            # boxes are disjoint when they are separated along some axis
-            apart = np.any((hi[i] < lo[i + 1:]) | (hi[i + 1:] < lo[i]), axis=1)
-            if not apart.all():
-                j = i + 1 + int(np.flatnonzero(~apart)[0])
+        # phase p's points are rows p, p + k, ...: a (q, k) grid, then r more
+        q, r = divmod(n_points, k)
+        grid = pts[:q * k].reshape(q, k, -1)
+        lo, hi = grid.min(axis=0), grid.max(axis=0)
+        np.minimum(lo[:r], pts[q * k:], out=lo[:r])
+        np.maximum(hi[:r], pts[q * k:], out=hi[:r])
+        lo.flags.writeable = hi.flags.writeable = False
+        rows = max(1, PAIR_CHUNK // k)
+        for a in range(0, k - 1, rows):
+            # boxes i < j are disjoint when they are separated along some axis
+            b = min(a + rows, k - 1)
+            near = ~((hi[a:b, None] < lo[a + 1:]) | (hi[a + 1:] < lo[a:b, None])).any(axis=2)
+            near &= np.arange(a + 1, k) > np.arange(a, b)[:, None]
+            if near.any():
+                i, j = divmod(int(np.argmax(near)), k - a - 1)
                 raise ResolutionError(
-                    f"generation {gen}: atoms {i} and {j} overlap; "
+                    f"generation {gen}: atoms {a + i} and {a + 1 + j} overlap; "
                     "use more points or a parameter closer to the accumulation")
-        levels.append(tuple(atoms))
+        levels.append(tuple(Atom(gen, phase, lo[phase], hi[phase], q + (phase < r))
+                            for phase in range(k)))
     return AtomTree(tuple(levels), pts)
 
 

@@ -36,7 +36,6 @@ solve's; seeded cascades bypass it, and a family cannot change after it.
 """
 
 import functools
-import itertools
 import math
 import threading
 import weakref
@@ -57,6 +56,7 @@ LYAPUNOV_TRANSIENT = 1000   # steps dropped before the exponent's average starts
 MAX_LEVEL = 16          # deepest cascade level offered by the CLI: period 2^16
 MAX_NEWTON = 12         # Newton iterations before an orbit solve gives up
 MAX_SETTLE = 6000       # plain-iteration steps before a stable orbit is polished
+UNROLL = 8              # steps per pass of a point-orbit kernel, for maps of at most UNROLL terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,38 +259,54 @@ def _poly(terms, x):
 
 @functools.lru_cache(maxsize=64)
 def _step_factory(key, shape):
-    """make(coeffs) -> step for one exponent table: step evaluates the map at
-    one point in plain float arithmetic, forming powers and monomials as
-    MapND._monomials does.  The source is generated so that a step costs
-    about as much as a hand-written map; see MapND.step."""
+    """make(coeffs) -> (step, run, W) for one exponent table, generated so
+    that a step costs about as much as a hand-written map: step(x) is the map
+    at one point in plain float arithmetic, with powers and monomials formed
+    as in MapND._evaluate, and run(x, g) takes g passes of W copies of its
+    statements, returning the last point and the images' coordinates, flat.
+    W is UNROLL for at most UNROLL terms (monomials times coordinates), else 1."""
     exps = np.frombuffer(key, dtype=np.intp).reshape(shape)
     m, n = shape
+    width = UNROLL if m * n <= UNROLL else 1
 
-    def power(j, p):
-        return f"x{j}" if p == 1 else f"x{j}_{p}"
+    def body(w):
+        """step's statements, from the point v{w}_j to v{w+1}_i."""
+        def power(j, p):
+            return f"v{w}_{j}" if p == 1 else f"x{j}_{p}"
 
-    lines = ["x0 = x" if n == 1 else ", ".join(f"x{j}" for j in range(n)) + ", = x"]
-    for j in range(n):
-        for p in range(2, int(exps[:, j].max()) + 1):
-            half = 1 << (p - 1).bit_length() - 1         # the largest 2^i < p
-            lines.append(f"{power(j, p)} = {power(j, p - half)} * {power(j, half)}")
-    monos = []
-    for k, e in enumerate(exps):
-        factors = [power(j, e[j]) for j in range(n) if e[j]]
-        if len(factors) > 1:
-            lines.append(f"m{k} = {' * '.join(factors)}")
-            factors = [f"m{k}"]
-        monos.append(factors)
-    for i in range(n):
-        terms = [" * ".join([f"c{k * n + i}"] + f) for k, f in enumerate(monos)]
-        # sums of at most 256 terms stay shallow enough to compile, and
-        # still add left to right
-        for s in range(0, len(terms), 256):
-            lines.append(f"o{i} = " + " + ".join(([f"o{i}"] if s else []) + terms[s:s + 256]))
-    lines.append("return " + ", ".join(f"o{i}" for i in range(n)) + ("" if n == 1 else ","))
+        lines = []
+        for j in range(n):
+            for p in range(2, int(exps[:, j].max()) + 1):
+                half = 1 << (p - 1).bit_length() - 1         # the largest 2^i < p
+                lines.append(f"{power(j, p)} = {power(j, p - half)} * {power(j, half)}")
+        monos = []
+        for k, e in enumerate(exps):
+            factors = [power(j, e[j]) for j in range(n) if e[j]]
+            if len(factors) > 1:
+                lines.append(f"m{k} = {' * '.join(factors)}")
+                factors = [f"m{k}"]
+            monos.append(factors)
+        for i in range(n):
+            o = f"v{w + 1}_{i}"
+            terms = [" * ".join([f"c{k * n + i}"] + f) for k, f in enumerate(monos)]
+            # sums of at most 256 terms stay shallow enough to compile, and
+            # still add left to right
+            for s in range(0, len(terms), 256):
+                lines.append(f"{o} = " + " + ".join(([o] if s else []) + terms[s:s + 256]))
+        return lines
+
+    def point(w):
+        return f"v{w}_0" if n == 1 else "".join(f"v{w}_{j}, " for j in range(n))
+
+    run = [ln for w in range(width) for ln in body(w)] + [
+        "coords += " + "".join(f"v{w}_{j}, " for w in range(1, width + 1) for j in range(n)),
+        f"{point(0)} = {point(width)}"]
     src = ("def make(c):\n    " + "".join(f"c{i}, " for i in range(m * n)) + "= c\n"
-           "    def step(x):\n" + "".join(f"        {ln}\n" for ln in lines)
-           + "    return step\n")
+           f"    def step(x):\n        {point(0)} = x\n"
+           + "".join(f"        {ln}\n" for ln in body(0)) + f"        return {point(1)}\n"
+           f"    def run(x, passes):\n        {point(0)} = x\n        coords = []\n"
+           "        for _ in range(passes):\n" + "".join(f"            {ln}\n" for ln in run)
+           + f"        return ({point(0)}), coords\n    return step, run, {width}\n")
     namespace = {}
     exec(src, namespace)
     return namespace["make"]
@@ -300,7 +316,7 @@ _SCRATCH = threading.local()
 
 
 def _scratch(size):
-    """A float buffer of at least `size` entries for MapND.__call__'s blocks,
+    """A float buffer of at least `size` entries for MapND's blocks,
     kept per thread between calls.  Its contents never outlive a call.  Fresh
     temporaries of a few MB cost more than the arithmetic, and whether malloc
     hands back pages already mapped for them depends on the heap's layout."""
@@ -319,8 +335,8 @@ class MapND:
     BLOCK: each block builds the powers of every axis once, gathers them
     into one monomial table shared by all output coordinates, and finishes
     with a single matrix product; a row's value does not depend on the
-    other rows of the call.  `step` evaluates one point at a time, for
-    orbits that must be followed point by point.
+    other rows of the call.  `step` evaluates one point at a time, and
+    orbit's kernel made with it several steps a call, bit for bit alike.
     """
 
     def __init__(self, exponents, coeffs):
@@ -361,20 +377,6 @@ class MapND:
         gather = [offsets[ax] + exps[:, ax] for ax in active] or [offsets[:1] + exps[:, 0]]
         return int(offsets[-1] + tops[-1] + 1), offsets, active, steps, gather
 
-    def _monomials(self, pts, table, mono, factor):
-        """Fill mono (M, m) with every monomial at an (m, n) block of points;
-        table (rows, m) and factor (M, m) are scratch."""
-        _, offsets, active, steps, gather = self._plan
-        table[offsets] = 1.0
-        table[offsets[active] + 1] = pts.T[active]
-        for src, row, dst in steps:
-            np.multiply(table[src], table[row], out=table[dst])
-        # mode="clip" lets take write into out directly ("raise" buffers it)
-        np.take(table, gather[0], axis=0, out=mono, mode="clip")
-        for idx in gather[1:]:
-            np.take(table, idx, axis=0, out=factor, mode="clip")
-            mono *= factor
-
     def __call__(self, pts):
         """Evaluate at an (m, n) array of points or a single n-point."""
         p = np.asarray(pts, dtype=float)
@@ -383,33 +385,55 @@ class MapND:
             p = p[None, :]
         if p.ndim != 2 or p.shape[1] != self.dim:
             raise ValueError(f"points must have {self.dim} coordinates")
+        out, = self._evaluate(p, (self.coeffs,))
+        return out[0] if single else out
+
+    def _evaluate(self, p, tables):
+        """Each coefficient matrix in tables, on this map's exponents, at the
+        rows of an (m, n) float array p, from one monomial table per block."""
         m = p.shape[0]
         if m % BLOCK == 1:
             # a one-row matrix product takes another BLAS kernel, which
             # rounds differently: a repeated row keeps every row's value
             # independent of the batch it came in
             p = np.vstack([p, p[-1:]])
-        out = np.empty(p.shape)
-        heights = (self._plan[0],) + 2 * (self.exponents.shape[0],)
+        outs = [np.empty(p.shape) for _ in tables]
+        rows, offsets, active, steps, gather = self._plan
+        heights = (rows,) + 2 * (self.exponents.shape[0],)
         starts = (0, heights[0], heights[0] + heights[1])
         scratch = _scratch(sum(heights) * min(p.shape[0], BLOCK))
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(0, p.shape[0], BLOCK):
                 blk = p[s:s + BLOCK]
                 k = len(blk)
+                # the powers (rows, k), the monomials (M, k) and a factor (M, k)
                 table, mono, factor = (scratch[a * k:(a + h) * k].reshape(h, k)
                                        for a, h in zip(starts, heights))
-                self._monomials(blk, table, mono, factor)
-                np.matmul(mono.T, self.coeffs, out=out[s:s + len(blk)])
-        return out[0] if single else out[:m]
+                table[offsets] = 1.0
+                table[offsets[active] + 1] = blk.T[active]
+                for src, row, dst in steps:
+                    np.multiply(table[src], table[row], out=table[dst])
+                # mode="clip" lets take write into out directly ("raise" buffers it)
+                np.take(table, gather[0], axis=0, out=mono, mode="clip")
+                for idx in gather[1:]:
+                    np.take(table, idx, axis=0, out=factor, mode="clip")
+                    mono *= factor
+                for coeffs, out in zip(tables, outs):
+                    np.matmul(mono.T, coeffs, out=out[s:s + k])
+        return [out[:m] for out in outs]
 
     @functools.cached_property
+    def _kernels(self):
+        """step, the orbit kernel run and its width W; see _step_factory."""
+        exps = self.exponents
+        return _step_factory(exps.tobytes(), exps.shape)(tuple(self.coeffs.ravel().tolist()))
+
+    @property
     def step(self):
         """The map at one point: a float in and out when n is 1, otherwise a
         sequence of n floats in and a tuple out.  Agrees with __call__ up to
         the order of summation."""
-        exps = self.exponents
-        return _step_factory(exps.tobytes(), exps.shape)(tuple(self.coeffs.ravel().tolist()))
+        return self._kernels[0]
 
     @property
     def terms(self):
@@ -454,16 +478,16 @@ def orbit(m, x, steps, keep=0):
     last `keep` points of the orbit x, m(x), ..., stacked along axis 0.
 
     keep may be steps + 1, which keeps the start point too.  x is one point
-    (a float when m is 1-D, else n coordinates), stepped by m.step, with
-    kept points (keep, n); or a (P, n) block, one orbit per row, stepped by
-    m(x), for which m may be any callable on blocks, with kept points
-    (keep, P, n).  An image escapes when it is not finite or has a
-    coordinate beyond ESCAPE_LIMIT.  One point raises EscapeError, with the
-    1-based step of the first escaped image; the check runs once per
-    ESCAPE_CHECK images, so m.step may see escaped points before it raises.
-    A block row reads nan from its first escaped image on, and EscapeError,
-    with the step where the last row escaped, follows only once every row
-    has escaped.
+    (a float when m is 1-D, else n coordinates), stepped by m's kernels bit
+    for bit as by m.step, with kept points (keep, n); or a (P, n) block, one
+    orbit per row, stepped by m(x), for which m may be any callable on
+    blocks, with kept points (keep, P, n).  An image escapes when it is not
+    finite or has a coordinate beyond ESCAPE_LIMIT.  One point raises
+    EscapeError, with the 1-based step of the first escaped image; the check
+    runs once per ESCAPE_CHECK images, so the map may see escaped points
+    before it raises.  A block row reads nan from its first escaped image
+    on, and EscapeError, with the step where the last row escaped, follows
+    only once every row has escaped.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -487,7 +511,7 @@ def orbit(m, x, steps, keep=0):
                 if done >= first:
                     kept[done - first] = x
         return x, kept
-    advance = m.step
+    step, run, width = m._kernels
     pt = np.asarray(x, dtype=float).ravel().tolist()
     x = pt[0] if m.dim == 1 else tuple(pt)
     n = len(pt)
@@ -496,18 +520,20 @@ def orbit(m, x, steps, keep=0):
         kept[0] = pt
     done = 0
     while done < steps:
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = [x := advance(x) for _ in range(min(ESCAPE_CHECK, steps - done))]
-        coords = block if n == 1 else itertools.chain.from_iterable(block)
-        imgs = np.fromiter(coords, float, len(block) * n).reshape(len(block), n)
+        size = min(ESCAPE_CHECK, steps - done)
+        # whole passes of width steps in one call, the rest one step a call
+        x, coords = run(x, size // width)
+        rest = [x := step(x) for _ in range(size % width)]
+        coords += rest if n == 1 else sum(rest, ())
+        imgs = np.fromiter(coords, float, size * n).reshape(size, n)
         ok = (np.abs(imgs) <= ESCAPE_LIMIT).all(axis=1)      # also catches nan
         if not ok.all():
-            step = done + int(np.flatnonzero(~ok)[0]) + 1
-            raise EscapeError(f"orbit escaped at step {step}", step=step)
+            escaped = done + int(np.flatnonzero(~ok)[0]) + 1
+            raise EscapeError(f"orbit escaped at step {escaped}", step=escaped)
         skip = max(first - done - 1, 0)     # block rows before the kept tail
-        if skip < len(block):
-            kept[done + 1 + skip - first:done + 1 + len(block) - first] = imgs[skip:]
-        done += len(block)
+        if skip < size:
+            kept[done + 1 + skip - first:done + 1 + size - first] = imgs[skip:]
+        done += size
     return x, kept
 
 

@@ -239,13 +239,17 @@ def _cmd_bifdiag(cfg):
     fam = _family(cfg)
     tmin, tmax = _t_window(cfg)
     ts = np.linspace(tmin, tmax, cfg["tn"])
-    # all parameters step as one block of rows, base(x) + t * slope(x); an
-    # escaped row reads nan
-    base, slope = cascade_mod.MapND(fam.exponents, fam.base), fam.direction
-    starts = np.array([np.reshape(fam.start_at(t), fam.dim) for t in ts])
+    # all parameters step as one block of rows, base(x) + t * slope(x) from
+    # one monomial table; an escaped row reads nan
+    table = fam.direction
+
+    def step(x):
+        base, slope = table._evaluate(x, (fam.base, fam.slope))
+        return base + ts[:, None] * slope
+
+    starts = np.array([fam.start_at(t) for t in ts.tolist()]).reshape(ts.size, fam.dim)
     try:
-        kept = cascade_mod.orbit(lambda x: base(x) + ts[:, None] * slope(x), starts,
-                                 cfg["transient"] + cfg["keep"], keep=cfg["keep"])[1]
+        kept = cascade_mod.orbit(step, starts, cfg["transient"] + cfg["keep"], keep=cfg["keep"])[1]
     except EscapeError:                     # every orbit escaped
         kept = np.full((cfg["keep"], ts.size, fam.dim), np.nan)
     x, keep = kept[:, :, 0], cfg["keep"]

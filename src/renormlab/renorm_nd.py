@@ -16,7 +16,6 @@ map absorbs what a nonlinear chart would have straightened out.
 import functools
 import itertools
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -132,6 +131,7 @@ def ball_samples(n, count):
         theta = 2 * np.pi * _halton(count, 2)
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     else:
+        from statistics import NormalDist   # 0.3 MB with fractions and decimal: not for 2-D
         nd = NormalDist()
         cols = []
         for base in axis_bases:

@@ -112,6 +112,41 @@ def test_build_atoms_validates_points(logistic, logistic_cascade12):
         attractor.build_atoms(logistic, logistic_cascade12.t_inf, 8, 100)
 
 
+@pytest.mark.parametrize("family, gens", [("logistic", 6), ("henon", 5)])
+def test_atoms_match_per_phase_boxes(request, family, gens):
+    # n_points need not be a multiple of 2^m: the leftover rows fall to the
+    # first phases, which then count one point more
+    fam = request.getfixturevalue(family)
+    t = request.getfixturevalue({"logistic": "logistic_cascade12",
+                                 "henon": "henon_cascade9"}[family]).t_inf
+    for n_points in (2 ** (gens + 6) + 3, 2 ** (gens + 9) - 1):
+        tree = attractor.build_atoms(fam, t, gens, n_points)
+        pts = tree.points
+        assert pts.shape == (n_points, fam.dim)
+        for m, atoms in enumerate(tree.generations):
+            k = 2 ** m
+            assert [a.index for a in atoms] == list(range(k))
+            for p, atom in enumerate(atoms):
+                cluster = pts[p::k]
+                assert atom.generation == m and atom.count == len(cluster)
+                assert type(atom.count) is int
+                assert atom.lo.tobytes() == cluster.min(axis=0).tobytes()
+                assert atom.hi.tobytes() == cluster.max(axis=0).tobytes()
+
+
+def test_atoms_share_no_writable_table(henon, henon_cascade9):
+    tree = attractor.build_atoms(henon, henon_cascade9.t_inf, 3, 2 ** 10)
+    atoms = tree.generations[3]
+    before = [(a.lo.copy(), a.hi.copy()) for a in atoms]
+    for field in ("lo", "hi"):
+        try:
+            getattr(atoms[2], field)[0] = 99.0
+        except ValueError:
+            continue
+        assert all(np.array_equal(a.lo, lo) and np.array_equal(a.hi, hi)
+                   for a, (lo, hi) in zip(atoms, before) if a is not atoms[2])
+
+
 def test_overlap_names_first_pair(logistic):
     # two-band chaos: generation 1 separates, generation 2 does not; the
     # reported pair is the first one a plain double loop over boxes finds
@@ -153,6 +188,15 @@ def test_overlap_names_pair_after_the_first_atom():
     assert np.allclose(pts[:, 1], np.resize(values, 256), rtol=0, atol=1e-12)
     with pytest.raises(ResolutionError, match="generation 2: atoms 1 and 3 overlap"):
         attractor.build_atoms(fam, 0.0, 2, 256)
+
+
+@pytest.mark.parametrize("chunk", [1, 8])
+def test_overlap_check_in_chunks_names_the_first_pair(logistic, monkeypatch, chunk):
+    # generation 2's four boxes compared max(1, chunk // 4) rows at a time:
+    # 1 or 2 rows per batch name the same pair as the whole triangle
+    monkeypatch.setattr(attractor, "PAIR_CHUNK", chunk)
+    test_overlap_names_first_pair(logistic)
+    test_overlap_names_pair_after_the_first_atom()
 
 
 def test_periodic_saddles_logistic(logistic, logistic_cascade12):

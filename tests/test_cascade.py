@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 from decimal import Decimal, getcontext
@@ -94,6 +95,10 @@ COUPLED3 = cascade.MapND([[0, 0, 0], [2, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 2],
                          [[1.0, 0.0, 0.0], [-1.4, 0.0, 0.0], [1.0, 0.0, 0.0],
                           [0.0, 0.3, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.5],
                           [0.0, 0.0, 0.2]])
+# 496 monomials: step sums them in more than one statement
+WIDE = cascade.MapND(
+    [(i, j) for i in range(31) for j in range(31 - i)],
+    np.random.default_rng(9).normal(size=(496, 2)) / np.arange(1, 497)[:, None])
 
 
 def hand_orbit(m, x, steps):
@@ -112,7 +117,8 @@ def as_rows(pts, n):
     (LOGISTIC, 0.3),
     (HENON, (0.1, 0.1)),
     (COUPLED3, np.array([0.1, 0.1, 0.1])),
-], ids=["n1", "n2", "n3"])
+    (WIDE, (0.1, 0.1)),
+], ids=["n1", "n2", "n3", "wide"])
 def test_orbit_matches_hand_loop(m, x0):
     steps, n = 2 * cascade.ESCAPE_CHECK + 37, np.size(x0)
     ref = hand_orbit(m, x0, steps)
@@ -121,6 +127,24 @@ def test_orbit_matches_hand_loop(m, x0):
         assert np.array_equal(as_rows([last], n), as_rows(ref[-1:], n))
         assert kept.shape == (keep, n)
         assert np.array_equal(kept, as_rows(ref[len(ref) - keep:], n))
+    # step counts that end inside, at and past the kernel's unrolled passes
+    # of W steps and its escape checks
+    w, check = m._kernels[2], cascade.ESCAPE_CHECK
+    ref = hand_orbit(m, x0, 3 * check - 5)
+    for steps in (0, 1, w - 1, w, w + 1, check - 1, check + 1, 3 * check - 5):
+        last, kept = cascade.orbit(m, x0, steps, keep=steps + 1)
+        assert np.array_equal(kept, as_rows(ref[:steps + 1], n))
+        assert np.array_equal(as_rows([last], n), as_rows(ref[steps:steps + 1], n))
+
+
+def test_unroll_width_follows_the_term_table():
+    # W = UNROLL steps per kernel pass for at most UNROLL terms (monomials
+    # times coordinates), else 1: the logistic map has 2 terms, Henon 8, and
+    # the 45-monomial refit of a renormalized 2-D map 90
+    refit = cascade.MapND([e for e in itertools.product(range(9), repeat=2) if sum(e) <= 8],
+                          np.ones((45, 2)))
+    assert cascade.UNROLL == 8
+    assert [m._kernels[2] for m in (LOGISTIC, HENON, refit, COUPLED3, WIDE)] == [8, 8, 1, 1, 1]
 
 
 def test_orbit_zero_steps():
@@ -142,8 +166,8 @@ def test_orbit_rejects_negative_steps():
             cascade.orbit(HENON, x0, -1)
 
 
-@pytest.mark.parametrize("step", [1, 100, cascade.ESCAPE_CHECK,
-                                  cascade.ESCAPE_CHECK + 1, 3 * cascade.ESCAPE_CHECK - 5])
+@pytest.mark.parametrize("step", [1, 3, 100, cascade.ESCAPE_CHECK, cascade.ESCAPE_CHECK + 1,
+                                  cascade.ESCAPE_CHECK + 5, 3 * cascade.ESCAPE_CHECK - 5])
 def test_orbit_escape_step(step):
     # x -> x + 1 passes ESCAPE_LIMIT exactly at the given step
     shift = cascade.MapND([[0], [1]], [[1.0], [1.0]])
@@ -168,12 +192,6 @@ def test_orbit_escape_one_coordinate():
     with pytest.raises(EscapeError) as err:
         cascade.orbit(m, (0.5, 1.0), 40)
     assert err.value.step == 11
-
-
-# 496 monomials: step sums them in more than one statement
-WIDE = cascade.MapND(
-    [(i, j) for i in range(31) for j in range(31 - i)],
-    np.random.default_rng(9).normal(size=(496, 2)) / np.arange(1, 497)[:, None])
 
 
 @pytest.mark.parametrize("m, n", [(LOGISTIC, 1), (HENON, 2), (COUPLED3, 3), (WIDE, 2)],

@@ -617,6 +617,44 @@ def test_bifdiag_csv_bytes_match_csv_writer(tmp_path, monkeypatch, capsys, famil
         assert data.startswith(b"t,x\r\n1e-05,2.49") and b"e-31\r\n" in data
 
 
+@pytest.mark.parametrize("family, tmin, tmax", [
+    ("logistic", 2.9, 4.3),     # the columns past a = 4 escape
+    ("henon", -0.5, 1.6),       # no fixed point below -(1 - b)^2 / 4; escapes past 1.43
+    ("fold3d", -1.0, 2.5),
+])
+def test_bifdiag_steps_base_and_slope_on_one_table(request, tmp_path, monkeypatch, capsys,
+                                                    family, tmin, tmax):
+    # bifdiag evaluates base and slope on one monomial table per block: the
+    # kept block is bit for bit the orbit of base(x) + t * slope(x) from two
+    # map calls, escaped (nan) rows included, from the same start rows
+    if family == "fold3d":
+        fam = request.getfixturevalue("fold3d")
+        monkeypatch.setattr(cli, "_family", lambda cfg: fam)
+    else:
+        fam = cli._family({"family": family, "b": 0.3})
+    calls, orbit = [], cascade.orbit
+
+    def recorded(m, x, steps, keep=0):
+        calls.append((x.copy(), orbit(m, x, steps, keep=keep)[1]))
+        return None, calls[-1][1]
+    monkeypatch.setattr(cascade, "orbit", recorded)
+    assert cli.main(["bifdiag", "--family", "henon" if family == "henon" else "logistic",
+                     "--tmin", repr(tmin), "--tmax", repr(tmax), "--tn", "300",
+                     "--csv", str(tmp_path / "b.csv"), "--no-timestamp"]) == 0
+    capsys.readouterr()
+    (starts, kept), = calls
+    ts = np.linspace(tmin, tmax, 300)
+    ref_starts = np.array([np.reshape(fam.start_at(t), fam.dim) for t in ts])
+    assert starts.tobytes() == ref_starts.tobytes()
+    base, slope = cascade.MapND(fam.exponents, fam.base), fam.direction
+    ref = orbit(lambda x: base(x) + ts[:, None] * slope(x), ref_starts, 480, keep=80)[1]
+    assert kept.tobytes() == ref.tobytes()
+    escaped = np.isnan(kept[-1, :, 0])
+    assert 0 < escaped.sum() < 300
+    if family == "henon":
+        assert np.isnan(starts[ts < -0.7 ** 2 / 4]).all() and (ts < -0.7 ** 2 / 4).any()
+
+
 def test_manifold_runs_each_cascade_once(tmp_path, monkeypatch):
     # build_chart, b(psi0) with the gradients' tangents, and two shifts:
     # a(family) is computed once and shared by the chart and the shift check

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -406,6 +407,28 @@ def test_ndcheck_leaves_numpy_ma_unloaded(tmp_path):
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["False"]
+
+
+def test_two_dimensional_runs_leave_statistics_unloaded(tmp_path):
+    # statistics (with fractions and decimal) costs each process about 5 ms
+    # and 0.3 MB; only ball_samples' n >= 3 directions use it
+    argv = ["ndcheck", "--levels", "1", "--no-timestamp", "--out", str(tmp_path / "nd.json")]
+    code = (f"import sys; from renormlab import cli; cli.main({argv!r}); "
+            "print(*(m in sys.modules for m in ('statistics', 'fractions', 'decimal')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False"] * 3
+
+
+def test_ball_samples_3d_are_pinned():
+    # the 3-D directions' Gaussian coordinates, from statistics.NormalDist
+    pts = renorm_nd.ball_samples(3, 64)
+    assert [v.hex() for v in pts[[0, 31, 63]].ravel().tolist()] == [
+        "-0x1.16256a138927fp-3", "-0x1.0fbe0b4fe1ca7p-2", "-0x1.58b260873ad96p-2",
+        "0x1.bbc852e5df4d0p-1", "-0x1.1f95c099f6798p-3", "0x1.b0f91b44fe652p-2",
+        "-0x1.5c4b4fa649ba2p-3", "0x1.9bebc8cc31ee4p-1", "-0x1.2358e9e9a5e2fp-1"]
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == (
+        "9b8502ea53301fc7815caf637bb3da6243f2cbe71e143971f1e75a8af25bc38d")
 
 
 @pytest.mark.parametrize("bad", [{"verify_samples": 999}], ids=["verify-999"])
