@@ -9,8 +9,9 @@ doubling row det(M + I) = 0, M the monodromy matrix.  Each step is an
 affine scan along the orbit in ceil(log2 p) batched rounds, closed by an
 (n+1) x (n+1) bordered solve.  Residuals are double-double (orbit points
 and t kept as hi + lo pairs), so the gaps between doubling parameters keep
-their digits far below the ulp of t.  A periodic orbit at a fixed
-parameter is the same solve with t held fixed and no doubling row.
+their digits far below the ulp of t; one sparse pass over the nonzero
+terms evaluates them.  A periodic orbit at a fixed parameter is the same
+solve with t held fixed and no doubling row.
 
 Level N+1 starts by branch switching at level N's flip (Kuznetsov, ch.
 10): level N's orbit, traversed twice, moved along its flip eigenvector by
@@ -48,7 +49,7 @@ from .errors import (ESCAPE_LIMIT, BracketError, DimensionError, EscapeError,
                      InsufficientDataError, NoConvergenceError, RenormLabError,
                      WrongPeriodError)
 
-BLOCK = 2048            # points per MapND evaluation block: bounds the monomial table
+BLOCK = 2048            # points per block of a MapND or _dd_poly call: bounds their tables
 DISTINCT_TOL = 1e-10
 ESCAPE_CHECK = 256      # images stepped between two escape checks
 LYAPUNOV_CHUNK = 64     # Jacobians multiplied between two renormalizations
@@ -199,56 +200,94 @@ def _diff(a, b):
 # polynomial maps by their terms
 
 @functools.lru_cache(maxsize=64)
-def _jet_plan(key, shape, order):
-    """Monomials of a jet table and, per block, the matrix taking the map's
+def _jet_plan(parts):
+    """Monomials of the jets of exponent tables, an (exponent bytes, shape,
+    order) triple each, and per table and block the matrix taking the map's
     coefficients to the block's; see _jet."""
+    tables = []
+    for key, (m, n), order in parts:
+        blocks = level = [(np.frombuffer(key, dtype=np.intp).reshape(m, n), np.eye(m))]
+        for _ in range(order):
+            level = [(np.where(np.arange(n) == j, np.maximum(e - 1, 0), e), w * e[:, j, None])
+                     for e, w in level for j in range(n)]
+            blocks = blocks + level
+        tables.append(blocks)
+    flat = [e for blocks in tables for e, _ in blocks]
+    jet_exps, inverse = np.unique(np.vstack(flat), axis=0, return_inverse=True)
+    rows = iter(np.split(inverse.ravel(), np.cumsum([len(e) for e in flat])))
+    plans = [np.zeros((len(jet_exps), len(blocks), len(blocks[0][0]))) for blocks in tables]
+    for plan, blocks in zip(plans, tables):
+        for b, (_, w) in enumerate(blocks):
+            np.add.at(plan[:, b], next(rows), w)
+    return jet_exps, plans
+
+
+def _jet(*parts):
+    """Term table of maps and their partial derivatives, a (terms, order)
+    pair each, on shared monomials.  The maps' columns follow each other;
+    column (a, b) of a map holds block b of its output a, the blocks being
+    f, then d/dx_j, then d2/dx_j dx_l (j, l row-major), up to its order."""
+    jet_exps, plans = _jet_plan(tuple((np.asarray(t[0], dtype=np.intp).tobytes(), np.shape(t[0]),
+                                       order) for t, order in parts))
+    return jet_exps, np.hstack([np.einsum("rbm,ma->rab", plan, t[1]).reshape(len(jet_exps), -1)
+                                for plan, (t, _) in zip(plans, parts)])
+
+
+@functools.lru_cache(maxsize=64)
+def _dd_plan(key, shape, mask):
+    """_dd_poly's layout for an exponent table and its mask of nonzero
+    coefficients, cached like _jet_plan."""
     exps = np.frombuffer(key, dtype=np.intp).reshape(shape)
-    m, n = shape
-    blocks = level = [(exps, np.eye(m))]
-    for _ in range(order):
-        level = [(np.where(np.arange(n) == j, np.maximum(e - 1, 0), e), w * e[:, j, None])
-                 for e, w in level for j in range(n)]
-        blocks = blocks + level
-    jet_exps, inverse = np.unique(np.vstack([e for e, _ in blocks]), axis=0,
-                                  return_inverse=True)
-    plan = np.zeros((len(jet_exps), len(blocks), m))
-    for b, rows in enumerate(inverse.reshape(len(blocks), m)):
-        np.add.at(plan[:, b], rows, blocks[b][1])
-    return jet_exps, plan
-
-
-def _jet(terms, order):
-    """Term table of a map and its partial derivatives up to `order`, on
-    shared monomials.  Output column (a, b) holds block b of output a; the
-    blocks are f, then d/dx_j, then d2/dx_j dx_l (j, l row-major)."""
-    exps = np.asarray(terms[0], dtype=np.intp)
-    jet_exps, plan = _jet_plan(exps.tobytes(), exps.shape, order)
-    return jet_exps, np.einsum("rbm,ma->rab", plan, terms[1]).reshape(len(jet_exps), -1)
+    mask = np.frombuffer(mask, dtype=bool).reshape(shape[0], -1)
+    # x^e's factors by ascending axis, power-table rows e_ax * n + ax; a
+    # constant, or a monomial without terms, reads row 0, x_1^0 = 1.  Rank r
+    # multiplies the monomials of more than r factors by their factor r
+    factors = [[d * shape[1] + ax for ax, d in enumerate(e) if d and m.any()] or [0]
+               for e, m in zip(exps, mask)]
+    ranks = [np.array([(j, f[r]) for j, f in enumerate(factors) if len(f) > r]).T
+             for r in range(max(map(len, factors)))]
+    # the columns by descending term count: rank r adds term r of the first widths[r]
+    cols = np.argsort(-mask.sum(axis=0), kind="stable")
+    rows = [np.flatnonzero(mask[:, c]) for c in cols]
+    widths = [sum(len(t) > r for t in rows) for r in range(len(rows[0]))]
+    terms = [(t[r], c) for r, w in enumerate(widths) for t, c in zip(rows[:w], cols)]
+    top = max(1, max(map(max, factors)) // shape[1])
+    return top, ranks, np.array(terms, dtype=np.intp).reshape(-1, 2).T, widths, np.argsort(cols)
 
 
 def _dd_poly(terms, xh, xl):
     """The polynomial at every row of x = xh + xl, (p, n), in double-double:
     returns hi, lo of shape (p, n_out).  Entries are exact in relative terms
-    even where they cancel to nearly 0, as f' does near a critical point."""
-    exps, coeffs = terms
-    powers = [[None, (xh[:, ax], xl[:, ax])] for ax in range(xh.shape[1])]
-    sh = np.zeros((xh.shape[0], coeffs.shape[1]))
-    sl = np.zeros_like(sh)
-    for e, c in zip(exps, coeffs):
-        if not c.any():
-            continue
-        mono = None
-        for ax in np.flatnonzero(e):
-            pw = powers[ax]
-            while len(pw) <= e[ax]:
-                pw.append(_dd_mul(*pw[-1], *pw[1]))
-            mono = pw[e[ax]] if mono is None else _dd_mul(*mono, *pw[e[ax]])
-        if mono is None:
-            sh, sl = _dd_add(sh, sl, c, 0.0)
-        else:
-            th, tl = _two_prod(mono[0][:, None], c)
-            sh, sl = _dd_add(sh, sl, th, tl + mono[1][:, None] * c)
-    return sh, sl
+    even where they cancel to nearly 0, as f' does near a critical point.
+    Row blocks of at most BLOCK, through one buffer, form each power of all
+    axes at once, the monomials with terms factor by factor, every nonzero
+    term's product in one call, and each column's sum in ascending monomial
+    order, one rank at a time across columns.  A zero term would leave a
+    normalized sum as it is, so skipping it keeps every bit."""
+    exps, coeffs = np.asarray(terms[0], dtype=np.intp), terms[1]
+    top, ranks, (rows, cols), widths, order = _dd_plan(
+        exps.tobytes(), exps.shape, (coeffs != 0).tobytes())
+    p, n = xh.shape
+    c = coeffs[rows, cols][:, None]
+    hi, lo = np.empty((p, coeffs.shape[1])), np.empty((p, coeffs.shape[1]))
+    # the powers x_j^0 .. x_j^top of a block, row d * n + j, and its sums
+    buf = [np.empty(h + (min(p, BLOCK),)) for h in [(2, (top + 1) * n)] + 2 * [hi.shape[1:]]]
+    for s in range(0, p, BLOCK):
+        pw, sh, sl = (b[..., :p - s] for b in buf)
+        pw[:, :n] = [[[1.0]], [[0.0]]]
+        pw[:, n:2 * n] = xh[s:s + BLOCK].T, xl[s:s + BLOCK].T
+        for d in range(2 * n, len(pw[0]), n):
+            pw[:, d:d + n] = _dd_mul(*pw[:, d - n:d], *pw[:, n:2 * n])
+        mono = pw[:, ranks[0][1]]
+        for j, f in ranks[1:]:
+            mono[:, j] = _dd_mul(*mono[:, j], *pw[:, f])
+        th, tl = _two_prod(mono[0, rows], c)
+        tl += mono[1, rows] * c
+        sh[:], sl[:] = 0.0, 0.0
+        for w, a in zip(widths, np.cumsum([0] + widths)):
+            sh[:w], sl[:w] = _dd_add(sh[:w], sl[:w], th[a:a + w], tl[a:a + w])
+        hi[s:s + BLOCK], lo[s:s + BLOCK] = sh[order].T, sl[order].T
+    return hi, lo
 
 
 def _poly(terms, x):
@@ -443,7 +482,7 @@ class MapND:
         """Binary64 derivative at one point (n,) -> (n, n), or at each row of
         a stack (m, n) -> (m, n, n); column j holds the partials along axis j."""
         x = np.asarray(pts, dtype=float)
-        jet = _poly(_jet(self.terms, 1), x.reshape(-1, self.dim))
+        jet = _poly(_jet((self.terms, 1)), x.reshape(-1, self.dim))
         return jet.reshape(x.shape + (-1,))[..., 1:]
 
     def __add__(self, other):
@@ -606,6 +645,8 @@ def _bordered(fam, slopes, xh, xl, th, tl):
     derivative along psi_t + e*w: w(x_i) in the orbit equations and
     tr(P_k adj(M + I) S_k Dw_k) in the doubling row.  The last is the
     residual, double-double like the Jacobians, rounded to binary64.
+    One _dd_poly call evaluates psi_t's jet and each slope's value and
+    Jacobian on one table; only psi_t's value keeps its low part.
     Returns the largest residual, the Newton step's orbit part (p, n) and
     every right-hand side's dt (none when t is fixed); a singular system
     raises NoConvergenceError without `last`.
@@ -613,10 +654,15 @@ def _bordered(fam, slopes, xh, xl, th, tl):
     p, n = xh.shape
     eye = np.eye(n)
     free = len(slopes[:1])              # 1 when t is an unknown
-    jet = _jet(fam.map_at(th).terms, 1 + free)
-    hi, lo = (v.reshape(p, n, -1) for v in _dd_poly(jet, xh, xl))
-    ds = [_dd_poly(_jet(w.terms, 1), xh, xl)[0].reshape(p, n, -1) for w in slopes]
-    r = (hi[:, :, 0] - np.roll(xh, -1, axis=0)) + (lo[:, :, 0] - np.roll(xl, -1, axis=0))
+    jet = _jet((fam.map_at(th).terms, 1 + free), *((w.terms, 1) for w in slopes))
+    hi, lo = _dd_poly(jet, xh, xl)
+    # psi_t's k columns, then n (1 + n) per slope, each copied contiguous as
+    # the separate passes left them: the products below may round by layout
+    k = n * (1 + n + free * n * n)
+    hi, lo, *ds = (np.ascontiguousarray(v).reshape(p, n, -1) for v in [hi[:, :k], lo[:, :k]]
+                   + [hi[:, c:c + n * (1 + n)] for c in range(k, hi.shape[1], n * (1 + n))])
+    r = ((hi[:, :, 0] - np.concatenate([xh[1:], xh[:1]]))
+         + (lo[:, :, 0] - np.concatenate([xl[1:], xl[:1]])))
     jacs = hi[:, :, 1:n + 1]
     if free:
         r += tl * ds[0][:, :, 0]

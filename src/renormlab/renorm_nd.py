@@ -84,14 +84,12 @@ class DiskND:
 
 
 def _halton(count, base):
-    seq = np.zeros(count)
-    for i in range(count):
-        f, r, x = 1.0, 0.0, i + 1
-        while x > 0:
-            f /= base
-            r += f * (x % base)
-            x //= base
-        seq[i] = r
+    """Points 1..count in base `base`, a digit of all at a time."""
+    seq, x, f = np.zeros(count), np.arange(1, count + 1), 1.0
+    while x.any():
+        f /= base
+        seq += f * (x % base)
+        x //= base
     return seq
 
 
@@ -178,6 +176,20 @@ def check_renormalizable(psi, d1, samples=2048):
                        disjoint_margin, inside_margin)
 
 
+def _refit_basis(ball):
+    """The monomials of total degree <= REFIT_DEGREE and their values at
+    the ball's points, multiplied axis by axis out of one table of powers,
+    in the ball's memory order: the refit's matrix products round by it."""
+    exps = np.array([e for e in itertools.product(range(REFIT_DEGREE + 1), repeat=ball.shape[1])
+                     if sum(e) <= REFIT_DEGREE])
+    powers = ball[:, :, None] ** np.arange(REFIT_DEGREE + 1)
+    cols = np.empty_like(ball, shape=(len(ball), len(exps)))
+    cols[:] = powers[:, 0, exps[:, 0]]
+    for ax in range(1, ball.shape[1]):
+        cols *= powers[:, ax, exps[:, ax]]
+    return exps, cols
+
+
 def renormalize_nd(psi, xi):
     """R psi = xi^-1 o psi o psi o xi, refit to total degree <= REFIT_DEGREE.
 
@@ -195,9 +207,7 @@ def renormalize_nd(psi, xi):
     if not np.all(np.isfinite(im2)):
         raise RangeError("psi^2 is not finite on the sampled disk")
     target = (im2 - xi.center) @ xi._inv.T
-    exps = np.array([e for e in itertools.product(range(REFIT_DEGREE + 1), repeat=xi.dim)
-                     if sum(e) <= REFIT_DEGREE])
-    cols = np.prod(ball[:, None, :] ** exps, axis=2)
+    exps, cols = _refit_basis(ball)
     coeffs, *_ = np.linalg.lstsq(cols, target, rcond=None)
     worst = float(np.max(np.abs(cols @ coeffs - target)))
     if worst > REFIT_TOL:

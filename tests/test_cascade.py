@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import time
@@ -270,6 +271,70 @@ def test_chain_groups_its_products_as_the_scan_does():
             assert cascade._chain(jacs).tobytes() == last_prefix(jacs).tobytes()
         batched = rng.normal(size=(141, 64, n, n)).swapaxes(0, 1)
         assert cascade._chain(batched).tobytes() == last_prefix(batched).tobytes()
+
+
+# --- the double-double polynomial kernel -----------------------------------
+
+def dense_dd_poly(terms, xh, xl):
+    """The double-double polynomial by one pass over every monomial, all
+    columns at once: the reference that _dd_poly's sparse pass must match."""
+    exps, coeffs = terms
+    powers = [[None, (xh[:, ax], xl[:, ax])] for ax in range(xh.shape[1])]
+    sh = np.zeros((xh.shape[0], coeffs.shape[1]))
+    sl = np.zeros_like(sh)
+    for e, c in zip(exps, coeffs):
+        if not c.any():
+            continue
+        mono = None
+        for ax in np.flatnonzero(e):
+            pw = powers[ax]
+            while len(pw) <= e[ax]:
+                pw.append(cascade._dd_mul(*pw[-1], *pw[1]))
+            mono = pw[e[ax]] if mono is None else cascade._dd_mul(*mono, *pw[e[ax]])
+        if mono is None:
+            sh, sl = cascade._dd_add(sh, sl, c, 0.0)
+        else:
+            th, tl = cascade._two_prod(mono[0][:, None], c)
+            sh, sl = cascade._dd_add(sh, sl, th, tl + mono[1][:, None] * c)
+    return sh, sl
+
+
+# row 0 is the constant; mixed monomials such as x y and x^2 y^3
+DD_EXPONENTS = [np.array([[0], [1], [2], [3], [7]]),
+                np.array([[0, 0], [1, 0], [0, 1], [1, 1], [2, 3], [2, 0], [0, 4]]),
+                np.array([[0, 0, 0], [1, 1, 1], [2, 0, 1], [0, 3, 0], [1, 0, 0], [1, 2, 3]])]
+
+
+@pytest.mark.parametrize("p", [1, 2, 63, cascade.BLOCK + 1])
+@pytest.mark.parametrize("exps", DD_EXPONENTS, ids=["n1", "n2", "n3"])
+def test_dd_poly_matches_the_dense_pass_bit_for_bit(exps, p):
+    rng = np.random.default_rng(p)
+    coeffs = rng.normal(size=(len(exps), 6))
+    coeffs[rng.random(coeffs.shape) < 0.3] = -0.0
+    coeffs[1] = 0.0                         # a monomial without terms
+    coeffs[:, 1], coeffs[:, 4] = 0.0, -0.0  # columns without terms
+    xh = rng.uniform(-1.5, 1.5, size=(p, exps.shape[1]))
+    xl = xh * rng.normal(size=xh.shape) * 2.0 ** -60
+    xh[:2] = [[0.0], [-0.0]][:p]
+    got, ref = cascade._dd_poly((exps, coeffs), xh, xl), dense_dd_poly((exps, coeffs), xh, xl)
+    for g, r in zip(got, ref, strict=True):
+        assert g.tobytes() == r.tobytes()
+
+
+def test_one_dd_pass_per_newton_step(henon, monkeypatch):
+    # a Newton step evaluates psi_t's jet and every slope's on one table
+    calls = {"_bordered": 0, "_dd_poly": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(cascade, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(cascade, name, counted)
+    res = cascade.run_cascade(henon, 6)
+    assert calls["_dd_poly"] == calls["_bordered"] > 0
+    calls.update(_bordered=0, _dd_poly=0)
+    w = cascade.MapND([[3, 0]], [[1.0, 0.0]])
+    cascade.cascade_tangents(henon, res, [henon.direction, w])
+    assert calls == {"_bordered": 7, "_dd_poly": 7}
 
 
 def cofactor_loop(a):
@@ -763,6 +828,50 @@ def test_period_check_does_not_depend_on_point_0(logistic, logistic_cascade16):
     rolled = np.roll(pts, -int(order[first]))
     assert abs(rolled[0] - pts[order[first + 1]]) < cascade.DISTINCT_TOL
     assert len(cascade.periodic_orbit(logistic, t, period, rolled)) == period
+
+
+# every t_N's high and low parts, and SHA-256 of the stored orbits' high
+# and of their low parts
+CASCADE_PINS = {
+    "logistic": (
+        ("0x1.8000000000000p+1", "0x1.26081087d5552p-55"),
+        ("0x1.b988e1409212fp+1", "-0x1.f2f08cd64ff48p-53"),
+        ("0x1.c5a4c0be2c150p+1", "-0x1.f0de54faed118p-53"),
+        ("0x1.c83e7f4ec0987p+1", "0x1.49fc245b42a6dp-53"),
+        ("0x1.c8cd1bd11dc86p+1", "0x1.45c19b637c578p-54"),
+        ("0x1.c8eba79873882p+1", "0x1.fd89bc061a973p-55"),
+        ("0x1.c8f23260a7137p+1", "0x1.c59c56cbff13cp-56"),
+        ("0x1.c8f39910e5a4dp+1", "-0x1.d6754272e2c48p-54"),
+        ("0x1.c8f3e5e2da669p+1", "0x1.389bb670aa74ap-53"),
+        ("0x1.c8f3f656b30d7p+1", "0x1.9ef399c933ca7p-57"),
+        ("0x1.c8f3f9dcbf79ep+1", "0x1.549418d814f95p-54"),
+        ("0x1.c8f3fa9df06aap+1", "-0x1.84e6531a2ca34p-54"),
+        ("0x1.c8f3fac750942p+1", "-0x1.19a316b7a0357p-54"),
+        ("0x1.c8f3fad02d187p+1", "-0x1.e26cf6845fe5ep-53"),
+        "e1a7e374f50b722c19d09850d98eff2b70f4200ae3d5ab04096b24310f3e59d4",
+        "0c13de8d44d5fe508b83731fd034753f76e8d35f1d88a9010bb3cab90be3909b"),
+    "henon": (
+        ("0x1.7851eb851eb85p-2", "0x1.b89bdfbc95a00p-62"),
+        ("0x1.d333333333334p-1", "-0x1.b8a84624d07a6p-55"),
+        ("0x1.069e75b7377b2p+0", "-0x1.91681c8871ceap-54"),
+        ("0x1.0d1692466d6abp+0", "0x1.a42885013a2eep-56"),
+        ("0x1.0e7af6636e4c1p+0", "-0x1.7853250d833aap-54"),
+        ("0x1.0ec772c406e62p+0", "0x1.d835b77d77f8ap-54"),
+        ("0x1.0ed7d5f800f95p+0", "0x1.1c59bc37d32d3p-57"),
+        ("0x1.0edb5889ff8fep+0", "0x1.c97320aa6e9aap-54"),
+        ("0x1.0edc18fd32062p+0", "0x1.45d2ecf3c8894p-56"),
+        ("0x1.0edc4234c40d8p+0", "-0x1.a1047593b8ae1p-54"),
+        "48fc35a1d7d20e98f8071e8989a02c0f0d5c21d700c20cbfce8b8fe51854955d",
+        "496ca097f0ce1e2351c142e9f1d159acdc81cfbd536bf868471942d99de37546")}
+
+
+@pytest.mark.parametrize("name, depth", [("logistic", 13), ("henon", 9)])
+def test_cascade_keeps_every_bit(request, name, depth):
+    res = cascade.run_cascade(request.getfixturevalue(name), depth)
+    *params, high, low = CASCADE_PINS[name]
+    assert [(t.hex(), t.lo.hex()) for t in res.params] == params
+    assert [hashlib.sha256(b"".join(x.tobytes() for x in part)).hexdigest()
+            for part in (res.orbits, res.orbit_lows)] == [high, low]
 
 
 def test_cascade_rejects_a_negative_level(logistic):

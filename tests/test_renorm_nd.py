@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -183,6 +184,18 @@ def test_renormalize_fit_tolerance_enforced():
     with pytest.raises(RefitError) as err:
         renorm_nd.renormalize_nd(quintic, renorm_nd.DiskND(np.zeros(2), np.eye(2)))
     assert err.value.residual == pytest.approx(0.143, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_refit_basis_is_the_product_of_powers_bit_for_bit(n):
+    ball = renorm_nd.ball_samples(n, 2048)
+    exps = np.array([e for e in itertools.product(range(renorm_nd.REFIT_DEGREE + 1), repeat=n)
+                     if sum(e) <= renorm_nd.REFIT_DEGREE])
+    got_exps, cols = renorm_nd._refit_basis(ball)
+    ref = np.prod(ball[:, None, :] ** exps, axis=2)
+    assert np.array_equal(got_exps, exps)
+    # the same bytes in the same memory order, which the refit's products follow
+    assert cols.tobytes() == ref.tobytes() and cols.strides == ref.strides
 
 
 def test_renormalized_map_renormalizes_again(std_map, std_disk):
@@ -514,6 +527,25 @@ def test_halton_bases_below_ten_dimensions_are_kept():
     for n, bases in expected.items():
         assert renorm_nd._halton_bases(n) == bases
     assert renorm_nd._halton_bases(2)[1] == 7 and renorm_nd._halton_bases(3)[1] == 11
+
+
+def scalar_halton(count, base):
+    """The van der Corput points one index at a time."""
+    seq = np.zeros(count)
+    for i in range(count):
+        f, r, x = 1.0, 0.0, i + 1
+        while x > 0:
+            f /= base
+            r += f * (x % base)
+            x //= base
+        seq[i] = r
+    return seq
+
+
+@pytest.mark.parametrize("count", [1, 2, 511, 512, 2048, 4097])
+@pytest.mark.parametrize("base", [2, 3, 7, 11])
+def test_halton_matches_the_scalar_loop_bit_for_bit(count, base):
+    assert renorm_nd._halton(count, base).tobytes() == scalar_halton(count, base).tobytes()
 
 
 def ranks(x):
