@@ -19,11 +19,12 @@ chart = persistence.build_chart(logistic, depth=8)
 print(f"base: logistic family recentered at its accumulation "
       f"(a_inf = {chart.t_inf:.8f})")
 
-print(f"\nb(psi0)                = {persistence.chart_b(chart, chart.psi0):+.2e}")
+psi0 = chart.family.map_at(0.0)
+print(f"\nb(psi0)                = {persistence.chart_b(chart, psi0):+.2e}")
 # the family through psi0 + mu * v0 is the family itself, shifted by mu, so
 # these probes check the solver, not how far the chart extends
 for mu in (0.01, -0.02, 0.05):
-    b = persistence.chart_b(chart, chart.psi0 + mu * chart.v0)
+    b = persistence.chart_b(chart, psi0 + mu * chart.v0)
     print(f"b(psi0 + {mu:+.2f} * v0)   = {b:+.6f}   (expected {-mu:+.6f})")
 
 cubic = cascade.MapND([[3]], [[1.0]])
@@ -39,6 +40,6 @@ print("\nsame identities for the Henon family (depth 6):")
 chart_h = persistence.build_chart(cascade.henon_family(), depth=6)
 dev_h = persistence.verify_shift_property(cascade.henon_family(), [0.02], chart_h.cascade)
 print(f"  shift-law deviation: {dev_h:.2e}")
-b_h, (grad_h,) = persistence.chart_gradient(chart_h, [chart_h.v0])
-print(f"  b(psi0) = {b_h:+.2e}")
+grad_h, = persistence.chart_gradient(chart_h, [chart_h.v0])[1]
+print(f"  b(psi0) = {persistence.chart_b(chart_h, chart_h.family.map_at(0.0)):+.2e}")
 print(f"  db along v0 = {grad_h:+.15f}")

@@ -293,7 +293,15 @@ def _dd_poly(terms, xh, xl):
 def _poly(terms, x):
     """The polynomial at every row of x (p, n) in binary64: (p, n_out)."""
     exps, coeffs = terms
-    return np.prod(x[:, None, :] ** exps, axis=2) @ coeffs
+    # pow only for exponents of 2 or more: x^0 is 1.0 and x^1 is x, the bits
+    # pow gives.  numpy squares, not pows, where an exponent reaches its loop
+    # with stride 0, as a broadcast one can, and a square can differ from
+    # pow in the last bit, so the exponents go in as floats of the bases' shape
+    powers = np.ones((len(x),) + exps.shape)
+    one, high = exps == 1, exps >= 2
+    powers[:, one] = x[:, np.nonzero(one)[1]]
+    powers[:, high] = x[:, np.nonzero(high)[1]] ** np.tile(exps[high].astype(float), (len(x), 1))
+    return np.prod(powers, axis=2) @ coeffs
 
 
 @functools.lru_cache(maxsize=64)
@@ -1037,7 +1045,7 @@ def lyapunov_exponent(fam, t, n_iter=20000):
     # step after the last one is kept only for its escape check
     pts = orbit(m, x0, LYAPUNOV_TRANSIENT + n_iter, keep=n_iter + 1)[1][:-1]
     jacs = m.jac(pts)
-    scale = np.frexp(np.max(np.abs(jacs), axis=(1, 2)))[1]
+    scale = np.frexp(np.max(np.abs(jacs).reshape(n_iter, -1), axis=1))[1]
     total = math.log(2.0) * float(np.sum(scale))
     eye = np.eye(fam.dim)
     # identities pad the last chunk; all chunks are multiplied at once

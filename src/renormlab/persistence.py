@@ -19,8 +19,10 @@ The gradient of b is the exact derivative of the depth-N b, not a
 difference quotient: every t_N's derivative along a direction w comes from
 the linearization of the Newton system that defines t_N, read off the
 converged cascade, and is carried through the same extrapolation that
-gives a.  One cascade gives b and its derivatives along any number of
-directions.
+gives a.  One cascade, the chart's own, gives b(psi0) and its derivatives
+along any number of directions: the family through psi0 along v0 is the
+chart's generating family shifted in t, so b(psi0) = 0 by construction and
+no t_N's derivative moves.
 
 b is computed through cascades, not through renormalization distance to
 the 1-D fixed point, so the same chart machinery works for families far
@@ -66,12 +68,14 @@ class PersistenceChart:
     family is the generating family recentered at its accumulation, so
     psi0 is its map at parameter 0 and v0 its direction; its bracket0,
     gap_hint and start_at configure the cascades of the linear families
-    {chi + t v0}.  cascade is the generating family's own cascade, in its
-    own parameter: its depth stands in for "infinitely renormalizable", and
-    its t_inf is a(family) at that depth.
+    {chi + t v0}.  generator is the generating family itself and cascade
+    its own cascade, in its own parameter: its depth stands in for
+    "infinitely renormalizable", and its t_inf is a(generator) at that
+    depth.
     """
     family: OneParamFamily
     cascade: CascadeResult
+    generator: OneParamFamily
 
     @property
     def depth(self):
@@ -80,10 +84,6 @@ class PersistenceChart:
     @property
     def t_inf(self):
         return self.cascade.t_inf
-
-    @property
-    def psi0(self):
-        return self.family.map_at(0.0)
 
     @property
     def v0(self):
@@ -97,13 +97,13 @@ class PersistenceChart:
 def build_chart(fam, depth):
     """Chart at the family's accumulation map, direction = d psi_t / dt.
 
-    Recenters the family so parameter 0 is the accumulation; by
-    construction b(psi0) = 0 up to cascade precision.
+    Recenters the family so parameter 0 is the accumulation, and keeps the
+    family and its cascade for chart_gradient.
     """
     if depth < 6:
         raise InsufficientDataError("chart depth must be >= 6")
     res = run_cascade(fam, depth)
-    return PersistenceChart(recenter(fam, res.t_inf), res)
+    return PersistenceChart(recenter(fam, res.t_inf), res, fam)
 
 
 def chart_b(chart, chi):
@@ -113,13 +113,14 @@ def chart_b(chart, chi):
 
 def chart_gradient(chart, probe_dirs):
     """b at the base map and its directional derivatives along the probe
-    directions, from one cascade.
+    directions, from the chart's own cascade, with no new solve.
 
-    Each derivative is the exact derivative of the depth-N b, read off the
-    converged cascade of b(psi0) by cascade_tangents, with no step size.
-    Along v0 it is -1 (the transversal normalization) and along a zero
-    probe exactly 0.  Returns (b, one derivative per probe direction).
+    b(psi0) is 0.0: the family through psi0 along v0 is the chart's
+    family, whose accumulation sits at parameter t_inf - t_inf.  Each
+    derivative is the exact derivative of the depth-N b, read off the
+    chart's converged cascade by cascade_tangents, with no step size; a
+    shift in t moves no t_N's derivative.  Along v0 it is -1 (the
+    transversal normalization) and along a zero probe exactly 0.  Returns
+    (b, one derivative per probe direction).
     """
-    fam = chart.family_through(chart.psi0)
-    res = run_cascade(fam, chart.depth)
-    return res.t_inf, list(cascade_tangents(fam, res, probe_dirs))
+    return 0.0, list(cascade_tangents(chart.generator, chart.cascade, probe_dirs))

@@ -373,6 +373,35 @@ def test_henon_jac_stack_matches_single_points():
     assert np.array_equal(h.jac((0.5, 7.0)), [[-1.3, 1.0], [0.25, 0.0]])
 
 
+def pow_poly(terms, x):
+    """_poly with a pow for every (point, monomial, axis)."""
+    exps, coeffs = terms
+    return np.prod(x[:, None, :] ** exps, axis=2) @ coeffs
+
+
+@pytest.mark.parametrize("name", ["logistic", "henon", "fold3d", "wide"])
+def test_poly_keeps_every_bit_of_pow(request, name):
+    # whole jets, values and first and second derivatives, at signed zeros,
+    # +-1e10, infinities, nan, single points, whose one-row pow calls numpy
+    # may square instead, and a spread of about 40,000 (point, monomial,
+    # axis) entries, more than numpy's 8,192-element buffer, through which
+    # pow_poly casts its integer exponents; WIDE has exponents to 30
+    if name == "wide":
+        m = WIDE
+    else:
+        fam = request.getfixturevalue(name)
+        m = fam.map_at(fam.bracket0[1])
+    special = [0.0, -0.0, 1e10, -1e10, np.inf, -np.inf, np.nan]
+    grid = np.array(list(itertools.product(special, repeat=m.dim)))
+    size = (40000 // m.terms[0].size, m.dim)
+    spread = np.random.default_rng(m.dim).normal(scale=3.0, size=size)
+    for order in (1, 2):
+        terms = cascade._jet((m.terms, order))
+        for x in [grid, spread, *spread[:64, None]]:
+            with np.errstate(all="ignore"):
+                assert cascade._poly(terms, x).tobytes() == pow_poly(terms, x).tobytes()
+
+
 def test_newton_trial_orbit_escape_is_no_convergence():
     # Henon(6) sends (3, 0) past ESCAPE_LIMIT at step 4, inside the eight
     # points that start the period-8 solve

@@ -656,12 +656,12 @@ def test_bifdiag_steps_base_and_slope_on_one_table(request, tmp_path, monkeypatc
 
 
 def test_manifold_runs_each_cascade_once(tmp_path, monkeypatch):
-    # build_chart, b(psi0) with the gradients' tangents, and two shifts:
-    # a(family) is computed once and shared by the chart and the shift check
+    # build_chart and two shifts: a(family) is computed once and shared by
+    # the chart, the gradients' tangents and the shift check
     calls = record(monkeypatch, persistence, "run_cascade")
     assert cli.main(["manifold", "--depth", "6", "--out", str(tmp_path / "m.json"),
                      "--no-timestamp"]) == 0
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("nmax", [0, 1, 2])
@@ -673,11 +673,12 @@ def test_cascade_too_short_to_extrapolate_has_no_t_inf(capsys, nmax):
 
 
 @pytest.mark.parametrize("family, nmax, gens, depth, manifold_solves", [
-    ("henon", 9, 6, 6, 21), ("logistic", 10, 6, 8, 27)])
+    ("henon", 9, 6, 6, 14), ("logistic", 10, 6, 8, 18)])
 def test_session_solves_its_family_cascade_once(tmp_path, doubling_solves, family, nmax, gens,
                                                  depth, manifold_solves):
-    # attractor and manifold take their levels from cascade's; manifold still
-    # solves chart_gradient's cascade and the two shifts', depth + 1 levels each
+    # attractor and manifold take their levels from cascade's, and manifold's
+    # gradients read the chart's; it still solves the two shifts' cascades,
+    # depth + 1 levels each
     session = [["cascade", "--nmax", str(nmax)],
                ["attractor", "--generations", str(gens), "--csv", str(tmp_path / "a.csv")],
                ["manifold", "--depth", str(depth)]]

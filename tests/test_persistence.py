@@ -80,19 +80,20 @@ def test_chart_keeps_its_cascade(logistic, chart):
 
 
 def test_b_zero_at_base(chart):
-    assert abs(persistence.chart_b(chart, chart.psi0)) < 1e-5
+    # an independent cascade of the family through psi0 puts psi0 on M
+    assert abs(persistence.chart_b(chart, chart.family.map_at(0.0))) <= 1e-14
 
 
 def test_b_linear_along_v0(chart):
     for mu in (0.01, -0.02):
-        b = persistence.chart_b(chart, chart.psi0 + mu * chart.v0)
+        b = persistence.chart_b(chart, chart.family.map_at(0.0) + mu * chart.v0)
         assert b == pytest.approx(-mu, abs=1e-5)
 
 
 def test_manifold_chart_b_function(chart):
     # b(chi) is a of the linear family {chi + t v0} in the chart's own
     # cascade configuration
-    chi = chart.psi0 + 0.01 * chart.v0
+    chi = chart.family.map_at(0.0) + 0.01 * chart.v0
     fam = cascade.linear_family(chi, chart.v0, chart.family.bracket0,
                                 chart.family.gap_hint, chart.family.start_at)
     val = persistence.chart_b(chart, chi)
@@ -102,7 +103,7 @@ def test_manifold_chart_b_function(chart):
 
 def test_chart_cascade_makes_no_map_sums(chart, monkeypatch):
     # the family through chi merges its tables once, when it is built
-    chi = chart.psi0 + 0.01 * chart.v0
+    chi = chart.family.map_at(0.0) + 0.01 * chart.v0
     sums = []
     add = cascade.MapND.__add__
     monkeypatch.setattr(cascade.MapND, "__add__", lambda a, b: sums.append(1) or add(a, b))
@@ -113,7 +114,7 @@ def test_chart_cascade_makes_no_map_sums(chart, monkeypatch):
 def test_gradient_along_v0_is_minus_one(chart):
     b, grad = persistence.chart_gradient(chart, [chart.v0])
     assert grad[0] == pytest.approx(-1.0, abs=1e-12)
-    assert b == persistence.chart_b(chart, chart.psi0)
+    assert b == 0.0 and abs(persistence.chart_b(chart, chart.family.map_at(0.0))) <= 1e-14
 
 
 def test_gradient_zero_direction(chart):
@@ -131,29 +132,48 @@ def monomial(exponent, dim):
     return cascade.MapND([exponent], [[1.0] + [0.0] * (dim - 1)])
 
 
-@pytest.mark.parametrize("name, depth, exponents", [
+TRANSVERSALS = pytest.mark.parametrize("name, depth, exponents", [
     ("logistic", 8, [(3,)]),                    # x^3 e_x
     ("henon", 6, [(3, 0)]),                     # x^3 e_x
     ("fold3d", 8, [(0, 0, 1), (1, 1, 0)]),      # z e_x and xy e_x
 ])
+
+
+@TRANSVERSALS
 def test_gradient_matches_richardson_central_differences(request, name, depth, exponents):
     fam = request.getfixturevalue(name)
     chart = persistence.build_chart(fam, depth)
     dirs = [monomial(e, fam.dim) for e in exponents]
     grads = persistence.chart_gradient(chart, dirs)[1]
+    psi0 = chart.family.map_at(0.0)
 
     def central(w, h):
-        return (persistence.chart_b(chart, chart.psi0 + h * w)
-                - persistence.chart_b(chart, chart.psi0 + (-h) * w)) / (2 * h)
+        return (persistence.chart_b(chart, psi0 + h * w)
+                - persistence.chart_b(chart, psi0 + (-h) * w)) / (2 * h)
 
     for w, grad in zip(dirs, grads):
         richardson = (4 * central(w, 5e-4) - central(w, 1e-3)) / 3
         assert abs(grad - richardson) < 1e-5
 
 
+@TRANSVERSALS
+def test_chart_gradient_solves_nothing(request, doubling_solves, name, depth, exponents):
+    # the gradient is read off the chart's cascade; a re-solve of the family
+    # through psi0 gives the same tangents to rounding
+    fam = request.getfixturevalue(name)
+    chart = persistence.build_chart(fam, depth)
+    dirs = [monomial(e, fam.dim) for e in exponents]
+    del doubling_solves[:]
+    b, grads = persistence.chart_gradient(chart, dirs)
+    assert b == 0.0 and doubling_solves == []
+    through = chart.family_through(chart.family.map_at(0.0))
+    again = cascade.cascade_tangents(through, cascade.run_cascade(through, depth), dirs)
+    assert np.max(np.abs(np.subtract(grads, again))) <= 1e-11
+
+
 def test_membership_consistency(chart):
     # b(chi) ~ 0 iff the family through chi accumulates at t ~ 0
-    chi = chart.psi0
+    chi = chart.family.map_at(0.0)
     assert abs(persistence.chart_b(chart, chi)) < 1e-5
     fam = chart.family_through(chi)
     res = cascade.run_cascade(fam, chart.depth)
@@ -180,6 +200,6 @@ def test_gradient_transverse_free_direction(chart):
 
 def test_chart_works_in_2d(henon):
     chart2 = persistence.build_chart(henon, depth=6)
-    assert abs(persistence.chart_b(chart2, chart2.psi0)) < 1e-4
+    assert abs(persistence.chart_b(chart2, chart2.family.map_at(0.0))) < 1e-4
     grad = persistence.chart_gradient(chart2, [chart2.v0])[1][0]
     assert grad == pytest.approx(-1.0, abs=1e-12)
