@@ -51,7 +51,7 @@ from .errors import (ESCAPE_LIMIT, BracketError, DimensionError, EscapeError,
 
 BLOCK = 2048            # points per block of a MapND or _dd_poly call: bounds their tables
 DISTINCT_TOL = 1e-10
-ESCAPE_CHECK = 256      # images stepped between two escape checks
+ESCAPE_CHECK = 2048     # images stepped between two escape checks
 LYAPUNOV_CHUNK = 64     # Jacobians multiplied between two renormalizations
 LYAPUNOV_TRANSIENT = 1000   # steps dropped before the exponent's average starts
 MAX_LEVEL = 16          # deepest cascade level offered by the CLI: period 2^16
@@ -227,10 +227,19 @@ def _jet(*parts):
     pair each, on shared monomials.  The maps' columns follow each other;
     column (a, b) of a map holds block b of its output a, the blocks being
     f, then d/dx_j, then d2/dx_j dx_l (j, l row-major), up to its order."""
-    jet_exps, plans = _jet_plan(tuple((np.asarray(t[0], dtype=np.intp).tobytes(), np.shape(t[0]),
-                                       order) for t, order in parts))
-    return jet_exps, np.hstack([np.einsum("rbm,ma->rab", plan, t[1]).reshape(len(jet_exps), -1)
-                                for plan, (t, _) in zip(plans, parts)])
+    jet_exps, plans = _jet_tables(*((t[0], order) for t, order in parts))
+    return jet_exps, np.hstack([_jet_columns(plan, t[1]) for plan, (t, _) in zip(plans, parts)])
+
+
+def _jet_tables(*parts):
+    """_jet_plan of (exponents, order) pairs."""
+    return _jet_plan(tuple((np.asarray(e, dtype=np.intp).tobytes(), np.shape(e), order)
+                           for e, order in parts))
+
+
+def _jet_columns(plan, coeffs):
+    """A map's columns of a jet, from its plan and its coefficients."""
+    return np.einsum("rbm,ma->rab", plan, coeffs).reshape(len(plan), -1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -291,17 +300,23 @@ def _dd_poly(terms, xh, xl):
 
 
 def _poly(terms, x):
-    """The polynomial at every row of x (p, n) in binary64: (p, n_out)."""
+    """The polynomial at every row of x (p, n) in binary64: (p, n_out).  A
+    monomial without a nonzero coefficient reads 0.0, uncomputed."""
     exps, coeffs = terms
+    used = coeffs.any(axis=1)
     # pow only for exponents of 2 or more: x^0 is 1.0 and x^1 is x, the bits
     # pow gives.  numpy squares, not pows, where an exponent reaches its loop
     # with stride 0, as a broadcast one can, and a square can differ from
     # pow in the last bit, so the exponents go in as floats of the bases' shape
-    powers = np.ones((len(x),) + exps.shape)
-    one, high = exps == 1, exps >= 2
+    powers = np.ones((len(x), used.sum(), exps.shape[1]))
+    one, high = exps[used] == 1, exps[used] >= 2
     powers[:, one] = x[:, np.nonzero(one)[1]]
-    powers[:, high] = x[:, np.nonzero(high)[1]] ** np.tile(exps[high].astype(float), (len(x), 1))
-    return np.prod(powers, axis=2) @ coeffs
+    powers[:, high] = x[:, np.nonzero(high)[1]] ** np.tile(exps[used][high].astype(float),
+                                                          (len(x), 1))
+    # the table keeps every monomial, so the product groups its terms alike
+    mono = np.zeros((len(x), len(exps)))
+    mono[:, used] = np.prod(powers, axis=2)
+    return mono @ coeffs
 
 
 @functools.lru_cache(maxsize=64)
@@ -490,7 +505,12 @@ class MapND:
         """Binary64 derivative at one point (n,) -> (n, n), or at each row of
         a stack (m, n) -> (m, n, n); column j holds the partials along axis j."""
         x = np.asarray(pts, dtype=float)
-        jet = _poly(_jet((self.terms, 1)), x.reshape(-1, self.dim))
+        exps, coeffs = _jet((self.terms, 1))
+        # the value block is dropped: zeroed, it leaves out the monomials only
+        # it uses, such as a quadratic map's x^2, with their pow calls and the
+        # 0 * inf of their overflow
+        coeffs[:, ::self.dim + 1] = 0.0
+        jet = _poly((exps, coeffs), x.reshape(-1, self.dim))
         return jet.reshape(x.shape + (-1,))[..., 1:]
 
     def __add__(self, other):
@@ -530,11 +550,12 @@ def orbit(m, x, steps, keep=0):
     orbit per row, stepped by m(x), for which m may be any callable on
     blocks, with kept points (keep, P, n).  An image escapes when it is not
     finite or has a coordinate beyond ESCAPE_LIMIT.  One point raises
-    EscapeError, with the 1-based step of the first escaped image; the check
-    runs once per ESCAPE_CHECK images, so the map may see escaped points
-    before it raises.  A block row reads nan from its first escaped image
-    on, and EscapeError, with the step where the last row escaped, follows
-    only once every row has escaped.
+    EscapeError, with the 1-based step of the first escaped image: one
+    kernel call makes ESCAPE_CHECK images at a time, which are then checked
+    and scanned, so the map may see escaped points before it raises.  A
+    block row reads nan from its first escaped image on, and EscapeError,
+    with the step where the last row escaped, follows only once every row
+    has escaped.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -641,28 +662,40 @@ def _doubling_row(mono, prefix, jacs, hess, d_jacs):
             [np.einsum("kba,kab->", weight, d_jac) for d_jac in d_jacs])
 
 
+def _slope_jets(fam, slopes):
+    """_bordered's jet layout for slopes, which holds for a whole solve:
+    the number of slopes, the shared monomials, psi_t's plan and the slopes'
+    columns.  psi_t's own columns are formed at each step."""
+    jet_exps, plans = _jet_tables((fam.exponents, 1 + len(slopes[:1])),
+                                  *((w.exponents, 1) for w in slopes))
+    return len(slopes), jet_exps, plans[0], [_jet_columns(plan, w.coeffs)
+                                            for plan, w in zip(plans[1:], slopes)]
+
+
 def _bordered(fam, slopes, xh, xl, th, tl):
     """The Newton system of the cyclic orbit equations x_(i+1) = psi_t(x_i),
     i mod p, at the orbit xh + xl (p, n) and t = th + tl, solved: an affine
     scan z_(i+1) = J_i z_i + b_i dt + r_i along the orbit, a column per
     right-hand side, closed by an (n+1) x (n+1) bordered solve.
 
-    slopes are maps that move t.  None holds t fixed; the first, psi_t's own
-    direction, frees t (tl enters as tl times it) and adds the doubling row
-    det(M + I) = 0.  Each further w adds a right-hand side, the system's
-    derivative along psi_t + e*w: w(x_i) in the orbit equations and
-    tr(P_k adj(M + I) S_k Dw_k) in the doubling row.  The last is the
-    residual, double-double like the Jacobians, rounded to binary64.
-    One _dd_poly call evaluates psi_t's jet and each slope's value and
-    Jacobian on one table; only psi_t's value keeps its low part.
+    slopes, laid out by _slope_jets, are maps that move t.  None holds t
+    fixed; the first, psi_t's own direction, frees t (tl enters as tl times
+    it) and adds the doubling row det(M + I) = 0.  Each further w adds a
+    right-hand side, the system's derivative along psi_t + e*w: w(x_i) in
+    the orbit equations and tr(P_k adj(M + I) S_k Dw_k) in the doubling
+    row.  The last is the residual, double-double like the Jacobians,
+    rounded to binary64.  One _dd_poly call evaluates psi_t's jet and each
+    slope's value and Jacobian on one table; only psi_t's value keeps its
+    low part.
     Returns the largest residual, the Newton step's orbit part (p, n) and
     every right-hand side's dt (none when t is fixed); a singular system
     raises NoConvergenceError without `last`.
     """
     p, n = xh.shape
     eye = np.eye(n)
-    free = len(slopes[:1])              # 1 when t is an unknown
-    jet = _jet((fam.map_at(th).terms, 1 + free), *((w.terms, 1) for w in slopes))
+    count, jet_exps, plan, columns = slopes
+    free = min(count, 1)                # 1 when t is an unknown
+    jet = jet_exps, np.hstack([_jet_columns(plan, fam.map_at(th).coeffs), *columns])
     hi, lo = _dd_poly(jet, xh, xl)
     # psi_t's k columns, then n (1 + n) per slope, each copied contiguous as
     # the separate passes left them: the products below may round by layout
@@ -714,7 +747,7 @@ def _newton(fam, pts, t, doubling):
     xl = np.zeros_like(xh)
     th, tl = float(t), 0.0
     prev = res = math.inf
-    slopes = [fam.direction] if doubling else []
+    slopes = _slope_jets(fam, [fam.direction] if doubling else [])
     for _ in range(MAX_NEWTON):
         last = th if doubling else xh[0]
         with np.errstate(all="ignore"):
@@ -1018,7 +1051,7 @@ def cascade_tangents(fam, res, directions):
     InsufficientDataError for fewer than 4 levels."""
     if len(res.params) < 4:
         raise InsufficientDataError(f"need at least 4 levels, got {len(res.params)}")
-    slopes = [fam.direction, *directions]
+    slopes = _slope_jets(fam, [fam.direction, *directions])
     tangents = [_bordered(fam, slopes, xh, xl, float(t), t.lo)[2][:-1]
                 for t, xh, xl in zip(res.params, res.orbits, res.orbit_lows)]
     return accumulation_parameter(res.params, tangents).tangents

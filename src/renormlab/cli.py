@@ -114,6 +114,139 @@ def _csv_line(fields):
     return ",".join(map(str, fields)) + "\r\n"
 
 
+# bifdiag's numbers are written without a repr call each, byte for byte as
+# repr writes them: the shortest decimal that reads back as x, the nearest of
+# those if several, positional for 1e-4 <= |x| < 1e16.  Ryu (Adams, PLDI 2018)
+# finds those digits with integer arithmetic.  With x = 4m 2^-e (m of 53
+# bits), q = floor(e log10 5) - 1 and i = e - q, x and its rounding
+# interval's bounds, scaled by 10^(q - e), are (4m + {0, +2, -2}) 5^i / 2^q;
+# for |x| >= 1e-4, i <= 22, so the products are exact in two words.  In Ryu's
+# common case, where the scaled x is not an integer, the digits are those of
+# the scaled x without its last k, k the most that leave the scaled bounds
+# apart, rounded to nearest.  A column with any other number (zero, |x| <
+# 1e-4, |x| >= 2^50, non-finite, or in Ryu's general case, which takes in the
+# powers of two, whose lower bound is nearer) is written by repr.
+TEXT_BLOCK = 4096               # CSV lines made per block of bifdiag's text
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+# per e of x = 4m 2^-e (m of 53 bits): Ryu's q = floor(e log10 5) - 1, and
+# 5^i for i = e - q, also as a float times 2^-64
+_RYU_Q = (np.arange(69) * 732923 >> 20) - 1
+_RYU_F = 5 ** (np.arange(69) - _RYU_Q).astype(np.uint64)
+_RYU_FS = _RYU_F * 2.0 ** -64
+
+
+def _scaled(a):
+    """Each float 1e-4 <= a < 2^50, a = 4m 2^-e with m of 53 bits, and the
+    bounds of its rounding interval, scaled by 10^(q - e) with Ryu's q:
+    e, q, the floors vr, vp and vm of (4m + {0, +2, -2}) 5^i / 2^q, i = e - q,
+    and whether vr is not an integer, Ryu's common case."""
+    bits = a.view(np.uint64)
+    e = 1077 - (bits >> 52).view(np.int64)
+    m = bits & (1 << 52) - 1 | 1 << 52
+    q, f = _RYU_Q[e], _RYU_F[e]
+    # m f as hi 2^64 + lo: lo wraps, exactly, and hi is m f 2^-64 - lo 2^-64
+    # rounded to an integer, from floats 2^-10 or less apart from it
+    lo = m * f
+    hi = np.rint(m.astype(float) * _RYU_FS[e] - lo.astype(float) * 2.0 ** -64).astype(np.uint64)
+    # in place, vr = floor(4 m f / 2^q) and twice the remainder of
+    # m f / 2^(q - 2); (4m +- 2) 5^i is 2 mod 4, and q >= 2, so the bounds
+    # are never integers
+    shift = (q - 2).astype(np.uint64)
+    hi <<= 64 - shift
+    hi |= lo >> shift
+    lo &= (1 << shift) - 1
+    lo <<= 1
+    vr, rem, f = hi.view(np.int64), lo.view(np.int64), f.view(np.int64)
+    return e, q, vr, vr + (rem + f >> q - 1), vr + (rem - f >> q - 1), rem != 0
+
+
+def _dropped(vp, vm, common):
+    """How many digits Ryu drops: the most k for which a multiple of 10^k
+    lies in (vm, vp]."""
+    gap = vp - vm
+    # the last four digits of vp, and the gap capped at 10^4, in int32
+    low = (vp - vp // 10 ** 4 * 10 ** 4).astype(np.int32)
+    cap = np.minimum(gap, 10 ** 4).astype(np.int32)
+    k = sum(((low - low // p * p) < cap).view(np.int8) for p in (10, 100, 1000, 10000))
+    k = k.astype(np.intp)
+    more = np.flatnonzero((k == 4) & common)
+    while more.size:
+        # vp < 10^19: no multiple of 10^19 lies in (vm, vp]
+        more = more[(k[more] < 18) & (vp[more] % _POW10[np.minimum(k[more] + 1, 18)] < gap[more])]
+        k[more] += 1
+    return k
+
+
+def _shortest(a):
+    """Ryu's digits of each float 1e-4 <= a < 2^50: whether its common case
+    holds, the digits as a 17-digit integer padded with zeros on the right,
+    their count n and the decimal point's position D: a is 0.d1d2... times
+    10^D."""
+    e, q, vr, vp, vm, common = _scaled(a)
+    k = _dropped(vp, vm, common)
+    scale = _POW10[k]
+    v = vr // scale
+    dropped = vr - v * scale
+    # round up where the kept digits are vm's, or the dropped ones >= half
+    v += (dropped >= vr - vm) | (2 * dropped >= scale)
+    # vr has 18 or 19 digits; rounding up may carry into one more
+    n = 18 + (vr >= 10 ** 18) - k
+    n += v == _POW10[n]
+    return common, v * _POW10[17 - n], n, n + k + q - e
+
+
+@functools.lru_cache(maxsize=1)
+def _text_tables():
+    """_fields' tables: the 4-digit groups 0000 .. 9999 as words, and per
+    key (digits kept, sign, D) the word masks of x's digits unshifted and
+    shifted by one byte and the constant bytes, each (4, keys), and the
+    text's length."""
+    digit = np.arange(48, 58, dtype=np.uint8)
+    quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), axis=-1)
+    # a row's 32 bytes: ",", the sign, "0." and zeros for D <= 0, the
+    # digits from byte 7 with "." inserted at byte 7 + D for D > 0, "\r\n"
+    lim, neg, d = (a.reshape(-1, 1) for a in np.meshgrid(
+        np.arange(1, 18), [0, 1], np.arange(-3, 17), indexing="ij"))
+    p, at = np.arange(32), 7 + np.maximum(d, 0)
+    const = np.zeros((len(d), 32), dtype=np.uint8)
+    const[:, :4] = np.hstack([np.full_like(d, 44), 45 * neg, 48 * (d <= 0), 46 * (d <= 0)])
+    const[:, 4:7] = 48 * (d <= -np.arange(1, 4))
+    const[:, 25:27] = [13, 10]
+    const[(p == at) & (d > 0)] = 46
+    masks = [(p < np.minimum(at, 7 + lim)), (p > at) & (p < 8 + lim)]
+    return (quads.reshape(-1, 4).view(np.uint32).ravel().astype(np.uint64),
+            *(a.view(np.uint64).T.copy() for a in [m.astype(np.uint8) * 255 for m in masks] + [const]),
+            (const != 0).sum(axis=1) + lim.ravel())
+
+
+def _fields(x, out):
+    """Write "," and x as repr writes it, then CRLF, for each float x in
+    Ryu's common case with 1e-4 <= |x| < 2^50, into its row of out, (len(x),
+    4) uint64 NUL-padded; returns the texts' lengths and where they were
+    written.  Other rows hold some text or none."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 2.0 ** 50)
+    if not fast.any():
+        return np.zeros(len(x), dtype=np.intp), fast
+    common, v, n, d = _shortest(np.where(fast, a, 1 / 3))
+    quads, keep, shifted, const, lengths = _text_tables()
+    key = (np.maximum(n, d + 1) - 1) * 40 + (x < 0) * 20 + d + 3
+    # the digits from byte 7: the leading one, then four groups of four
+    lead = v // 10 ** 16
+    v -= lead * 10 ** 16
+    hi = v // 10 ** 8
+    lo = v - hi * 10 ** 8
+    lead = (lead + 48).astype(np.uint64)
+    hi4, lo4 = hi // 10 ** 4, lo // 10 ** 4
+    x1 = quads[hi4] | quads[hi - hi4 * 10 ** 4] << 32
+    x2 = quads[lo4] | quads[lo - lo4 * 10 ** 4] << 32
+    out[:, 0] = lead << 56 & keep[0][key] | const[0][key]
+    out[:, 1] = x1 & keep[1][key] | (x1 << 8 | lead) & shifted[1][key] | const[1][key]
+    out[:, 2] = x2 & keep[2][key] | (x2 << 8 | x1 >> 56) & shifted[2][key] | const[2][key]
+    out[:, 3] = x2 >> 56 & shifted[3][key] | const[3][key]
+    return lengths[key], fast & common
+
+
 def _csv(header, chunks):
     """CSV text: the header line, then chunks of whole lines."""
     yield _csv_line(header)
@@ -259,20 +392,66 @@ def _cmd_bifdiag(cfg):
     for s in range(keep // 2, 0, -1):
         period[(bits[s:] == bits[:-s]).all(axis=0)] = s
 
-    def chunk(p, col, s):
-        """The lines "t,x" of a column's kept points: those of its first s
-        values, keep // s times over, then the first keep % s of them."""
-        reps = list(map(repr, col[:s].tolist()))
-
-        def lines(n):
-            return p + ("\r\n" + p).join(reps[:n]) + "\r\n" if n else ""
-        return lines(s) * (keep // s) + lines(keep % s)
-
     alive = np.flatnonzero(~np.isnan(x[-1]))      # the orbits that never escaped
-    chunks = (chunk(repr(t) + ",", x[:, j], int(period[j]) or keep)
-              for j, t in zip(alive.tolist(), ts[alive].tolist()))
     return {"rows": alive.size * keep, "family": cfg["family"],
-            "t_range": [tmin, tmax]}, {"csv": _csv(("t", "x"), chunks)}
+            "t_range": [tmin, tmax]}, {"csv": _csv(("t", "x"), _bifdiag_lines(
+                ts[alive], x, alive, np.where(period[alive] > 0, period[alive], keep)))}
+
+
+def _bifdiag_lines(ts, x, cols, counts):
+    """bifdiag's CSV lines "t,x" for the columns cols of x, the kept points
+    (keep, columns), with t from ts: the lines of each column's first
+    counts[j] values, keep // counts[j] times over, then the first
+    keep % counts[j] of them.
+
+    Made a block of columns at a time, in buffers kept for the call: each
+    line's t text is gathered, each value's text formed by _fields, and one
+    pass drops the padding.  A column whose t or any value _fields leaves
+    out is written by repr."""
+    keep = len(x)
+    tw = np.empty((len(ts), 4), dtype=np.uint64)
+    tlen, tfast = _fields(ts, tw)
+    # t's text alone, one byte down: its "," and "\r\n" drop out
+    tw = (tw[:, :3] >> 8) | (tw[:, 1:] << 56)
+    tlen -= 3
+    ends = np.cumsum(counts)
+    buf = np.empty((max(TEXT_BLOCK, keep), 7), dtype=np.uint64)
+    c0 = start = 0
+    while c0 < len(ts):
+        c1 = max(c0 + 1, int(np.searchsorted(ends, start + TEXT_BLOCK, side="right")))
+        stop = int(ends[c1 - 1])
+        rows, n = buf[:stop - start], counts[c0:c1]
+        first = ends[c0:c1] - n - start     # each column's first line in the block
+        col = np.repeat(np.arange(c0, c1), n)             # each line's column
+        values = x[np.arange(stop - start) - first[col - c0], cols[col]]
+        xlen, fast = _fields(values, rows[:, 3:])
+        fast = np.logical_and.reduceat(fast, first) & tfast[c0:c1]
+        if fast.any():
+            np.take(tw, col, axis=0, out=rows[:, :3])
+            text = rows.tobytes().translate(None, b"\0").decode("ascii")
+            # the offsets of each column's first line, of its line counts
+            # lines on, and of its line keep % counts lines on
+            at = np.concatenate([[0], np.cumsum(tlen[col] + xlen)])
+            a, b, c = (at[first + d].tolist() for d in (0, n, keep % n))
+        else:
+            a = b = c = [0] * len(n)
+        # a run of columns without a cycle is one slice of the text
+        plain = fast & (n == keep)
+        runs = np.flatnonzero(~plain | ~np.concatenate([[False], plain[:-1]])).tolist()
+        t, s, first, plain, fast = (v.tolist() for v in (ts[c0:c1], n, first, plain, fast))
+        for i, j in zip(runs, runs[1:] + [len(s)]):
+            if plain[i]:
+                yield text[a[i]:b[j - 1]]
+            elif fast[i]:
+                yield text[a[i]:b[i]] * (keep // s[i]) + text[a[i]:c[i]]
+            else:
+                p = repr(t[i]) + ","
+                reps = list(map(repr, values[first[i]:first[i] + s[i]].tolist()))
+                rest, sep = keep % s[i], "\r\n" + p
+                yield (p + sep.join(reps) + "\r\n") * (keep // s[i]) + (
+                    p + sep.join(reps[:rest]) + "\r\n" if rest else "")
+        # the block's text goes before the next block's is made
+        c0, start, text = c1, stop, None
 
 
 def finite(text):

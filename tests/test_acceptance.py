@@ -114,7 +114,10 @@ def test_criterion_5_persistence_identities():
     t0 = time.perf_counter()
     logistic = cascade.logistic_family()
     chart = persistence.build_chart(logistic, depth=8)
-    b0, (grad,) = persistence.chart_gradient(chart, [chart.v0])
+    # chart_gradient's b is 0 by construction; b(psi0) is an independent
+    # cascade of the family through psi0
+    b0 = persistence.chart_b(chart, chart.family.map_at(0.0))
+    _, (grad,) = persistence.chart_gradient(chart, [chart.v0])
     shift_dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], chart.cascade)
     elapsed = time.perf_counter() - t0
     ok = (abs(b0) <= 1e-5 and shift_dev < 1e-5

@@ -168,7 +168,8 @@ def test_orbit_rejects_negative_steps():
 
 
 @pytest.mark.parametrize("step", [1, 3, 100, cascade.ESCAPE_CHECK, cascade.ESCAPE_CHECK + 1,
-                                  cascade.ESCAPE_CHECK + 5, 3 * cascade.ESCAPE_CHECK - 5])
+                                  cascade.ESCAPE_CHECK + 5, 3 * cascade.ESCAPE_CHECK - 5],
+                         ids=["1", "3", "100", "check", "check+1", "check+5", "3check-5"])
 def test_orbit_escape_step(step):
     # x -> x + 1 passes ESCAPE_LIMIT exactly at the given step
     shift = cascade.MapND([[0], [1]], [[1.0], [1.0]])
@@ -371,6 +372,37 @@ def test_henon_jac_stack_matches_single_points():
     assert stacked.shape == (41, 2, 2)
     assert np.array_equal(stacked, [h.jac(pt) for pt in pts])
     assert np.array_equal(h.jac((0.5, 7.0)), [[-1.3, 1.0], [0.25, 0.0]])
+
+
+def test_jac_is_finite_where_only_the_value_overflows():
+    # x^2 feeds only the value block, which jac drops: at (1e200, 0) it
+    # overflows, and the partials -2ax, 1, b and 0 stay finite
+    jac = cascade.henon_family().map_at(1.2).jac((1e200, 0.0))
+    assert np.array_equal(jac, [[(-2 * 1.2) * 1e200, 1.0], [0.3, 0.0]])
+
+
+def old_jac(m, pts):
+    """jac before it left out the value block's monomials: the whole order-1
+    jet at every point, powers by pow, value block dropped."""
+    exps, coeffs = cascade._jet((m.terms, 1))
+    powers = np.ones((len(pts),) + exps.shape)
+    one, high = exps == 1, exps >= 2
+    powers[:, one] = pts[:, np.nonzero(one)[1]]
+    powers[:, high] = pts[:, np.nonzero(high)[1]] ** np.tile(exps[high].astype(float),
+                                                            (len(pts), 1))
+    return (np.prod(powers, axis=2) @ coeffs).reshape(len(pts), m.dim, -1)[..., 1:]
+
+
+@pytest.mark.parametrize("name, t", [("henon", 1.05), ("henon", 1.2), ("henon", 1.25),
+                                     ("henon", 1.3), ("logistic", 3.2), ("logistic", 3.5),
+                                     ("logistic", 3.6), ("logistic", 3.7), ("logistic", 3.9)])
+def test_jac_keeps_every_byte_on_lyapunov_orbits(request, name, t):
+    # the points lyapunov_exponent(fam, t, n_iter=8000) takes Jacobians at
+    fam = request.getfixturevalue(name)
+    m = fam.map_at(t)
+    x0 = np.add(fam.start_at(t), 0.0137 * np.eye(fam.dim)[0])
+    pts = cascade.orbit(m, x0, cascade.LYAPUNOV_TRANSIENT + 8000, keep=8001)[1][:-1]
+    assert m.jac(pts).tobytes() == old_jac(m, pts).tobytes()
 
 
 def pow_poly(terms, x):

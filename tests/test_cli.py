@@ -586,8 +586,11 @@ def test_attractor_csv_bytes_match_csv_writer(tmp_path, monkeypatch, family, gen
     ("logistic", 3.83, 3.84, 5, 400, 80, False, 5 * 80),  # the period-3 window
     # the same cycles with every last kept value one ulp up: no column repeats
     ("logistic", 2.3, 3.2, 4, 400, 7, True, 4 * 7),
+    # the benchmark's windows
+    ("henon", 0.3, 1.4, 2000, 400, 80, False, 2000 * 80),
+    ("logistic", 2.9, 4.0, 2000, 400, 80, False, 2000 * 80),
 ], ids=["some-escape", "all-escape", "exponent-form", "henon", "sinks-1-2-4",
-        "period-3-window", "cycle-but-last"])
+        "period-3-window", "cycle-but-last", "henon-benchmark", "logistic-benchmark"])
 def test_bifdiag_csv_bytes_match_csv_writer(tmp_path, monkeypatch, capsys, family, tmin,
                                             tmax, tn, transient, keep, nudge, n_rows):
     if nudge:
@@ -615,6 +618,42 @@ def test_bifdiag_csv_bytes_match_csv_writer(tmp_path, monkeypatch, capsys, famil
     assert report["rows"] == len(rows) - 1 == n_rows
     if tmin == 1e-05:
         assert data.startswith(b"t,x\r\n1e-05,2.49") and b"e-31\r\n" in data
+
+
+def test_fields_write_repr_text():
+    # bifdiag's value texts against repr, on about 10^6 values: the rows it
+    # writes hold ",repr(x)\r\n", and it writes every value with
+    # 1e-4 <= |x| < 2^50 outside Ryu's general case, where 4m 5^i / 2^q is an
+    # integer (m the significand, x = 4m 2^-e, q = floor(e log10 5) - 1,
+    # i = e - q), and no other
+    rng = np.random.default_rng(20)
+    signs = rng.choice([-1.0, 1.0], 200_000)
+    twos = np.ldexp(1.0, np.arange(-14, 55))
+    edges = np.array([1e-4, 1e16, 2.0 ** 53, 2.0 ** 50, 0.3, 1 / 3, 9999999999999998.0])
+    special = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan])
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, 250_000, dtype=np.uint64).view(float),
+        rng.uniform(-1.5, 1.5, 250_000),
+        signs * np.exp(rng.uniform(np.log(1e-4), np.log(1e16), 200_000)),
+        rng.integers(-10 ** 6, 10 ** 6, 200_000) / 10.0 ** rng.integers(0, 9, 200_000),
+        *(np.nextafter(x, to) for x in (twos, edges) for to in (-np.inf, np.inf)),
+        twos, -twos, edges, -edges, special])
+    out = np.empty((len(values), 4), dtype=np.uint64)
+    lens, written = np.empty(len(values), dtype=int), np.empty(len(values), dtype=bool)
+    for s in range(0, len(values), cli.TEXT_BLOCK):
+        lens[s:s + cli.TEXT_BLOCK], written[s:s + cli.TEXT_BLOCK] = cli._fields(
+            values[s:s + cli.TEXT_BLOCK], out[s:s + cli.TEXT_BLOCK])
+    bits = np.abs(values).view(np.uint64)
+    e = 1077 - (bits >> 52).astype(np.int64)
+    m = bits & (1 << 52) - 1 | 1 << 52
+    q = np.floor(e * np.log10(5)).astype(np.int64) - 1
+    twos_in_m = np.log2((m & -m.view(np.int64).view(np.uint64)).astype(float))
+    in_range = (np.abs(values) >= 1e-4) & (np.abs(values) < 2.0 ** 50)
+    assert np.array_equal(written, in_range & (twos_in_m < q - 2))
+    assert written[250_000:450_000].mean() > 0.999
+    texts = [f",{x!r}\r\n" for x in values[written].tolist()]
+    assert out[written].tobytes().translate(None, b"\0").decode() == "".join(texts)
+    assert lens[written].tolist() == list(map(len, texts))
 
 
 @pytest.mark.parametrize("family, tmin, tmax", [
