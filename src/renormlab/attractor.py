@@ -71,15 +71,24 @@ def build_atoms(fam, t, generations, n_points):
     pts = orbit(fam.map_at(t), fam.start_at(t), TRANSIENT + n_points,
                 keep=n_points)[1]
 
-    levels = []
-    for gen in range(generations + 1):
+    # the finest generation's boxes from one min and one max over the orbit:
+    # phase p's points are rows p, p + k, ..., a (q, k) grid, then r more
+    k = 2 ** generations
+    q, r = divmod(n_points, k)
+    grid = pts[:q * k].reshape(q, k, -1)
+    lo, hi = grid.min(axis=0), grid.max(axis=0)
+    np.minimum(lo[:r], pts[q * k:], out=lo[:r])
+    np.maximum(hi[:r], pts[q * k:], out=hi[:r])
+    boxes = [(lo, hi)]
+    while len(lo) > 1:
+        # phase p of generation m is phases p and p + 2^m of generation m + 1
+        k = len(lo) // 2
+        lo, hi = np.minimum(lo[:k], lo[k:]), np.maximum(hi[:k], hi[k:])
+        boxes.append((lo, hi))
+    levels = []     # checked coarsest first, so the first overlap is named
+    for gen, (lo, hi) in enumerate(reversed(boxes)):
         k = 2 ** gen
-        # phase p's points are rows p, p + k, ...: a (q, k) grid, then r more
         q, r = divmod(n_points, k)
-        grid = pts[:q * k].reshape(q, k, -1)
-        lo, hi = grid.min(axis=0), grid.max(axis=0)
-        np.minimum(lo[:r], pts[q * k:], out=lo[:r])
-        np.maximum(hi[:r], pts[q * k:], out=hi[:r])
         lo.flags.writeable = hi.flags.writeable = False
         rows = max(1, PAIR_CHUNK // k)
         for a in range(0, k - 1, rows):

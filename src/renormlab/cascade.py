@@ -52,7 +52,6 @@ from .errors import (ESCAPE_LIMIT, BracketError, DimensionError, EscapeError,
 BLOCK = 2048            # points per block of a MapND or _dd_poly call: bounds their tables
 DISTINCT_TOL = 1e-10
 ESCAPE_CHECK = 2048     # images stepped between two escape checks
-LYAPUNOV_CHUNK = 64     # Jacobians multiplied between two renormalizations
 LYAPUNOV_TRANSIENT = 1000   # steps dropped before the exponent's average starts
 MAX_LEVEL = 16          # deepest cascade level offered by the CLI: period 2^16
 MAX_NEWTON = 12         # Newton iterations before an orbit solve gives up
@@ -606,14 +605,23 @@ def orbit(m, x, steps, keep=0):
 
 
 def _chain(jacs):
-    """J[p-1] @ ... @ J[0] for a (p, ..., n, n) stack, in p - 1 products
-    and ceil(log2 p) batched rounds: each round multiplies neighbours in
-    pairs from the end and keeps an odd leftover at the front, which
-    groups the products as _scan's last prefix does, to the bit."""
-    while len(jacs) > 1:
+    """J[p-1] @ ... @ J[0] for a (p, ..., n, n) stack as (P, e), the product
+    P * 2^e, in p - 1 products and ceil(log2 p) batched rounds: each round
+    multiplies neighbours in pairs from the end and keeps an odd leftover
+    at the front, which groups the products as _scan's last prefix does.
+    Before each round every product is divided by the power of two that
+    puts its largest entry in [0.5, 1), and e sums the powers, so no
+    product leaves binary64's range.  The scaling is exact: P * 2^e has the
+    unscaled product's bits wherever that one neither over- nor underflows."""
+    exp = 0
+    while True:
+        scale = np.frexp(np.abs(jacs).max(axis=(-2, -1)))[1]
+        exp = exp + scale.sum(axis=0)
+        jacs = np.ldexp(jacs, -scale[..., None, None])
+        if len(jacs) == 1:
+            return jacs[0], exp
         odd = len(jacs) % 2
         jacs = np.concatenate([jacs[:odd], jacs[odd + 1::2] @ jacs[odd::2]])
-    return jacs[0]
 
 
 def _scan(jacs, cols):
@@ -806,35 +814,22 @@ def periodic_orbit(fam, t, period, guess):
     return _newton(fam, start, t, doubling=False)[0]
 
 
-def _mantissa_product(values):
-    """The product of a 1-D array as (mantissa, binary exponent): pairwise,
-    in ceil(log2 p) rounds, renormalized by frexp after each, so that no
-    partial product leaves the range of binary64."""
-    mant, exp = np.frexp(values)
-    total = int(exp.sum())
-    while len(mant) > 1:
-        mant, exp = np.frexp(np.append(mant, np.ones(len(mant) % 2)).reshape(-1, 2).prod(axis=1))
-        total += int(exp.sum())
-    return float(mant[0]), total
-
-
 def orbit_multiplier(fam, t, orbit):
     """Eigenvalues of the derivative M of the return map along the orbit,
     largest modulus first.
 
     eigvals resolves M's eigenvalues only to the scale of M's entries, so
     the least-modulus one is det(M) over the product of the others, det(M)
-    the product of the Jacobians' determinants, carried as mantissa and
-    binary exponent.
+    the product of the Jacobians' determinants, formed by _chain.
     """
     jacs = fam.map_at(t).jac(np.reshape(orbit, (len(orbit), fam.dim)))
-    eigs = np.linalg.eigvals(_chain(jacs))
+    eigs = np.linalg.eigvals(np.ldexp(*_chain(jacs)))
     eigs = eigs[np.argsort(-np.abs(eigs))]
     rest = np.prod(eigs[:-1])
     if rest != 0:
-        mant, exp = _mantissa_product(np.linalg.det(jacs))
+        det, exp = _chain(np.linalg.det(jacs)[:, None, None])
         # two powers of two: 2^exp alone may leave binary64's range
-        eigs[-1] = mant / rest * np.ldexp(1.0, exp // 2) * np.ldexp(1.0, exp - exp // 2)
+        eigs[-1] = det[0, 0] / rest * np.ldexp(1.0, exp // 2) * np.ldexp(1.0, exp - exp // 2)
     return list(eigs)
 
 
@@ -1063,10 +1058,9 @@ def lyapunov_exponent(fam, t, n_iter=20000):
     steps that let the orbit settle on the attractor.
 
     e1 follows the first column of a per-step QR, so this is the QR
-    exponent without a QR per step.  Each Jacobian is scaled by a power of
-    two, exactly, and the chunks of LYAPUNOV_CHUNK are multiplied by _chain,
-    with e1 renormalized between chunks, so no product leaves the range of
-    binary64.
+    exponent without a QR per step: the log of the length of P e1, P the
+    product of all n_iter Jacobians, which _chain forms without leaving
+    binary64's range.  An orbit through a zero Jacobian gets -inf.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
@@ -1077,18 +1071,8 @@ def lyapunov_exponent(fam, t, n_iter=20000):
     # the derivative is taken at the n_iter points before each step; the
     # step after the last one is kept only for its escape check
     pts = orbit(m, x0, LYAPUNOV_TRANSIENT + n_iter, keep=n_iter + 1)[1][:-1]
-    jacs = m.jac(pts)
-    scale = np.frexp(np.max(np.abs(jacs).reshape(n_iter, -1), axis=1))[1]
-    total = math.log(2.0) * float(np.sum(scale))
-    eye = np.eye(fam.dim)
-    # identities pad the last chunk; all chunks are multiplied at once
-    chunks = np.concatenate([
-        np.ldexp(jacs, -scale[:, None, None]),
-        np.broadcast_to(eye, (-n_iter % LYAPUNOV_CHUNK,) + eye.shape)])
-    v = eye[0]
-    for prod in _chain(chunks.reshape((-1, LYAPUNOV_CHUNK) + eye.shape).swapaxes(0, 1)):
-        v = prod @ v
-        size = max(float(np.sqrt(v @ v)), 1e-300)
-        total += math.log(size)
-        v /= size
-    return total / n_iter
+    prod, exp = _chain(m.jac(pts))
+    size = float(np.sqrt(prod[:, 0] @ prod[:, 0]))
+    if size == 0.0:
+        return -math.inf
+    return (math.log(2.0) * int(exp) + math.log(size)) / n_iter

@@ -387,10 +387,14 @@ def _cmd_bifdiag(cfg):
         kept = np.full((cfg["keep"], ts.size, fam.dim), np.nan)
     x, keep = kept[:, :, 0], cfg["keep"]
     # each column's least exact cycle s <= keep/2, x[s:] == x[:-s] bit for bit
-    # (repr tells -0.0 from 0.0, == does not), 0 for none
+    # (repr tells -0.0 from 0.0, == does not), 0 for none: s walks upward
+    # over the columns with no cycle yet, in full only where x[s] == x[0]
     bits, period = kept.view(np.int64)[:, :, 0], np.zeros(ts.size, dtype=int)
-    for s in range(keep // 2, 0, -1):
-        period[(bits[s:] == bits[:-s]).all(axis=0)] = s
+    pending = np.arange(ts.size)
+    for s in range(1, keep // 2 + 1):
+        near = pending[bits[s, pending] == bits[0, pending]]
+        period[near[(bits[s:, near] == bits[:-s, near]).all(axis=0)]] = s
+        pending = pending[period[pending] == 0]
 
     alive = np.flatnonzero(~np.isnan(x[-1]))      # the orbits that never escaped
     return {"rows": alive.size * keep, "family": cfg["family"],

@@ -190,6 +190,23 @@ def test_overlap_names_pair_after_the_first_atom():
         attractor.build_atoms(fam, 0.0, 2, 256)
 
 
+@pytest.mark.parametrize("t, gens, first", [(3.5, 3, (3, 0, 4)), (3.5, 4, (3, 0, 4)),
+                                             (3.55, 4, (4, 0, 8))])
+def test_overlap_at_the_finest_generations_is_checked_coarsest_first(logistic, t, gens, first):
+    # a period-2^(g-1) sink: generation g - 1 holds its distinct points, and
+    # at g and finer, phases p and p + 2^(g-1) close in on the same point.
+    # The boxes are nested from the finest generation, and the first
+    # overlapping generation is still the one named
+    n = 2 ** (gens + 6)
+    pts = cascade.orbit(logistic.map_at(t), logistic.start_at(t), 4096 + n, keep=n)[1]
+    k = 2 ** gens
+    boxes = [(pts[p::k].min(), pts[p::k].max()) for p in (0, k // 2)]
+    assert boxes[0][0] <= boxes[1][1] and boxes[1][0] <= boxes[0][1]
+    attractor.build_atoms(logistic, t, first[0] - 1, n)
+    with pytest.raises(ResolutionError, match=r"generation %d: atoms %d and %d overlap" % first):
+        attractor.build_atoms(logistic, t, gens, n)
+
+
 @pytest.mark.parametrize("chunk", [1, 8])
 def test_overlap_check_in_chunks_names_the_first_pair(logistic, monkeypatch, chunk):
     # generation 2's four boxes compared max(1, chunk // 4) rows at a time:

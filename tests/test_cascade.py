@@ -255,23 +255,44 @@ def test_chain_matches_sequential_product(p):
     random3 = np.random.default_rng(p).normal(size=(p, 3, 3))
     for jacs in (along_orbit, random3):
         ref = sequential_product(jacs)
-        got = cascade._chain(jacs)
+        got = np.ldexp(*cascade._chain(jacs))
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_chain_groups_its_products_as_the_scan_does():
     # the pairwise product keeps the bits of the scan's last prefix, for
-    # every length and dimension and for the batched stack of lyapunov_exponent
+    # every length and dimension and for a batched stack
     def last_prefix(jacs):
         return cascade._scan(jacs, jacs[..., :0])[0][-1]
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
         for p in range(1, 130):
             jacs = rng.normal(size=(p, n, n))
-            assert cascade._chain(jacs).tobytes() == last_prefix(jacs).tobytes()
+            assert np.ldexp(*cascade._chain(jacs)).tobytes() == last_prefix(jacs).tobytes()
         batched = rng.normal(size=(141, 64, n, n)).swapaxes(0, 1)
-        assert cascade._chain(batched).tobytes() == last_prefix(batched).tobytes()
+        prod, exp = cascade._chain(batched)
+        assert np.ldexp(prod, exp[:, None, None]).tobytes() == last_prefix(batched).tobytes()
+
+
+def unscaled_chain(jacs):
+    """The chain product's pairing without its scaling, as a reference."""
+    while len(jacs) > 1:
+        odd = len(jacs) % 2
+        jacs = np.concatenate([jacs[:odd], jacs[odd + 1::2] @ jacs[odd::2]])
+    return jacs[0]
+
+
+def test_chain_is_the_unscaled_product_up_to_a_power_of_two():
+    # scaling by powers of two is exact, so on stacks that neither
+    # overflow nor underflow, P * 2^e is the unscaled product to the bit
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        for p in range(1, 130):
+            jacs = rng.normal(size=(p, n, n)) * 2.0 ** rng.integers(-20, 20, size=(p, 1, 1))
+            prod, exp = cascade._chain(jacs)
+            assert 0.5 <= np.max(np.abs(prod)) < 1.0
+            assert np.ldexp(prod, exp).tobytes() == unscaled_chain(jacs).tobytes()
 
 
 # --- the double-double polynomial kernel -----------------------------------
@@ -1103,6 +1124,40 @@ def qr_lyapunov(fam, t, n_transient=1000, n_iter=8000):
 @pytest.mark.parametrize("a", [1.06, 1.1, 1.2, 1.3])
 def test_henon_lyapunov_matches_per_step_qr(henon, a):
     assert abs(cascade.lyapunov_exponent(henon, a, n_iter=8000) - qr_lyapunov(henon, a)) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [1.06, 1.2, 1.3])
+def test_henon_lyapunov_matches_per_step_qr_at_every_length(henon, a):
+    # the orbit's first n_iter points after the transient are the same for
+    # every n_iter, so one QR pass gives the reference at each length
+    m = henon.map_at(a)
+    x0 = np.add(henon.start_at(a), 0.0137 * np.eye(2)[0])
+    pts = cascade.orbit(m, x0, 1000 + 20000, keep=20001)[1][:-1]
+    q, logs = np.eye(2), []
+    for jac in m.jac(pts):
+        q, r = np.linalg.qr(jac @ q)
+        logs.append(math.log(abs(r[0, 0])))
+    sums = np.cumsum(logs)
+    for n in (1, 63, 65, 8001, 20000):
+        assert abs(cascade.lyapunov_exponent(henon, a, n_iter=n) - sums[n - 1] / n) <= 1e-12
+
+
+def test_lyapunov_of_a_product_past_binary64(henon, monkeypatch):
+    # 4^20000 overflows binary64 long before the last factor
+    four = 4.0 * np.eye(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(unscaled_chain(np.broadcast_to(four, (20000, 2, 2)))).any()
+    monkeypatch.setattr(cascade.MapND, "jac", lambda self, x: np.broadcast_to(four, (len(x), 2, 2)))
+    assert cascade.lyapunov_exponent(henon, 1.2) == pytest.approx(math.log(4.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("n_iter", [1, 100, 20000])
+def test_lyapunov_through_a_zero_jacobian_is_minus_infinity(logistic, n_iter):
+    # at t = 2 the orbit reaches the critical point 1/2 exactly and stays
+    m = logistic.map_at(2.0)
+    pts = cascade.orbit(m, 0.5 + 0.0137, 1000 + n_iter, keep=n_iter + 1)[1][:-1]
+    assert (pts == 0.5).all()
+    assert cascade.lyapunov_exponent(logistic, 2.0, n_iter=n_iter) == -math.inf
 
 
 def test_lyapunov_binary64_jacobians_match_double_double(logistic, monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import shlex
@@ -171,6 +172,34 @@ def test_manifold_report(tmp_path):
     grads = dict(report["gradient"])
     assert abs(grads["v0"] + 1.0) < 1e-12
     assert abs(grads["2*v0"] + 2.0) < 1e-12
+
+
+# sha256 of the files each command writes under --no-timestamp
+REPORT_PINS = [
+    (("attractor", "--generations", "4", "--points", "2048"),
+     "7ad1a0e94d789c311ca3838a92e12be26ba9ba5edc10fcdc189266db2880cdc1",
+     "7abaede63f53f5e960f24bb0adea1472bb8203eca69e399f07c4ee8e9e6d735d"),
+    (("attractor", "--family", "henon", "--generations", "4", "--points", "2048"),
+     "f6c076ea43a37fdcf9b61171b4b46b29d197a310a33cba8cc3c509dc66441d4a",
+     "bc6383445db7298bde5804d2edcf83e5bf352c4cca9347e9efae9e648b41591f"),
+    (("bifdiag", "--tn", "50"),
+     None, "e6f1885ef8dd9caaaed39334683dbf949e8be67e577383c7fa8091d0a49048c7"),
+    (("bifdiag", "--family", "henon", "--tn", "50"),
+     None, "7c2d08f9bb6381cef655aa230838d7928d7858384b2590dd72630b38f75ac2e8"),
+]
+
+
+@pytest.mark.parametrize("argv, report_sha, csv_sha", REPORT_PINS,
+                         ids=["attractor", "attractor-henon", "bifdiag", "bifdiag-henon"])
+def test_reports_keep_every_byte(tmp_path, capsys, argv, report_sha, csv_sha):
+    # bifdiag writes no --out report: its JSON goes to stdout
+    report, table = tmp_path / "r.json", tmp_path / "r.csv"
+    out = ["--out", str(report)] if report_sha else []
+    assert cli.main([*argv, *out, "--csv", str(table), "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == csv_sha
+    if report_sha:
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
 
 
 def test_bifdiag_csv(tmp_path):
