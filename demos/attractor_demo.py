@@ -13,7 +13,8 @@ import numpy as np
 from renormlab import attractor, cascade
 
 logistic = cascade.logistic_family()
-t_inf = cascade.run_cascade(logistic, 12).t_inf
+res = cascade.run_cascade(logistic, 12)
+t_inf = res.t_inf
 print(f"logistic accumulation parameter: {t_inf:.10f}")
 
 tree = attractor.build_atoms(logistic, t_inf, 8, 2 ** 17)
@@ -26,7 +27,8 @@ for m, d in enumerate(diams):
 print(f"  scaling-constant estimate: {lam_est:.5f}  (universal value 0.3995...)")
 
 henon = cascade.henon_family()
-t_h = cascade.run_cascade(henon, 9).t_inf
+res_h = cascade.run_cascade(henon, 9)
+t_h = res_h.t_inf
 tree_h = attractor.build_atoms(henon, t_h, 6, 2 ** 15)
 ratios_h, lam_h = attractor.scaling_ratios(attractor.atom_diameters(tree_h))
 print(f"\nHenon accumulation parameter: {t_h:.8f}")
@@ -34,12 +36,12 @@ print(f"  ratios: {np.round(ratios_h, 5)}")
 print(f"  scaling-constant estimate: {lam_h:.5f}")
 
 print("\nperiodic orbits at the logistic accumulation (all repellers):")
-for rep in attractor.verify_periodic_saddles(logistic, t_inf, [0, 1, 2, 3]):
+for rep in attractor.verify_periodic_saddles(logistic, res, t_inf, [0, 1, 2, 3]):
     mult = abs(rep.multipliers[0]) if rep.multipliers else float("nan")
     print(f"  period {2 ** rep.level:>2}: {rep.classification:9s} |multiplier| = {mult:.4f}")
 
 print("\nperiodic orbits at the Henon accumulation (saddles):")
-for rep in attractor.verify_periodic_saddles(henon, t_h, [0, 1, 2]):
+for rep in attractor.verify_periodic_saddles(henon, res_h, t_h, [0, 1, 2]):
     mags = np.sort(np.abs(rep.multipliers))[::-1]
     print(f"  period {2 ** rep.level:>2}: {rep.classification:9s} |eigs| = "
           + ", ".join(f"{m:.4f}" for m in mags))

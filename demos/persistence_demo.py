@@ -15,7 +15,7 @@ family.
 from renormlab import cascade, persistence
 
 logistic = cascade.logistic_family()
-chart = persistence.build_chart(logistic, depth=8)
+chart = persistence.build_chart(logistic, cascade.run_cascade(logistic, 8))
 print(f"base: logistic family recentered at its accumulation "
       f"(a_inf = {chart.t_inf:.8f})")
 
@@ -37,8 +37,9 @@ dev = persistence.verify_shift_property(logistic, [-0.05, 0.05], chart.cascade)
 print(f"\nshift law |a((t0)*F) - a(F) + t0|, t0 = +-0.05: max deviation {dev:.2e}")
 
 print("\nsame identities for the Henon family (depth 6):")
-chart_h = persistence.build_chart(cascade.henon_family(), depth=6)
-dev_h = persistence.verify_shift_property(cascade.henon_family(), [0.02], chart_h.cascade)
+henon = cascade.henon_family()
+chart_h = persistence.build_chart(henon, cascade.run_cascade(henon, 6))
+dev_h = persistence.verify_shift_property(henon, [0.02], chart_h.cascade)
 print(f"  shift-law deviation: {dev_h:.2e}")
 grad_h, = persistence.chart_gradient(chart_h, [chart_h.v0])[1]
 print(f"  b(psi0) = {persistence.chart_b(chart_h, chart_h.family.map_at(0.0)):+.2e}")

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# run_cascade stays importable from here: benchmark/test_tracer.py traces a
+# cascade through attractor.run_cascade
 from .cascade import orbit, orbit_multiplier, periodic_orbit, run_cascade
 from .errors import InsufficientDataError, RenormLabError, ResolutionError
 
@@ -138,19 +140,21 @@ def _classify(mults):
     return "saddle"
 
 
-def verify_periodic_saddles(fam, t, levels):
-    """Continue the period-2^N orbits of fam's cascade to parameter t and
-    classify them there.
+def verify_periodic_saddles(fam, res, t, levels):
+    """Continue the period-2^N orbits of res, fam's cascade, to parameter t
+    and classify them there.
 
-    fam's cascade to level max(levels) converges each period-2^N orbit at
-    its doubling parameter t_N, where the sink flips; it generically
-    survives to t as a repeller (1-D) or saddle (n-D).  The continuation
-    solves the orbit afresh at steps of half its window (t_(N-1), t_N),
-    t_(-1) the lower end of fam.bracket0, each from the whole orbit of the
-    step before.
+    res holds each period-2^N orbit converged at its doubling parameter
+    t_N, where the sink flips; it generically survives to t as a repeller
+    (1-D) or saddle (n-D).  The continuation solves the orbit afresh at
+    steps of half its window (t_(N-1), t_N), t_(-1) the lower end of
+    fam.bracket0, each from the whole orbit of the step before.
+    InsufficientDataError for a level deeper than res.
     """
     levels = sorted(levels)
-    res = run_cascade(fam, max(levels))
+    if levels and levels[-1] >= len(res.params):
+        raise InsufficientDataError(
+            f"level {levels[-1]} is deeper than the cascade's {len(res.params) - 1}")
     ends = (fam.bracket0[0],) + res.params
     reports = []
     for lv in levels:

@@ -5,8 +5,8 @@ Flags override values from an optional key=value config file; there is no
 environment-variable configuration.  Reports are deterministic given the
 same config (the timestamp field can be disabled for byte-identical runs),
 and do not depend on what ran before in the process: commands in one
-process share each family's cascade (see _family), whose levels are those
-a fresh solve gives, bit for bit.
+process share each family's deepest cascade (see _cascade), whose first
+levels are those a fresh solve gives, bit for bit.
 Computation failures, and output files that cannot be written, exit 1
 with a machine-readable error object and leave no output file that the run
 wrote; partial reports only ever appear with a .partial suffix.  Every
@@ -70,19 +70,32 @@ class Command(NamedTuple):
 
 
 def _family(cfg):
-    # bifdiag has no --b and takes the Henon family's own default
-    b = cfg.get("b")
-    return _built_family(cfg["family"], None if b is None else b.hex())
-
-
-@functools.lru_cache(maxsize=8)
-def _built_family(name, b_hex):
-    """One family object per family and b in a process, so that its commands
-    share the cascade run_cascade keeps for it.  b comes as float.hex, which
-    tells -0.0 from 0.0 where == does not."""
-    if name == "logistic":
+    if cfg["family"] == "logistic":
         return cascade_mod.logistic_family()
-    return cascade_mod.henon_family(**{} if b_hex is None else {"b": float.fromhex(b_hex)})
+    # bifdiag has no --b and takes the Henon family's own default
+    return cascade_mod.henon_family(**{"b": cfg["b"]} if "b" in cfg else {})
+
+
+# the deepest cascade solved in this process, per (family, b.hex() or None
+# for logistic): float.hex tells -0.0 from 0.0, where == does not
+_CASCADES = {}
+
+
+def _cascade(cfg, n_max):
+    """The cascade of cfg's family to level n_max: the first levels of the
+    one kept for it when that is deep enough, bit for bit a fresh solve's,
+    else a fresh solve, kept in its place.  Kept orbits are read-only, as
+    later commands read the same arrays; a failed solve keeps nothing."""
+    key = (cfg["family"], None if cfg["family"] == "logistic" else cfg["b"].hex())
+    kept = _CASCADES.get(key)
+    if kept is not None and n_max < len(kept.params):
+        return cascade_mod.cascade_result(
+            *(v[:n_max + 1] for v in (kept.params, kept.orbits, kept.orbit_lows)))
+    res = cascade_mod.run_cascade(_family(cfg), n_max)
+    for part in res.orbits + res.orbit_lows:
+        part.flags.writeable = False
+    _CASCADES[key] = res
+    return res
 
 
 def _json(obj, **kw):
@@ -282,7 +295,7 @@ def _cmd_fixpoint(cfg):
 
 
 def _cmd_cascade(cfg):
-    res = cascade_mod.run_cascade(_family(cfg), cfg["nmax"])
+    res = _cascade(cfg, cfg["nmax"])
     d = res.delta_estimates
     rows = ((level, repr(t), repr(d[level - 1]) if 1 <= level <= len(d) else "")
             for level, t in enumerate(res.params))
@@ -301,7 +314,7 @@ def _cmd_attractor(cfg):
     gens = cfg["generations"]
     t = cfg.get("t")
     if t is None:
-        t = cascade_mod.run_cascade(fam, max(gens + 2, 8)).t_inf
+        t = _cascade(cfg, max(gens + 2, 8)).t_inf
     pts = cfg.get("points") or 2 ** (gens + 9)
     tree = attractor_mod.build_atoms(fam, t, gens, pts)
     diams = attractor_mod.atom_diameters(tree)
@@ -350,7 +363,7 @@ def _cmd_ndcheck(cfg):
 
 def _cmd_manifold(cfg):
     fam = _family(cfg)
-    chart = persistence_mod.build_chart(fam, cfg["depth"])
+    chart = persistence_mod.build_chart(fam, _cascade(cfg, cfg["depth"]))
     b0, grads = persistence_mod.chart_gradient(chart, [chart.v0, 2.0 * chart.v0])
     shift_dev = persistence_mod.verify_shift_property(fam, cfg["shifts"], chart.cascade)
     return {

@@ -94,15 +94,15 @@ class PersistenceChart:
         return linear_family(chi, self.v0, fam.bracket0, fam.gap_hint, fam.start_at)
 
 
-def build_chart(fam, depth):
-    """Chart at the family's accumulation map, direction = d psi_t / dt.
+def build_chart(fam, res):
+    """Chart at the family's accumulation map, direction = d psi_t / dt,
+    given res, the family's cascade, whose depth is the chart's.
 
     Recenters the family so parameter 0 is the accumulation, and keeps the
     family and its cascade for chart_gradient.
     """
-    if depth < 6:
+    if len(res.params) - 1 < 6:
         raise InsufficientDataError("chart depth must be >= 6")
-    res = run_cascade(fam, depth)
     return PersistenceChart(recenter(fam, res.t_inf), res, fam)
 
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from renormlab import cascade, renorm1d, renorm_nd
+from renormlab import cascade, cli, renorm1d, renorm_nd
 
 
-@pytest.fixture(autouse=True)
-def no_kept_cascades():
-    """Every test starts with no cascade kept by run_cascade, so that what the
-    session-scoped families solved in one test does not serve the next."""
-    cascade._KEPT.clear()
+@pytest.fixture
+def cli_cascades(monkeypatch):
+    """An empty store of the CLI's kept cascades for the test, so that what
+    other tests' commands solved serves none of its requests."""
+    store = {}
+    monkeypatch.setattr(cli, "_CASCADES", store)
+    return store
 
 
 @pytest.fixture

@@ -113,7 +113,7 @@ def test_criterion_5_persistence_identities():
     derivative along v0 = -1 +- 1e-12; < 2 min."""
     t0 = time.perf_counter()
     logistic = cascade.logistic_family()
-    chart = persistence.build_chart(logistic, depth=8)
+    chart = persistence.build_chart(logistic, cascade.run_cascade(logistic, 8))
     # chart_gradient's b is 0 by construction; b(psi0) is an independent
     # cascade of the family through psi0
     b0 = persistence.chart_b(chart, chart.family.map_at(0.0))

@@ -218,7 +218,7 @@ def test_overlap_check_in_chunks_names_the_first_pair(logistic, monkeypatch, chu
 
 def test_periodic_saddles_logistic(logistic, logistic_cascade12):
     reports = attractor.verify_periodic_saddles(
-        logistic, logistic_cascade12.t_inf, [0, 1, 2])
+        logistic, logistic_cascade12, logistic_cascade12.t_inf, [0, 1, 2])
     assert [r.level for r in reports] == [0, 1, 2]
     for r in reports:
         assert r.found
@@ -228,7 +228,7 @@ def test_periodic_saddles_logistic(logistic, logistic_cascade12):
 
 def test_periodic_saddles_henon(henon, henon_cascade9):
     reports = attractor.verify_periodic_saddles(
-        henon, henon_cascade9.t_inf, [0, 1])
+        henon, henon_cascade9, henon_cascade9.t_inf, [0, 1])
     for r in reports:
         assert r.found
         assert r.classification == "saddle"
@@ -239,35 +239,39 @@ def test_periodic_saddles_henon(henon, henon_cascade9):
 def test_periodic_saddles_henon_negative_b():
     # the orientation-reversing Henon map: its t_1 lies past param_range
     fam = cascade.henon_family(-0.3)
-    reports = attractor.verify_periodic_saddles(fam, cascade.run_cascade(fam, 9).t_inf, [0, 1, 2])
+    res = cascade.run_cascade(fam, 9)
+    reports = attractor.verify_periodic_saddles(fam, res, res.t_inf, [0, 1, 2])
     assert [(r.found, r.classification) for r in reports] == 3 * [(True, "saddle")]
 
 
-def test_periodic_saddles_continue_the_cascade_orbits(logistic, monkeypatch):
-    # one cascade to the deepest level asked for; only its levels 0 and 1
-    # settle an orbit by iteration, and the check settles none of its own
-    depths, settles = [], []
-    run, settle = attractor.run_cascade, cascade._orbit_by_iteration
-
-    def counted_run(fam, n_max):
-        depths.append(n_max)
-        return run(fam, n_max)
+def test_periodic_saddles_continue_the_cascade_orbits(logistic, monkeypatch, doubling_solves):
+    # only the cascade's levels 0 and 1 settle an orbit by iteration, and
+    # the check solves no cascade and settles no orbit of its own
+    settles, settle = [], cascade._orbit_by_iteration
 
     def counted_settle(fam, t, period):
         settles.append(period)
         return settle(fam, t, period)
-    monkeypatch.setattr(attractor, "run_cascade", counted_run)
     monkeypatch.setattr(cascade, "_orbit_by_iteration", counted_settle)
-    reports = attractor.verify_periodic_saddles(logistic, 3.5, [0, 1, 2])
-    assert depths == [2] and settles == [1, 2]
+    res = cascade.run_cascade(logistic, 2)
+    del doubling_solves[:]
+    reports = attractor.verify_periodic_saddles(logistic, res, 3.5, [0, 1, 2])
+    assert settles == [1, 2] and doubling_solves == []
     assert [r.classification for r in reports] == ["repeller", "repeller", "sink"]
+
+
+def test_periodic_saddles_need_the_levels_in_the_cascade(logistic):
+    res = cascade.run_cascade(logistic, 2)
+    with pytest.raises(InsufficientDataError, match="level 3 is deeper than the cascade's 2"):
+        attractor.verify_periodic_saddles(logistic, res, 3.5, [0, 3])
 
 
 def test_sink_classified_at_stable_parameter(logistic):
     orbit = cascade.periodic_orbit(logistic, 3.2, 2, 0.5)
     mults = cascade.orbit_multiplier(logistic, 3.2, orbit)
     assert abs(mults[0]) < 1
-    reports = attractor.verify_periodic_saddles(logistic, 3.2, [1])
+    reports = attractor.verify_periodic_saddles(logistic, cascade.run_cascade(logistic, 1), 3.2,
+                                                [1])
     assert reports[0].classification == "sink"
 
 
@@ -277,4 +281,4 @@ def test_periodic_saddles_let_bugs_propagate(logistic, monkeypatch):
         raise TypeError("bug")
     monkeypatch.setattr(attractor, "periodic_orbit", broken)
     with pytest.raises(TypeError):
-        attractor.verify_periodic_saddles(logistic, 3.2, [0])
+        attractor.verify_periodic_saddles(logistic, cascade.run_cascade(logistic, 0), 3.2, [0])

@@ -8,7 +8,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from renormlab import cascade
+from renormlab import cascade, cli
 from renormlab.errors import (ESCAPE_LIMIT, BracketError, EscapeError,
                               InsufficientDataError, NoConvergenceError,
                               WrongPeriodError)
@@ -770,8 +770,7 @@ def test_cascade_time_budgets(logistic, henon):
     # logistic level 15 took 12.2 s with the bisecting solver and 0.75 s
     # with a settle orbit at every level; Henon level 9 took 0.40 s bisecting
     assert best_time(lambda: cascade.run_cascade(logistic, 15), runs=1) < 1.2
-    # a fresh family per run: the family's kept cascade would serve the later runs
-    assert best_time(lambda: cascade.run_cascade(dataclasses.replace(henon), 9)) < 0.40
+    assert best_time(lambda: cascade.run_cascade(henon, 9)) < 0.40
 
 
 # d t_inf along (the family's direction, x^3 e_x), as float.hex
@@ -980,21 +979,28 @@ def test_cascade_leaves_other_exceptions_untouched(logistic, monkeypatch):
     assert not hasattr(err.value, "completed")
 
 
-# --- kept cascades --------------------------------------------------------
+# --- cascades between calls ----------------------------------------------
+# run_cascade keeps nothing; cli._cascade keeps each family's deepest cascade
+# in the process and serves shallower requests from its first levels
 
 def test_family_compares_by_identity_and_is_immutable(logistic):
     other = dataclasses.replace(logistic)
     assert logistic == logistic and logistic != other
     assert hash(logistic) != hash(other)
-    for name in ("exponents", "base", "slope"):
-        table = getattr(logistic, name)
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 7
-    # the family keeps copies: the tables it was built from stay writable
-    base = np.array([[0.5], [0.0]])
-    fam = dataclasses.replace(logistic, base=base)
-    base[0, 0] = 9.0
-    assert fam.base[0, 0] == 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        logistic.base = other.base
+
+
+def test_every_run_cascade_call_solves(logistic, doubling_solves):
+    res = cascade.run_cascade(logistic, 6)
+    again = cascade.run_cascade(logistic, 6)
+    assert doubling_solves == [logistic] * 14
+    assert cascade_bits(again) == cascade_bits(res)
+    del doubling_solves[:]
+    # seeds at the converged orbits themselves: every level is solved again
+    seeded = cascade.run_cascade(logistic, 6, seeds=shift_seeds(res, 0.0))
+    assert doubling_solves == [logistic] * 7
+    assert all(part.flags.writeable for part in res.orbits + seeded.orbits)
 
 
 def cascade_bits(res):
@@ -1005,69 +1011,64 @@ def cascade_bits(res):
             [(x.shape, x.tobytes()) for x in res.orbits + res.orbit_lows])
 
 
+def cli_cfg(name):
+    return {"family": name, "b": 0.3}
+
+
 @pytest.mark.parametrize("name, depth, ks", [("logistic", 13, (0, 3, 8, 11)),
                                              ("henon", 9, (6, 8))])
-def test_kept_cascade_serves_shallower_requests_bit_for_bit(request, doubling_solves, name,
-                                                            depth, ks):
+def test_kept_cascade_serves_shallower_requests_bit_for_bit(request, cli_cascades,
+                                                            doubling_solves, name, depth, ks):
     fam = request.getfixturevalue(name)
-    deep = cascade.run_cascade(fam, depth)
-    del doubling_solves[:]
+    deep = cli._cascade(cli_cfg(name), depth)
     for k in ks:
-        served = cascade.run_cascade(fam, k)
-        assert fam not in doubling_solves
-        fresh = cascade.run_cascade(dataclasses.replace(fam), k)
-        assert cascade_bits(served) == cascade_bits(fresh)
-    assert cascade_bits(cascade.run_cascade(fam, depth)) == cascade_bits(deep)
-    assert fam not in doubling_solves
+        del doubling_solves[:]
+        served = cli._cascade(cli_cfg(name), k)
+        assert doubling_solves == []
+        assert cascade_bits(served) == cascade_bits(cascade.run_cascade(fam, k))
+    del doubling_solves[:]
+    assert cascade_bits(cli._cascade(cli_cfg(name), depth)) == cascade_bits(deep)
+    assert doubling_solves == []
 
 
-def test_kept_orbits_are_read_only(logistic):
-    res = cascade.run_cascade(logistic, 3)
-    for part in res.orbits + res.orbit_lows:
+def test_kept_orbits_are_read_only(cli_cascades):
+    res = cli._cascade(cli_cfg("logistic"), 3)
+    served = cli._cascade(cli_cfg("logistic"), 2)
+    for part in res.orbits + res.orbit_lows + served.orbits + served.orbit_lows:
         with pytest.raises(ValueError, match="read-only"):
             part[0, 0] = 0.0
 
 
-def test_deeper_request_solves_and_is_kept(henon, doubling_solves):
-    cascade.run_cascade(henon, 4)
+def test_deeper_request_solves_and_is_kept(henon, cli_cascades, doubling_solves):
+    cli._cascade(cli_cfg("henon"), 4)
     del doubling_solves[:]
-    deeper = cascade.run_cascade(henon, 7)
-    assert doubling_solves.count(henon) == 8
-    assert cascade_bits(deeper) == cascade_bits(cascade.run_cascade(dataclasses.replace(henon), 7))
+    deeper = cli._cascade(cli_cfg("henon"), 7)
+    assert len(doubling_solves) == 8
+    assert len(cli_cascades) == 1 and cli_cascades["henon", (0.3).hex()] is deeper
+    assert cascade_bits(deeper) == cascade_bits(cascade.run_cascade(henon, 7))
     del doubling_solves[:]
-    assert cascade_bits(cascade.run_cascade(henon, 5)) == cascade_bits(
-        cascade.run_cascade(dataclasses.replace(henon), 5))
-    assert henon not in doubling_solves
+    served = cli._cascade(cli_cfg("henon"), 5)
+    assert doubling_solves == []
+    assert cascade_bits(served) == cascade_bits(cascade.run_cascade(henon, 5))
 
 
-def test_seeded_cascade_neither_reads_nor_keeps(logistic, doubling_solves):
-    res = cascade.run_cascade(logistic, 8)
-    del doubling_solves[:]
-    # seeds at the kept orbits themselves: every level is solved again
-    seeded = cascade.run_cascade(logistic, 6, seeds=shift_seeds(res, 0.0)[:7])
-    assert doubling_solves.count(logistic) == 7 and cascade._KEPT[logistic] is res
-    shifted = cascade.recenter(logistic, 0.05)
-    cascade.run_cascade(shifted, 8, seeds=shift_seeds(res, 0.05))
-    assert shifted not in cascade._KEPT
-    seeded.orbits[0][0, 0] = 0.0            # a seeded cascade's orbits are its own
-
-
-def test_failed_cascade_keeps_nothing(logistic):
+def test_failed_cascade_keeps_nothing(logistic, cli_cascades, monkeypatch):
     # level 1's bracket, from a tenth of the first gap, misses t_1
-    short = dataclasses.replace(logistic, gap_hint=0.045)
-    cascade.run_cascade(short, 0)
-    kept = cascade._KEPT[short]
+    monkeypatch.setattr(cli, "_family", lambda cfg: dataclasses.replace(logistic, gap_hint=0.045))
+    kept = cli._cascade(cli_cfg("logistic"), 0)
     for _ in range(2):
         with pytest.raises(BracketError) as err:
-            cascade.run_cascade(short, 3)
+            cli._cascade(cli_cfg("logistic"), 3)
         assert err.value.completed == kept.params
-        assert cascade._KEPT[short] is kept
-    squeezed = dataclasses.replace(logistic, bracket0=(1.2, 1.8))
+        assert len(cli_cascades) == 1 and cli_cascades["logistic", None] is kept
+    cli_cascades.clear()
+    monkeypatch.setattr(cli, "_family", lambda cfg: dataclasses.replace(logistic,
+                                                                        bracket0=(1.2, 1.8)))
     for _ in range(2):
         with pytest.raises(BracketError) as err:
-            cascade.run_cascade(squeezed, 3)
+            cli._cascade(cli_cfg("logistic"), 3)
         assert err.value.completed == ()
-    assert squeezed not in cascade._KEPT
+    assert cli_cascades == {}
 
 
 # --- accumulation extrapolation -------------------------------------------

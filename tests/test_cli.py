@@ -576,7 +576,7 @@ def record(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("family, nmax", [("logistic", 5), ("henon", 4)])
-def test_cascade_csv_bytes_match_csv_writer(tmp_path, monkeypatch, family, nmax):
+def test_cascade_csv_bytes_match_csv_writer(tmp_path, monkeypatch, cli_cascades, family, nmax):
     runs = record(monkeypatch, cascade, "run_cascade")
     path = tmp_path / "c.csv"
     assert cli.main(["cascade", "--family", family, "--nmax", str(nmax), "--csv", str(path),
@@ -723,13 +723,14 @@ def test_bifdiag_steps_base_and_slope_on_one_table(request, tmp_path, monkeypatc
         assert np.isnan(starts[ts < -0.7 ** 2 / 4]).all() and (ts < -0.7 ** 2 / 4).any()
 
 
-def test_manifold_runs_each_cascade_once(tmp_path, monkeypatch):
-    # build_chart and two shifts: a(family) is computed once and shared by
-    # the chart, the gradients' tangents and the shift check
-    calls = record(monkeypatch, persistence, "run_cascade")
+def test_manifold_runs_each_cascade_once(tmp_path, monkeypatch, cli_cascades):
+    # the chart's cascade and two shifts': a(family) is computed once and
+    # shared by the chart, the gradients' tangents and the shift check
+    charts = record(monkeypatch, cascade, "run_cascade")
+    shifts = record(monkeypatch, persistence, "run_cascade")
     assert cli.main(["manifold", "--depth", "6", "--out", str(tmp_path / "m.json"),
                      "--no-timestamp"]) == 0
-    assert len(calls) == 3
+    assert (len(charts), len(shifts)) == (1, 2)
 
 
 @pytest.mark.parametrize("nmax", [0, 1, 2])
@@ -742,8 +743,8 @@ def test_cascade_too_short_to_extrapolate_has_no_t_inf(capsys, nmax):
 
 @pytest.mark.parametrize("family, nmax, gens, depth, manifold_solves", [
     ("henon", 9, 6, 6, 14), ("logistic", 10, 6, 8, 18)])
-def test_session_solves_its_family_cascade_once(tmp_path, doubling_solves, family, nmax, gens,
-                                                 depth, manifold_solves):
+def test_session_solves_its_family_cascade_once(tmp_path, cli_cascades, doubling_solves, family,
+                                                 nmax, gens, depth, manifold_solves):
     # attractor and manifold take their levels from cascade's, and manifold's
     # gradients read the chart's; it still solves the two shifts' cascades,
     # depth + 1 levels each
@@ -759,24 +760,26 @@ def test_session_solves_its_family_cascade_once(tmp_path, doubling_solves, famil
                          "--no-timestamp"]) == 0
         return [path.read_bytes() for path in sorted(tmp_path.iterdir())]
 
-    shared = cli._family({"family": family, "b": 0.3})
     outputs, solves = [], []
     for argv in session:
         del doubling_solves[:]
         outputs.append(run(argv))
-        solves.append((len(doubling_solves), doubling_solves.count(shared)))
-    assert solves == [(nmax + 1,) * 2, (0, 0), (manifold_solves, 0)]
+        solves.append(len(doubling_solves))
+    assert solves == [nmax + 1, 0, manifold_solves]
     # each command's files are those it writes with nothing kept
     for argv, files in zip(session, outputs):
-        cascade._KEPT.clear()
+        cli_cascades.clear()
         assert run(argv) == files
 
 
-def test_families_are_built_once_per_family_and_b():
-    henon = cli._family({"family": "henon", "b": 0.3})
-    assert cli._family({"family": "henon", "b": 0.3}) is henon
-    assert cli._family({"family": "henon", "b": 0.6}) is not henon
+def test_cascades_are_kept_per_family_and_b(cli_cascades, doubling_solves):
     # 0.0 == -0.0, but the maps differ in the sign of their zeros
-    zero = cli._family({"family": "henon", "b": 0.0})
-    assert cli._family({"family": "henon", "b": -0.0}) is not zero
-    assert cli._family({"family": "logistic", "b": 0.3}) is not henon
+    for b in (0.0, -0.0, 0.3, 0.0):
+        cli._cascade({"family": "henon", "b": b}, 2)
+    assert len(doubling_solves) == 9
+    assert set(cli_cascades) == {("henon", b.hex()) for b in (0.0, -0.0, 0.3)}
+    # the logistic family has no b: one cascade serves every --b
+    del doubling_solves[:]
+    for b in (0.3, 0.6):
+        cli._cascade({"family": "logistic", "b": b}, 2)
+    assert len(doubling_solves) == 3 and ("logistic", None) in cli_cascades

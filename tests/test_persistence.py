@@ -9,7 +9,7 @@ from renormlab.errors import BracketError, InsufficientDataError
 
 @pytest.fixture(scope="module")
 def chart(logistic):
-    return persistence.build_chart(logistic, depth=8)
+    return persistence.build_chart(logistic, cascade.run_cascade(logistic, 8))
 
 
 def test_a_vanishes_at_recentered_base(logistic):
@@ -142,7 +142,7 @@ TRANSVERSALS = pytest.mark.parametrize("name, depth, exponents", [
 @TRANSVERSALS
 def test_gradient_matches_richardson_central_differences(request, name, depth, exponents):
     fam = request.getfixturevalue(name)
-    chart = persistence.build_chart(fam, depth)
+    chart = persistence.build_chart(fam, cascade.run_cascade(fam, depth))
     dirs = [monomial(e, fam.dim) for e in exponents]
     grads = persistence.chart_gradient(chart, dirs)[1]
     psi0 = chart.family.map_at(0.0)
@@ -161,7 +161,7 @@ def test_chart_gradient_solves_nothing(request, doubling_solves, name, depth, ex
     # the gradient is read off the chart's cascade; a re-solve of the family
     # through psi0 gives the same tangents to rounding
     fam = request.getfixturevalue(name)
-    chart = persistence.build_chart(fam, depth)
+    chart = persistence.build_chart(fam, cascade.run_cascade(fam, depth))
     dirs = [monomial(e, fam.dim) for e in exponents]
     del doubling_solves[:]
     b, grads = persistence.chart_gradient(chart, dirs)
@@ -182,7 +182,7 @@ def test_membership_consistency(chart):
 
 def test_chart_depth_validation(logistic):
     with pytest.raises(InsufficientDataError):
-        persistence.build_chart(logistic, depth=4)
+        persistence.build_chart(logistic, cascade.run_cascade(logistic, 5))
     with pytest.raises(InsufficientDataError):
         persistence.persistence_a(logistic, 2)
     with pytest.raises(InsufficientDataError):
@@ -199,7 +199,7 @@ def test_gradient_transverse_free_direction(chart):
 
 
 def test_chart_works_in_2d(henon):
-    chart2 = persistence.build_chart(henon, depth=6)
+    chart2 = persistence.build_chart(henon, cascade.run_cascade(henon, 6))
     assert abs(persistence.chart_b(chart2, chart2.family.map_at(0.0))) < 1e-4
     grad = persistence.chart_gradient(chart2, [chart2.v0])[1][0]
     assert grad == pytest.approx(-1.0, abs=1e-12)
