@@ -52,9 +52,9 @@ try:
     import matplotlib.pyplot as plt
 
     fig, ax = plt.subplots(figsize=(7, 4))
-    for m in range(len(tree.generations)):
-        for a in tree.generations[m]:
-            ax.plot([a.lo[0], a.hi[0]], [m, m], lw=3)
+    for m, (lo, hi) in enumerate(zip(tree.lo, tree.hi)):
+        for x0, x1 in zip(lo[:, 0], hi[:, 0]):
+            ax.plot([x0, x1], [m, m], lw=3)
     ax.set_xlabel("x")
     ax.set_ylabel("generation")
     ax.set_title("nested atoms of the logistic Cantor attractor")

@@ -23,7 +23,7 @@ from .cascade import (AccumulationEstimate, CascadeResult, DoubleDouble, MapND,
                       find_doubling_bifurcation, henon_family, linear_family,
                       logistic_family, lyapunov_exponent, orbit,
                       orbit_multiplier, periodic_orbit, recenter, run_cascade)
-from .attractor import (Atom, AtomTree, atom_diameters, build_atoms,
+from .attractor import (AtomTree, atom_diameters, box_diameters, build_atoms,
                         scaling_ratios, verify_periodic_saddles)
 from .persistence import (PersistenceChart, build_chart, chart_b, chart_gradient,
                           persistence_a, verify_shift_property)

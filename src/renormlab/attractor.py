@@ -25,34 +25,13 @@ from .cascade import orbit, orbit_multiplier, periodic_orbit, run_cascade
 from .errors import InsufficientDataError, RenormLabError, ResolutionError
 
 MAX_GENERATIONS = 12
-PAIR_CHUNK = 1 << 18    # most box pairs compared in one batch of the disjointness check
 TRANSIENT = 4096        # orbit steps dropped before the atoms' points are kept
 
 
 @dataclass(frozen=True)
-class Atom:
-    generation: int
-    index: int          # orbit phase k: the map sends atom k to atom k+1 mod 2^m
-    lo: np.ndarray
-    hi: np.ndarray
-    count: int
-
-    @property
-    def center(self):
-        return (self.lo + self.hi) / 2
-
-    @property
-    def diameter(self):
-        return float(np.linalg.norm(self.hi - self.lo))
-
-    def contains(self, other):
-        return bool(np.all(other.lo >= self.lo - 1e-12)
-                    and np.all(other.hi <= self.hi + 1e-12))
-
-
-@dataclass(frozen=True)
 class AtomTree:
-    generations: tuple       # generations[m] is a tuple of 2^m Atoms
+    lo: tuple       # lo[m], hi[m]: read-only (2^m, dim) corners of generation m's
+    hi: tuple       # boxes; row p is orbit phase p, which the map sends to p+1 mod 2^m
     points: np.ndarray       # the sampled orbit, shape (n_points, dim)
 
 
@@ -60,9 +39,13 @@ def build_atoms(fam, t, generations, n_points):
     """Cluster a long critical orbit, after TRANSIENT steps, into the nested
     atom hierarchy.
 
-    Generation m holds the 2^m clusters of orbit points indexed by iterate
-    mod 2^m.  Raises ResolutionError if any two same-generation bounding
-    boxes overlap (more points, or a parameter closer to the accumulation,
+    Generation m holds the bounding boxes of the 2^m clusters of orbit
+    points indexed by iterate mod 2^m.  Each box is the union of its two
+    children's, so once generation m - 1 is disjoint, atoms of generation m
+    with different parents are too, and only siblings p and p + 2^(m-1)
+    are compared.  Raises ResolutionError, naming the first overlapping
+    pair of the coarsest such generation, if two same-generation boxes
+    overlap (more points, or a parameter closer to the accumulation,
     resolves that).
     """
     if generations < 1 or generations > MAX_GENERATIONS:
@@ -81,36 +64,36 @@ def build_atoms(fam, t, generations, n_points):
     lo, hi = grid.min(axis=0), grid.max(axis=0)
     np.minimum(lo[:r], pts[q * k:], out=lo[:r])
     np.maximum(hi[:r], pts[q * k:], out=hi[:r])
-    boxes = [(lo, hi)]
+    los, his = [lo], [hi]
     while len(lo) > 1:
         # phase p of generation m is phases p and p + 2^m of generation m + 1
         k = len(lo) // 2
         lo, hi = np.minimum(lo[:k], lo[k:]), np.maximum(hi[:k], hi[k:])
-        boxes.append((lo, hi))
-    levels = []     # checked coarsest first, so the first overlap is named
-    for gen, (lo, hi) in enumerate(reversed(boxes)):
-        k = 2 ** gen
-        q, r = divmod(n_points, k)
+        los.insert(0, lo)
+        his.insert(0, hi)
+    for gen, (lo, hi) in enumerate(zip(los, his)):
         lo.flags.writeable = hi.flags.writeable = False
-        rows = max(1, PAIR_CHUNK // k)
-        for a in range(0, k - 1, rows):
-            # boxes i < j are disjoint when they are separated along some axis
-            b = min(a + rows, k - 1)
-            near = ~((hi[a:b, None] < lo[a + 1:]) | (hi[a + 1:] < lo[a:b, None])).any(axis=2)
-            near &= np.arange(a + 1, k) > np.arange(a, b)[:, None]
-            if near.any():
-                i, j = divmod(int(np.argmax(near)), k - a - 1)
-                raise ResolutionError(
-                    f"generation {gen}: atoms {a + i} and {a + 1 + j} overlap; "
-                    "use more points or a parameter closer to the accumulation")
-        levels.append(tuple(Atom(gen, phase, lo[phase], hi[phase], q + (phase < r))
-                            for phase in range(k)))
-    return AtomTree(tuple(levels), pts)
+        # siblings are disjoint when they are separated along some axis
+        h = len(lo) // 2
+        near = ~((hi[:h] < lo[h:]) | (hi[h:] < lo[:h])).any(axis=1)
+        if near.any():
+            p = int(np.argmax(near))
+            raise ResolutionError(
+                f"generation {gen}: atoms {p} and {p + h} overlap; "
+                "use more points or a parameter closer to the accumulation")
+    return AtomTree(tuple(los), tuple(his), pts)
+
+
+def box_diameters(lo, hi):
+    """Diagonal length of each box, row by row, with the bytes of
+    np.linalg.norm on each row alone (a norm along an axis differs)."""
+    d = hi - lo
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 def atom_diameters(tree):
     """Per-generation maximum atom diameter d_m."""
-    return [max(a.diameter for a in gen) for gen in tree.generations]
+    return [float(box_diameters(lo, hi).max()) for lo, hi in zip(tree.lo, tree.hi)]
 
 
 def scaling_ratios(diameters):

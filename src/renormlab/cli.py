@@ -324,15 +324,17 @@ def _cmd_attractor(cfg):
         "parameter": t,
         "generations": gens,
         "orbit_points": pts,
-        "atom_counts": [len(g) for g in tree.generations],
+        "atom_counts": [len(lo) for lo in tree.lo],
         "max_diameters": diams,
         "diameter_ratios": ratios,
         "lambda_estimate": lam_est,
     }
     if not cfg["csv"]:
         return report, {}
-    rows = ((a.generation, a.index, *map(repr, a.center.tolist()), repr(float(a.diameter)))
-            for gen in tree.generations for a in gen)
+    rows = ((m, p, *map(repr, c), repr(d))
+            for m, (lo, hi) in enumerate(zip(tree.lo, tree.hi))
+            for p, (c, d) in enumerate(zip(((lo + hi) / 2).tolist(),
+                                           attractor_mod.box_diameters(lo, hi).tolist())))
     dim = tree.points.shape[1]
     return report, {"csv": _csv(("generation", "index", *(f"center_{i}" for i in range(dim)),
                                  "diameter"), map(_csv_line, rows))}

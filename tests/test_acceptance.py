@@ -71,16 +71,15 @@ def test_criterion_3_exact_anchors():
 
 
 def _tree_structure_ok(tree, generations):
-    for gen in tree.generations:
-        for i, a in enumerate(gen):
-            for b in gen[i + 1:]:
-                if not (np.any(a.hi < b.lo) or np.any(b.hi < a.lo)):
-                    return False
+    for lo, hi in zip(tree.lo, tree.hi):
+        apart = ((hi[:, None] < lo) | (hi < lo[:, None])).any(axis=2)
+        if not (apart | np.eye(len(lo), dtype=bool)).all():
+            return False
     for m in range(generations):
-        parents = tree.generations[m]
-        for child in tree.generations[m + 1]:
-            if not parents[child.index % 2 ** m].contains(child):
-                return False
+        # child p of generation m + 1 lies in parent p mod 2^m
+        lo, hi = np.tile(tree.lo[m], (2, 1)), np.tile(tree.hi[m], (2, 1))
+        if not (np.all(tree.lo[m + 1] >= lo - 1e-12) and np.all(tree.hi[m + 1] <= hi + 1e-12)):
+            return False
     return True
 
 

@@ -19,49 +19,57 @@ def henon_tree(henon, henon_cascade9):
     return attractor.build_atoms(henon, henon_cascade9.t_inf, 6, 2 ** 15)
 
 
+def counts(tree):
+    return [(len(lo), len(hi)) for lo, hi in zip(tree.lo, tree.hi)]
+
+
+def nested(tree, m):
+    # child p of generation m + 1 lies in parent p mod 2^m
+    lo, hi = np.tile(tree.lo[m], (2, 1)), np.tile(tree.hi[m], (2, 1))
+    return (np.all(tree.lo[m + 1] >= lo - 1e-12)
+            and np.all(tree.hi[m + 1] <= hi + 1e-12))
+
+
 def test_two_atoms_at_first_generation(logistic, logistic_cascade12):
     tree = attractor.build_atoms(logistic, logistic_cascade12.t_inf, 1, 2 ** 8)
-    assert len(tree.generations[1]) == 2
+    assert counts(tree)[1] == (2, 2)
 
 
 def test_atom_counts(logistic_tree):
-    assert [len(g) for g in logistic_tree.generations] == [2 ** m for m in range(9)]
+    assert counts(logistic_tree) == [(2 ** m, 2 ** m) for m in range(9)]
 
 
 def test_atoms_disjoint_by_construction(logistic_tree):
-    # build_atoms raises on overlap; re-verify the bounding boxes here
-    for gen in logistic_tree.generations:
-        for i, a in enumerate(gen):
-            for b in gen[i + 1:]:
-                assert np.any(a.hi < b.lo) or np.any(b.hi < a.lo)
+    # build_atoms compares siblings only; re-verify every pair of boxes here
+    for lo, hi in zip(logistic_tree.lo, logistic_tree.hi):
+        apart = ((hi[:, None] < lo) | (hi < lo[:, None])).any(axis=2)
+        assert (apart | np.eye(len(lo), dtype=bool)).all()
 
 
 def test_atoms_nested(logistic_tree):
     for m in range(8):
-        parents = logistic_tree.generations[m]
-        for child in logistic_tree.generations[m + 1]:
-            assert parents[child.index % 2 ** m].contains(child)
+        assert nested(logistic_tree, m)
 
 
 def test_atoms_cyclically_permuted(logistic, logistic_cascade12, logistic_tree):
     # psi maps points of atom k into atom k+1 mod 2^m, checked on samples
     m = logistic.map_at(logistic_cascade12.t_inf)
     for gen_idx in (3, 6):
-        atoms = logistic_tree.generations[gen_idx]
-        k_count = len(atoms)
+        lo, hi = logistic_tree.lo[gen_idx], logistic_tree.hi[gen_idx]
+        k_count = len(lo)
         pts = logistic_tree.points
         for k in (0, 1, k_count // 2):
             cluster = pts[k::k_count][:50, 0]
-            target = atoms[(k + 1) % k_count]
+            target = (k + 1) % k_count
             for x in cluster:
                 y = m.step(x)
-                assert target.lo[0] - 1e-9 <= y <= target.hi[0] + 1e-9
+                assert lo[target, 0] - 1e-9 <= y <= hi[target, 0] + 1e-9
 
 
 def test_diameters_strictly_decreasing(logistic_tree):
     d = attractor.atom_diameters(logistic_tree)
     assert all(b < a for a, b in zip(d, d[1:]))
-    assert d[0] == pytest.approx(logistic_tree.generations[0][0].diameter)
+    assert d[0] == pytest.approx(np.linalg.norm(logistic_tree.hi[0][0] - logistic_tree.lo[0][0]))
 
 
 def test_ratio_structure(logistic_tree):
@@ -89,11 +97,9 @@ def test_henon_ratio_near_universal(henon_tree):
 
 
 def test_henon_atoms_disjoint_and_nested(henon_tree):
-    assert [len(g) for g in henon_tree.generations] == [2 ** m for m in range(7)]
+    assert counts(henon_tree) == [(2 ** m, 2 ** m) for m in range(7)]
     for m in range(6):
-        parents = henon_tree.generations[m]
-        for child in henon_tree.generations[m + 1]:
-            assert parents[child.index % 2 ** m].contains(child)
+        assert nested(henon_tree, m)
 
 
 def test_scaling_ratios_geometric_input():
@@ -115,7 +121,7 @@ def test_build_atoms_validates_points(logistic, logistic_cascade12):
 @pytest.mark.parametrize("family, gens", [("logistic", 6), ("henon", 5)])
 def test_atoms_match_per_phase_boxes(request, family, gens):
     # n_points need not be a multiple of 2^m: the leftover rows fall to the
-    # first phases, which then count one point more
+    # first phases
     fam = request.getfixturevalue(family)
     t = request.getfixturevalue({"logistic": "logistic_cascade12",
                                  "henon": "henon_cascade9"}[family]).t_inf
@@ -123,47 +129,48 @@ def test_atoms_match_per_phase_boxes(request, family, gens):
         tree = attractor.build_atoms(fam, t, gens, n_points)
         pts = tree.points
         assert pts.shape == (n_points, fam.dim)
-        for m, atoms in enumerate(tree.generations):
+        assert counts(tree) == [(2 ** m, 2 ** m) for m in range(gens + 1)]
+        for m, (lo, hi) in enumerate(zip(tree.lo, tree.hi)):
             k = 2 ** m
-            assert [a.index for a in atoms] == list(range(k))
-            for p, atom in enumerate(atoms):
+            for p in range(k):
                 cluster = pts[p::k]
-                assert atom.generation == m and atom.count == len(cluster)
-                assert type(atom.count) is int
-                assert atom.lo.tobytes() == cluster.min(axis=0).tobytes()
-                assert atom.hi.tobytes() == cluster.max(axis=0).tobytes()
+                assert lo[p].tobytes() == cluster.min(axis=0).tobytes()
+                assert hi[p].tobytes() == cluster.max(axis=0).tobytes()
 
 
 def test_atoms_share_no_writable_table(henon, henon_cascade9):
     tree = attractor.build_atoms(henon, henon_cascade9.t_inf, 3, 2 ** 10)
-    atoms = tree.generations[3]
-    before = [(a.lo.copy(), a.hi.copy()) for a in atoms]
-    for field in ("lo", "hi"):
-        try:
-            getattr(atoms[2], field)[0] = 99.0
-        except ValueError:
-            continue
-        assert all(np.array_equal(a.lo, lo) and np.array_equal(a.hi, hi)
-                   for a, (lo, hi) in zip(atoms, before) if a is not atoms[2])
+    for table in tree.lo + tree.hi:
+        with pytest.raises(ValueError):
+            table[0, 0] = 99.0
 
 
-def test_overlap_names_first_pair(logistic):
-    # two-band chaos: generation 1 separates, generation 2 does not; the
-    # reported pair is the first one a plain double loop over boxes finds
-    t, gens, n = 3.6, 3, 2 ** 10
-    pts = cascade.orbit(logistic.map_at(t), logistic.start_at(t), 4096 + n, keep=n)[1]
-    first = None
+@pytest.mark.parametrize("family, t, first", [
+    ("logistic", 3.5, (3, 0, 4)),      # a period-4 sink: generation 3 closes in
+    ("logistic", 3.55, None),          # a period-8 sink resolves all 3 generations
+    ("logistic", 3.6, (2, 0, 2)),      # two-band chaos: generation 2 does not separate
+    ("henon", 0.95, (3, 0, 4))])       # a period-4 sink of the Henon map
+def test_overlap_names_first_pair(request, family, t, first):
+    # build_atoms passes, or names the pair a plain double loop over every
+    # pair of boxes finds first, coarsest generation first
+    fam = request.getfixturevalue(family)
+    gens, n = 3, 2 ** 10
+    pts = cascade.orbit(fam.map_at(t), fam.start_at(t), 4096 + n, keep=n)[1]
+    found = None
     for gen in range(gens + 1):
         k = 2 ** gen
         boxes = [(pts[p::k].min(axis=0), pts[p::k].max(axis=0)) for p in range(k)]
         pairs = [(i, j) for i in range(k) for j in range(i + 1, k)
                  if not (np.any(boxes[i][1] < boxes[j][0]) or np.any(boxes[j][1] < boxes[i][0]))]
         if pairs:
-            first = (gen, *pairs[0])
+            found = (gen, *pairs[0])
             break
-    assert first is not None and first[0] == 2 and first[1:] != (0, 1)
-    with pytest.raises(ResolutionError, match=r"generation %d: atoms %d and %d overlap" % first):
-        attractor.build_atoms(logistic, t, gens, n)
+    assert found == first
+    if first is None:
+        attractor.build_atoms(fam, t, gens, n)
+    else:
+        with pytest.raises(ResolutionError, match=r"generation %d: atoms %d and %d overlap" % first):
+            attractor.build_atoms(fam, t, gens, n)
 
 
 def test_overlap_names_pair_after_the_first_atom():
@@ -205,15 +212,6 @@ def test_overlap_at_the_finest_generations_is_checked_coarsest_first(logistic, t
     attractor.build_atoms(logistic, t, first[0] - 1, n)
     with pytest.raises(ResolutionError, match=r"generation %d: atoms %d and %d overlap" % first):
         attractor.build_atoms(logistic, t, gens, n)
-
-
-@pytest.mark.parametrize("chunk", [1, 8])
-def test_overlap_check_in_chunks_names_the_first_pair(logistic, monkeypatch, chunk):
-    # generation 2's four boxes compared max(1, chunk // 4) rows at a time:
-    # 1 or 2 rows per batch name the same pair as the whole triangle
-    monkeypatch.setattr(attractor, "PAIR_CHUNK", chunk)
-    test_overlap_names_first_pair(logistic)
-    test_overlap_names_pair_after_the_first_atom()
 
 
 def test_periodic_saddles_logistic(logistic, logistic_cascade12):

@@ -597,10 +597,14 @@ def test_attractor_csv_bytes_match_csv_writer(tmp_path, monkeypatch, family, gen
                      "--csv", str(path), "--out", str(tmp_path / "a.json"),
                      "--no-timestamp"]) == 0
     (tree,) = trees
-    dim = tree.points.shape[1]
+    pts = tree.points
+    dim = pts.shape[1]
     rows = [["generation", "index"] + [f"center_{i}" for i in range(dim)] + ["diameter"]]
-    rows += [[a.generation, a.index] + [repr(float(c)) for c in a.center]
-             + [repr(float(a.diameter))] for gen in tree.generations for a in gen]
+    for m in range(gens + 1):
+        for p in range(2 ** m):
+            lo, hi = pts[p::2 ** m].min(axis=0), pts[p::2 ** m].max(axis=0)
+            rows.append([m, p] + [repr(float(c)) for c in (lo + hi) / 2]
+                        + [repr(float(np.linalg.norm(hi - lo)))])
     assert path.read_bytes() == csv_writer_bytes(rows)
 
 

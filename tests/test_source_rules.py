@@ -228,7 +228,6 @@ def unreached(root, exempt):
 UNREACHED = {
     "chart_b": "the paper's b(chi), to be reported along transversal families",
     "verify_periodic_saddles": "the sinks-to-saddles report at the accumulation",
-    "Atom.contains": "the atom-nesting check of the acceptance tests",
 }
 
 
